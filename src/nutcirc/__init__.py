@@ -22,7 +22,6 @@ from .cyclotomy import (
     cyclo_divisors_accelerated,
     cyclo_divisors_oracle,
     filaseta_step,
-    has_root_of_unity,
     large_prime_exclusion,
 )
 from .errors import CapacityError, ConfigurationError, NutcircError, ParameterError
@@ -45,8 +44,10 @@ from .polyalg import (
     cyclotomic,
     dense_div_rem,
     euler_phi,
+    phi_divides,
     reduce_mod_signed,
     reduce_mod_xb,
+    totient_candidates,
 )
 from .search import CatalogEntry, ProbeEntry, catalog, conjecture_probe, enumerate_sets
 
@@ -84,13 +85,14 @@ __all__ = [
     "family_poly",
     "filaseta_step",
     "generate_table",
-    "has_root_of_unity",
     "is_nut_kernel",
     "is_nut_spectral",
     "kernel_oracle",
     "large_prime_exclusion",
     "parity_balanced",
+    "phi_divides",
     "reduce_mod_signed",
     "reduce_mod_xb",
+    "totient_candidates",
     "unique_remainder_exists",
 ]

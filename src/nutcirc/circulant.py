@@ -17,7 +17,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .errors import CapacityError, ParameterError
-from .polyalg import SparsePoly, cyclotomic, dense_div_rem, divisors
+from .polyalg import SparsePoly, divisors, phi_divides
 
 DEFAULT_ORACLE_LIMIT = 256
 ORACLE_LIMIT_ENV = "NUTCIRC_ORACLE_LIMIT"
@@ -127,11 +127,9 @@ def is_nut_spectral(g: GeneratorSet) -> NutVerdict:
         return NutVerdict(False, REASON_ODD_ORDER)
     if not g.elements or not parity_balanced(g):
         return NutVerdict(False, REASON_PARITY)
-    p_dense = eigen_poly(g).to_dense()
+    p = eigen_poly(g)
     for b in divisors(g.n):
-        if b < 3:
-            continue
-        if dense_div_rem(p_dense, cyclotomic(b))[1].is_zero():
+        if b >= 3 and phi_divides(p, b):
             return NutVerdict(False, REASON_SPECTRAL, witness=b)
     return NutVerdict(True, REASON_OK)
 

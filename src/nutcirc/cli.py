@@ -8,8 +8,9 @@ Polynomial coefficients and kernel-vector entries are serialized as decimal
 strings because they can exceed 64-bit range.
 
 Exit codes: 0 for a completed command (a "not a nut graph" verdict is a
-completed command), 1 for domain errors (capacity, missing data), 2 for
-usage errors (bad flags or arguments violating preconditions).
+completed command), 1 for domain errors (capacity, missing data, an unwritable
+--out file), 2 for usage errors (bad flags or arguments violating
+preconditions).
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from typing import Any, Optional
 
 from . import families, search
 from .circulant import (
-    GeneratorSet,
     NutVerdict,
     is_nut_kernel,
     is_nut_spectral,
@@ -52,17 +52,6 @@ def verdict_to_json(verdict: NutVerdict) -> dict[str, Any]:
     return payload
 
 
-def verdict_from_json(data: dict[str, Any]) -> NutVerdict:
-    witness = data["witness"]
-    if witness is None:
-        parsed = None
-    elif "divisor" in witness:
-        parsed = int(witness["divisor"])
-    else:
-        parsed = tuple(int(v) for v in witness["kernel_vector"])
-    return NutVerdict(data["is_nut"], data["reason"], parsed)
-
-
 def entry_to_json(entry: search.CatalogEntry) -> dict[str, Any]:
     return {
         "n": entry.n,
@@ -72,21 +61,6 @@ def entry_to_json(entry: search.CatalogEntry) -> dict[str, Any]:
         "sets_passing": entry.sets_passing,
         "skipped": entry.skipped,
     }
-
-
-def entry_from_json(d: int, data: dict[str, Any]) -> search.CatalogEntry:
-    witness = (
-        GeneratorSet(data["n"], tuple(data["witness"])) if data["witness"] is not None else None
-    )
-    return search.CatalogEntry(
-        data["n"],
-        d,
-        data["exists"],
-        witness,
-        data["sets_enumerated"],
-        data["sets_passing"],
-        data["skipped"],
-    )
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -161,10 +135,22 @@ def _cmd_search(args) -> dict[str, Any]:
         jobs=args.jobs,
         balanced_only=args.balanced,
     )
-    return {
+    payload = {
         "degree": args.degree,
         "entries": [entry_to_json(e) for e in entries],
     }
+    if args.out:
+        document = (
+            _search_csv(payload)
+            if args.format == "csv"
+            else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(document)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write --out file: {exc}") from None
+    return payload
 
 
 def _cmd_cyclodiv(args) -> dict[str, Any]:
@@ -334,14 +320,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "payload": payload,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    if status == "ok" and args.command == "search" and args.out:
-        document = (
-            _search_csv(payload)
-            if args.format == "csv"
-            else json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        with open(args.out, "w") as fh:
-            fh.write(document)
     _emit(envelope, args.json)
     return exit_code
 

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .polyalg import (
     SparsePoly,
-    cyclotomic,
-    dense_div_rem,
-    euler_phi,
     is_prime,
+    phi_divides,
     prime_factorization,
     reduce_mod_signed,
     reduce_mod_xb,
+    totient_candidates,
 )
 
 
@@ -29,7 +28,7 @@ class CycloDivisorReport:
     """Complete set of indices b with Phi_b dividing the inspected polynomial."""
 
     divisors: tuple[int, ...]
-    search_bound: int
+    search_bound: int  # largest index examined (0 for a constant polynomial)
     method: str  # "oracle" or "accelerated"
 
     def __contains__(self, b: int) -> bool:
@@ -52,31 +51,17 @@ class ReductionStep:
     condition_sum: int
 
 
-def _candidate_indices(degree: int) -> tuple[range, int]:
-    # Every b with euler_phi(b) <= d satisfies b <= 2*d*d (phi(b) >= sqrt(b/2)),
-    # so the exhaustive scan below provably covers all divisor indices.
-    bound = 2 * degree * degree
-    return range(1, bound + 1), bound
-
-
-def _divides(p_dense, b: int) -> bool:
-    return dense_div_rem(p_dense, cyclotomic(b))[1].is_zero()
-
-
 def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
-    """Ground-truth divisor set, by exact trial division over all candidates."""
+    """Ground-truth divisor set, by exact trial division over all candidates.
+
+    Phi_b has degree euler_phi(b), so only indices with euler_phi(b) <= deg p
+    can divide p; each of them is tested.
+    """
     if p.is_zero():
         raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
-    degree = p.degree
-    dense = p.to_dense()
-    candidates, bound = _candidate_indices(degree)
-    found = [b for b in candidates if euler_phi(b) <= degree and _divides(dense, b)]
-    return CycloDivisorReport(tuple(found), bound, "oracle")
-
-
-def has_root_of_unity(p: SparsePoly) -> bool:
-    """True iff some root of p is a root of unity."""
-    return bool(cyclo_divisors_oracle(p).divisors)
+    candidates = totient_candidates(p.degree)
+    found = [b for b in candidates if phi_divides(p, b)]
+    return CycloDivisorReport(tuple(found), max(candidates, default=0), "oracle")
 
 
 def filaseta_step(term_count: int, b: int) -> list[ReductionStep]:
@@ -148,15 +133,13 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
     """
     if p.is_zero():
         raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
-    degree = p.degree
     terms = p.term_count()
-    dense = p.to_dense()
-    candidates, bound = _candidate_indices(degree)
+    candidates = totient_candidates(p.degree)
     found: set[int] = set()
     excluded: set[int] = set()
+    # Ascending order matters: every reduced index is smaller than b, so it
+    # has already been classified when b is reached.
     for b in candidates:
-        if euler_phi(b) > degree:
-            continue
         if b in excluded:
             continue
         if b >= 2:
@@ -168,9 +151,9 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
             if q is not None and large_prime_exclusion(p, q):
                 excluded.update((q, 2 * q))
                 continue
-        if _divides(dense, b):
+        if phi_divides(p, b):
             found.add(b)
-    return CycloDivisorReport(tuple(sorted(found)), bound, "accelerated")
+    return CycloDivisorReport(tuple(sorted(found)), max(candidates, default=0), "accelerated")
 
 
 def _prime_or_double_prime(b: int) -> int | None:

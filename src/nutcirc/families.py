@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib.resources import files as package_files
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .circulant import (
     REASON_OK,
@@ -31,6 +31,7 @@ from .polyalg import (
     dense_div_rem,
     divisors,
     is_prime,
+    phi_divides,
     reduce_mod_xb,
     sparse_from_text,
     sparse_to_text,
@@ -179,15 +180,6 @@ def unique_remainder_exists(pid: FamilyPolyId, p: int) -> bool:
     return any(count == 1 for count in residues.values())
 
 
-def _phi_divides_x_pow_plus_one(b: int, m: int) -> bool:
-    """Phi_b | x^m + 1, decided by exact division (m >= 0; m = 0 gives 2)."""
-    if m == 0:
-        binomial = DensePoly([2])
-    else:
-        binomial = DensePoly([1] + [0] * (m - 1) + [1])
-    return dense_div_rem(binomial, cyclotomic(b))[1].is_zero()
-
-
 def family_nut_check(fid: FamilyId) -> NutVerdict:
     """Decide nut-ness of a family member from the divisor classification alone.
 
@@ -209,59 +201,29 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
     if not parity_balanced(g):  # structurally impossible; kept as a guard
         raise AssertionError("family construction lost parity balance")
     t, n = fid.t, fid.n
-    if fid.variant == VARIANT_DPRIME:
-        if t == 1:
-            failing = _scan_closed_form(n, shift=1)
-        else:
-            q_dense = family_poly(FamilyPolyId("q", t)).to_dense()
-            r_dense = family_poly(FamilyPolyId("r", t)).to_dense()
-            failing = _scan_dprime(n, q_dense, r_dense)
+    dprime = fid.variant == VARIANT_DPRIME
+    # Each divisor b >= 3 of n is tested against the polynomial of the first
+    # (m, polynomial) rule with b | m; a b matching no rule cannot fail.
+    if t == 1:
+        # The spectrum dies at a primitive b-th root iff that root solves
+        # x^(n/2 + shift) = -1, i.e. iff Phi_b divides x^(n/2 + shift) + 1.
+        shift = 1 if dprime else 2
+        rules = [(n, SparsePoly([(n // 2 + shift, 1), (0, 1)]))]
+    elif dprime:
+        rules = [
+            (n // 4, family_poly(FamilyPolyId("q", t))),
+            (n // 2, family_poly(FamilyPolyId("r", t))),
+        ]
     else:
-        if t == 1:
-            failing = _scan_closed_form(n, shift=2)
-        else:
-            u_dense = family_poly(FamilyPolyId("u", t)).to_dense()
-            w_dense = family_poly(FamilyPolyId("w", t)).to_dense()
-            failing = _scan_ddprime(n, u_dense, w_dense)
-    if failing is not None:
-        return NutVerdict(False, REASON_SPECTRAL, witness=failing)
+        rules = [
+            (n // 2, family_poly(FamilyPolyId("u", t))),
+            (n, family_poly(FamilyPolyId("w", t))),
+        ]
+    for b in divisors(n):
+        poly = next((poly for m, poly in rules if m % b == 0), None)
+        if b >= 3 and poly is not None and phi_divides(poly, b):
+            return NutVerdict(False, REASON_SPECTRAL, witness=b)
     return NutVerdict(True, REASON_OK)
-
-
-def _scan_closed_form(n: int, shift: int) -> Optional[int]:
-    # t = 1: the spectrum dies at a primitive b-th root iff that root solves
-    # x^(n/2 + shift) = -1, i.e. iff Phi_b divides x^((n/2+shift) mod b) + 1.
-    for b in divisors(n):
-        if b < 3:
-            continue
-        if _phi_divides_x_pow_plus_one(b, (n // 2 + shift) % b):
-            return b
-    return None
-
-
-def _scan_dprime(n: int, q_dense: DensePoly, r_dense: DensePoly) -> Optional[int]:
-    for b in divisors(n):
-        if b < 3:
-            continue
-        if (n // 4) % b == 0:
-            target = q_dense
-        elif (n // 2) % b == 0:
-            target = r_dense
-        else:
-            continue
-        if dense_div_rem(target, cyclotomic(b))[1].is_zero():
-            return b
-    return None
-
-
-def _scan_ddprime(n: int, u_dense: DensePoly, w_dense: DensePoly) -> Optional[int]:
-    for b in divisors(n):
-        if b < 3:
-            continue
-        target = u_dense if (n // 2) % b == 0 else w_dense
-        if dense_div_rem(target, cyclotomic(b))[1].is_zero():
-            return b
-    return None
 
 
 # --- residue tables ---------------------------------------------------------

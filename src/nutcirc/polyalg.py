@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ParameterError
@@ -178,12 +179,12 @@ def dense_div_rem(a: DensePoly, b: DensePoly) -> tuple[DensePoly, DensePoly]:
     return DensePoly(q), DensePoly(ra[: m - 1])
 
 
-def dense_divides(b: DensePoly, a: DensePoly) -> bool:
-    """True iff b divides a exactly (b monic)."""
-    return dense_div_rem(a, b)[1].is_zero()
+# Bound on each arithmetic memo below: scans revisit an index only shortly
+# after first use, so a modest window keeps the hits and caps the memory.
+ARITH_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:
@@ -207,7 +208,7 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factorization(n) == ((n, 1),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n >= 1, ascending."""
     ds = [1]
@@ -216,7 +217,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def euler_phi(b: int) -> int:
     """Euler totient of b >= 1."""
     if b < 1:
@@ -225,6 +226,37 @@ def euler_phi(b: int) -> int:
     for p, _ in prime_factorization(b):
         result -= result // p
     return result
+
+
+def totient_candidates(d: int) -> list[int]:
+    """Every b >= 1 with euler_phi(b) <= d, ascending.
+
+    Each prime power p^k in b multiplies euler_phi(b) by (p - 1) * p^(k-1),
+    so only primes p <= d + 1 (from a sieve) occur; b is built up by a
+    depth-first walk over prime powers that stops once the totient exceeds d.
+    """
+    if d < 1:
+        return []
+    sieve = bytearray([1]) * (d + 2)
+    for p in range(2, isqrt(d + 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    primes = [p for p in range(2, d + 2) if sieve[p]]
+    found = [1]
+
+    def extend(b: int, phi: int, start: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pb, pphi = b * p, phi * (p - 1)
+            if pphi > d:
+                break  # primes ascend, so every later p overshoots too
+            while pphi <= d:
+                found.append(pb)
+                extend(pb, pphi, i + 1)
+                pb, pphi = pb * p, pphi * p
+
+    extend(1, 1, 0)
+    return sorted(found)
 
 
 # Cyclotomic polynomials are shared process-wide; the cache may be read and
@@ -236,21 +268,56 @@ _CYCLO_LOCK = threading.Lock()
 def cyclotomic(b: int) -> DensePoly:
     """The b-th cyclotomic polynomial: monic, integer, degree euler_phi(b).
 
-    Computed by exact division of x^b - 1 by the product of all lower-index
-    cyclotomic polynomials at divisors of b, and memoized process-wide.
+    Built without division as the power series of the Moebius product of
+    (1 - x^(b/e))^mu(e) over squarefree e | b: mu(e) = +1 is a stride-(b/e)
+    difference, mu(e) = -1 a stride-(b/e) prefix sum. For b >= 2 the signs
+    cancel and Phi_b is palindromic, so the series is cut after
+    x^(euler_phi(b) // 2) and mirrored. Memoized process-wide.
     """
     if b < 1:
         raise ParameterError(f"cyclotomic needs b >= 1, got {b}")
     cached = _CYCLO_CACHE.get(b)
     if cached is not None:
         return cached
-    quo = DensePoly([-1] + [0] * (b - 1) + [1])
-    for d in divisors(b)[:-1]:
-        quo, rem = dense_div_rem(quo, cyclotomic(d))
-        assert rem.is_zero()
+    factors = [(1, 1)]  # (squarefree e, mu(e))
+    for p, _ in prime_factorization(b):
+        factors += [(e * p, -mu) for e, mu in factors]
+    if b == 1:
+        coeffs = [-1, 1]
+    else:
+        phi = sum(mu * (b // e) for e, mu in factors)
+        coeffs = [1] + [0] * (phi // 2)
+        half = len(coeffs)
+        for e, mu in factors:
+            k = b // e
+            if k >= half:
+                continue
+            if mu == 1:
+                coeffs[k:] = [c - s for c, s in zip(coeffs[k:], coeffs)]
+            else:
+                for i in range(k, half):
+                    coeffs[i] += coeffs[i - k]
+        coeffs += reversed(coeffs[: phi + 1 - half])
+    poly = DensePoly(coeffs)
     with _CYCLO_LOCK:
-        _CYCLO_CACHE.setdefault(b, quo)
-    return quo
+        return _CYCLO_CACHE.setdefault(b, poly)
+
+
+def phi_divides(p: SparsePoly, b: int) -> bool:
+    """True iff Phi_b divides p, for b >= 1.
+
+    Phi_b divides x^b - 1, so p is first folded modulo x^b - 1 (exponents
+    taken mod b, colliding coefficients summed) into a polynomial of degree
+    below b, and only that is divided by Phi_b.
+    """
+    if b < 1:
+        raise ParameterError(f"phi_divides needs b >= 1, got {b}")
+    # Same fold as reduce_mod_xb, written straight into a dense list: the
+    # intermediate SparsePoly would triple the cost on the catalog hot path.
+    folded = [0] * min(b, p.degree + 1)
+    for e, c in p.terms.items():
+        folded[e % b] += c
+    return dense_div_rem(DensePoly(folded), cyclotomic(b))[1].is_zero()
 
 
 def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:
@@ -295,6 +362,8 @@ def sparse_from_text(text: str) -> SparsePoly:
             pairs.append((int(e_str), int(c_str)))
         except ValueError:
             raise ParameterError(f"malformed sparse polynomial term {chunk!r}") from None
+    if any(e <= e_next for (e, _), (e_next, _) in zip(pairs, pairs[1:])):
+        raise ParameterError(f"sparse polynomial exponents must be strictly descending: {body!r}")
     return SparsePoly(pairs)
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Optional
 
-from .circulant import GeneratorSet, is_nut_spectral
+from .circulant import GeneratorSet, is_nut_spectral, parity_balanced
 from .errors import ParameterError
 from .families import VARIANT_DDPRIME, FamilyId, build_family, family_nut_check
 
@@ -49,11 +49,6 @@ class ProbeEntry:
     skipped: bool = False
 
 
-def _is_balanced(combo: tuple[int, ...]) -> bool:
-    odd = sum(1 for s in combo if s % 2)
-    return len(combo) % 2 == 0 and 2 * odd == len(combo)
-
-
 def enumerate_sets(n: int, d: int, balanced_only: bool = False) -> Iterator[GeneratorSet]:
     """All d/2-subsets of {1, .., n/2 - 1} in lexicographic order.
 
@@ -68,9 +63,9 @@ def enumerate_sets(n: int, d: int, balanced_only: bool = False) -> Iterator[Gene
     if k > n // 2 - 1:
         raise ParameterError(f"degree {d} is not realizable at order {n}")
     for combo in combinations(range(1, n // 2), k):
-        if balanced_only and not _is_balanced(combo):
-            continue
-        yield GeneratorSet(n, combo)
+        g = GeneratorSet(n, combo)
+        if not balanced_only or parity_balanced(g):
+            yield g
 
 
 def _scan_block(args: tuple[int, int, int, bool]) -> tuple[int, int, Optional[tuple[int, ...]]]:
@@ -80,14 +75,14 @@ def _scan_block(args: tuple[int, int, int, bool]) -> tuple[int, int, Optional[tu
     passing = 0
     witness: Optional[tuple[int, ...]] = None
     for rest in combinations(range(first + 1, n // 2), k - 1):
-        combo = (first,) + rest
-        if balanced_only and not _is_balanced(combo):
+        g = GeneratorSet(n, (first,) + rest)
+        if balanced_only and not parity_balanced(g):
             continue
         enumerated += 1
-        if is_nut_spectral(GeneratorSet(n, combo)).is_nut:
+        if is_nut_spectral(g).is_nut:
             passing += 1
             if witness is None:
-                witness = combo
+                witness = g.elements
     return enumerated, passing, witness
 
 

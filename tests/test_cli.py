@@ -2,20 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from nutcirc.circulant import GeneratorSet, NutVerdict, is_nut_kernel
-from nutcirc.cli import (
-    entry_from_json,
-    entry_to_json,
-    main,
-    verdict_from_json,
-    verdict_to_json,
-)
-from nutcirc.search import catalog
+import nutcirc
+from nutcirc.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +138,14 @@ def test_cyclodiv_zero_poly_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("poly", ["5:1,5:-1,3:2", "3:2,5:1", "5:1,3:2,3:1"])
+def test_cyclodiv_non_descending_exponents_exit_2(capsys, poly):
+    code, envelope = run_json(capsys, "cyclodiv", "--poly", poly)
+    assert code == 2
+    assert envelope["status"] == "error"
+    assert "strictly descending" in envelope["payload"]["message"]
+
+
 def test_search_json_schema_and_out_file(capsys, tmp_path):
     out_path = tmp_path / "catalog.json"
     code, envelope = run_json(
@@ -196,32 +199,33 @@ def test_search_csv_out(capsys, tmp_path):
     assert lines[1].startswith("14,True,")
 
 
+def test_search_unwritable_out_is_domain_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "x.json"
+    code, envelope = run_json(
+        capsys, "search", "--degree", "8", "--n-min", "14", "--n-max", "14", "--out", str(out_path)
+    )
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert envelope["command"] == "search"
+    assert str(out_path) in envelope["payload"]["message"]
+    assert not out_path.exists()
+
+
 def test_human_output_renders(capsys):
     code, out = run_cli(capsys, "verify", "--n", "16", "--set", "1,2,4,5,6,7")
     assert code == 0
     assert "NUT" in out
 
 
-def test_verdict_json_round_trip():
-    g = GeneratorSet(10, (3, 4))
-    for verdict in (
-        is_nut_kernel(g),
-        NutVerdict(False, "spectral-failure", witness=6),
-        NutVerdict(False, "odd-order"),
-    ):
-        assert verdict_from_json(verdict_to_json(verdict)) == verdict
-
-
-def test_entry_json_round_trip():
-    for entry in catalog(8, 12, 16):
-        assert entry_from_json(8, entry_to_json(entry)) == entry
-
-
 def test_console_script_is_installed():
+    # The child imports the same package as this test, installed or not.
+    package_root = str(Path(nutcirc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "nutcirc.cli", "--json", "cyclodiv", "--poly", "2:2,1:1,0:2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     envelope = json.loads(result.stdout)

@@ -9,15 +9,16 @@ from nutcirc.cyclotomy import (
     cyclo_divisors_accelerated,
     cyclo_divisors_oracle,
     filaseta_step,
-    has_root_of_unity,
     large_prime_exclusion,
 )
 from nutcirc.errors import ParameterError
 from nutcirc.families import FamilyPolyId, family_poly
 from nutcirc.polyalg import (
+    ARITH_CACHE_SIZE,
     SparsePoly,
     cyclotomic,
     dense_div_rem,
+    divisors,
     euler_phi,
     prime_factorization,
 )
@@ -36,6 +37,8 @@ def test_oracle_on_x2_minus_1():
     report = cyclo_divisors_oracle(SparsePoly({2: 1, 0: -1}))
     assert report.divisors == (1, 2)
     assert report.method == "oracle"
+    # The largest index with euler_phi(b) <= 2 is 6.
+    assert report.search_bound == 6
 
 
 def test_oracle_quadratic_with_no_unit_roots():
@@ -68,10 +71,18 @@ def test_oracle_report_invariants():
             assert dense_div_rem(dense, cyclotomic(b))[1].is_zero()
 
 
-def test_has_root_of_unity():
-    assert not has_root_of_unity(Z1)
-    assert not has_root_of_unity(Z4)
-    assert has_root_of_unity(cyclotomic(5).to_sparse())
+def test_oracle_detects_roots_of_unity():
+    assert not cyclo_divisors_oracle(Z1).divisors
+    assert not cyclo_divisors_oracle(Z4).divisors
+    assert cyclo_divisors_oracle(cyclotomic(5).to_sparse()).divisors == (5,)
+
+
+def test_oracle_leaves_arithmetic_caches_bounded():
+    for memo in (prime_factorization, divisors, euler_phi):
+        assert memo.cache_info().maxsize == ARITH_CACHE_SIZE
+    euler_phi.cache_clear()
+    cyclo_divisors_oracle(SparsePoly({300: 1, 1: 1, 0: 1}))
+    assert euler_phi.cache_info().currsize < ARITH_CACHE_SIZE
 
 
 def test_all_six_blocked_polynomials_have_empty_divisor_sets():

@@ -16,11 +16,13 @@ from nutcirc.polyalg import (
     dense_to_text,
     divisors,
     euler_phi,
+    phi_divides,
     prime_factorization,
     reduce_mod_signed,
     reduce_mod_xb,
     sparse_from_text,
     sparse_to_text,
+    totient_candidates,
 )
 
 Q3 = SparsePoly({5: 2, 4: 1, 3: -1, 2: 1, 1: -1, 0: -2})
@@ -87,6 +89,24 @@ def test_cyclotomic_small_values():
     assert cyclotomic(12) == DensePoly([1, 0, -1, 0, 1])
 
 
+def _cyclotomic_by_division(b: int, memo: dict[int, DensePoly]) -> DensePoly:
+    # Reference construction: divide x^b - 1 by every lower Phi_d, d | b
+    # (largest first, which keeps the intermediate quotients short).
+    if b not in memo:
+        quo = DensePoly([-1] + [0] * (b - 1) + [1])
+        for d in reversed(divisors(b)[:-1]):
+            quo, rem = dense_div_rem(quo, _cyclotomic_by_division(d, memo))
+            assert rem.is_zero()
+        memo[b] = quo
+    return memo[b]
+
+
+def test_cyclotomic_matches_division_construction():
+    memo: dict[int, DensePoly] = {}
+    for b in [*range(1, 501), 2310, 4620]:
+        assert cyclotomic(b) == _cyclotomic_by_division(b, memo), b
+
+
 def test_cyclotomic_rejects_zero():
     with pytest.raises(ParameterError):
         cyclotomic(0)
@@ -122,6 +142,56 @@ def test_euler_phi_examples():
 def test_euler_phi_matches_unit_count():
     for b in range(1, 301):
         assert euler_phi(b) == sum(1 for k in range(1, b + 1) if math.gcd(k, b) == 1)
+
+
+def test_totient_candidates_match_exhaustive_scan():
+    # phi(b) >= sqrt(b/2), so every b with phi(b) <= d lies in 1 .. 2d^2.
+    top = 120
+    phi = [0] + [euler_phi(b) for b in range(1, 2 * top * top + 1)]
+    for d in range(0, top + 1):
+        assert totient_candidates(d) == [
+            b for b in range(1, 2 * d * d + 1) if phi[b] <= d
+        ], d
+
+
+def test_totient_candidates_examples():
+    assert totient_candidates(0) == []
+    assert totient_candidates(1) == [1, 2]
+    assert totient_candidates(2) == [1, 2, 3, 4, 6]
+    assert totient_candidates(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+
+def test_phi_divides_matches_dense_division():
+    rng = random.Random(20261017)
+    for i in range(16):
+        poly = SparsePoly(
+            (rng.randint(0, 150), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 10))
+        )
+        if i % 2:
+            planted = rng.choice([b for b in range(1, 40) if euler_phi(b) <= 24])
+            cofactor = SparsePoly(
+                (rng.randint(0, 150 - euler_phi(planted)), rng.choice((-1, 1, 2)))
+                for _ in range(rng.randint(1, 10))
+            )
+            poly = (cofactor.to_dense() * cyclotomic(planted)).to_sparse()
+            if not cofactor.is_zero():
+                assert phi_divides(poly, planted)
+        dense = poly.to_dense()
+        for b in totient_candidates(poly.degree):
+            expected = dense_div_rem(dense, cyclotomic(b))[1].is_zero()
+            assert phi_divides(poly, b) == expected, (sparse_to_text(poly), b)
+
+
+def test_phi_divides_edge_cases():
+    assert not phi_divides(SparsePoly({0: 2}), 1)
+    # x^4 + 1 folds to the constant 2 modulo x^2 - 1; Phi_8 is x^4 + 1 itself.
+    assert not phi_divides(SparsePoly({4: 1, 0: 1}), 2)
+    assert phi_divides(SparsePoly({4: 1, 0: 1}), 8)
+    assert phi_divides(SparsePoly({21: 1, 0: -1}), 7)
+    assert phi_divides(SparsePoly(), 5)
+    with pytest.raises(ParameterError):
+        phi_divides(Q3, 0)
 
 
 def test_reduce_mod_xb_q3():
@@ -178,8 +248,9 @@ def test_sparse_text_round_trip():
     assert sparse_from_text("5:2,4:1,3:-1,2:1,1:-1,0:-2") == Q3
     assert sparse_to_text(SparsePoly()) == "0"
     assert sparse_from_text("0").is_zero()
-    with pytest.raises(ParameterError):
-        sparse_from_text("5:2,bogus")
+    for text in ("5:2,bogus", "5:1,5:-1,3:2", "0:1,2:1", "7:1,3:1,4:1"):
+        with pytest.raises(ParameterError):
+            sparse_from_text(text)
 
 
 def test_dense_text_round_trip():
