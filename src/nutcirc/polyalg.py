@@ -303,21 +303,26 @@ def cyclotomic(b: int) -> DensePoly:
         return _CYCLO_CACHE.setdefault(b, poly)
 
 
-def phi_divides(p: SparsePoly, b: int) -> bool:
-    """True iff Phi_b divides p, for b >= 1.
+def phi_remainder(p: SparsePoly, b: int) -> DensePoly:
+    """Remainder of p modulo Phi_b, for b >= 1.
 
     Phi_b divides x^b - 1, so p is first folded modulo x^b - 1 (exponents
     taken mod b, colliding coefficients summed) into a polynomial of degree
-    below b, and only that is divided by Phi_b.
+    below b, and only that is divided by Phi_b. The remainder is linear in p.
     """
     if b < 1:
-        raise ParameterError(f"phi_divides needs b >= 1, got {b}")
+        raise ParameterError(f"phi_remainder needs b >= 1, got {b}")
     # Same fold as reduce_mod_xb, written straight into a dense list: the
-    # intermediate SparsePoly would triple the cost on the catalog hot path.
+    # intermediate SparsePoly would triple the cost on the spectral hot path.
     folded = [0] * min(b, p.degree + 1)
     for e, c in p.terms.items():
         folded[e % b] += c
-    return dense_div_rem(DensePoly(folded), cyclotomic(b))[1].is_zero()
+    return dense_div_rem(DensePoly(folded), cyclotomic(b))[1]
+
+
+def phi_divides(p: SparsePoly, b: int) -> bool:
+    """True iff Phi_b divides p, for b >= 1."""
+    return phi_remainder(p, b).is_zero()
 
 
 def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:

@@ -211,6 +211,13 @@ def test_search_unwritable_out_is_domain_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_search_order_below_two_is_usage_error(capsys):
+    code, envelope = run_json(capsys, "search", "--degree", "0", "--n-min", "-4", "--n-max", "4")
+    assert code == 2
+    assert envelope["status"] == "error"
+    assert "n_min=-4" in envelope["payload"]["message"]
+
+
 def test_human_output_renders(capsys):
     code, out = run_cli(capsys, "verify", "--n", "16", "--set", "1,2,4,5,6,7")
     assert code == 0

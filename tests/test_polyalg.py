@@ -17,6 +17,7 @@ from nutcirc.polyalg import (
     divisors,
     euler_phi,
     phi_divides,
+    phi_remainder,
     prime_factorization,
     reduce_mod_signed,
     reduce_mod_xb,
@@ -179,8 +180,9 @@ def test_phi_divides_matches_dense_division():
                 assert phi_divides(poly, planted)
         dense = poly.to_dense()
         for b in totient_candidates(poly.degree):
-            expected = dense_div_rem(dense, cyclotomic(b))[1].is_zero()
-            assert phi_divides(poly, b) == expected, (sparse_to_text(poly), b)
+            remainder = dense_div_rem(dense, cyclotomic(b))[1]
+            assert phi_remainder(poly, b) == remainder, (sparse_to_text(poly), b)
+            assert phi_divides(poly, b) == remainder.is_zero(), (sparse_to_text(poly), b)
 
 
 def test_phi_divides_edge_cases():
@@ -190,6 +192,9 @@ def test_phi_divides_edge_cases():
     assert phi_divides(SparsePoly({4: 1, 0: 1}), 8)
     assert phi_divides(SparsePoly({21: 1, 0: -1}), 7)
     assert phi_divides(SparsePoly(), 5)
+    # Folding x^7 - x^2 modulo x^5 - 1 cancels it; Phi_4 leaves x^3 + 1 as -x + 1.
+    assert phi_remainder(SparsePoly({7: 1, 2: -1}), 5).is_zero()
+    assert phi_remainder(SparsePoly({3: 1, 0: 1}), 4) == DensePoly([1, -1])
     with pytest.raises(ParameterError):
         phi_divides(Q3, 0)
 
