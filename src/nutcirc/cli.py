@@ -10,7 +10,8 @@ strings because they can exceed 64-bit range.
 Exit codes: 0 for a completed command (a "not a nut graph" verdict is a
 completed command), 1 for domain errors (capacity, missing data, an unwritable
 --out file), 2 for usage errors (bad flags or arguments violating
-preconditions).
+preconditions). With --json, usage errors that argparse detects also leave
+through the envelope; without it they keep argparse's usage text on stderr.
 """
 from __future__ import annotations
 
@@ -241,8 +242,22 @@ def _render_human(command: str, payload: dict[str, Any]) -> str:
 # --- parser and dispatch -------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """An argparse error, raised instead of exiting so main can choose the output."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nutcirc",
         description="Exact certification and search tools for circulant nut graphs.",
     )
@@ -301,10 +316,30 @@ def _emit(envelope: dict[str, Any], as_json: bool) -> None:
         print(f"error: {envelope['payload']['message']}")
 
 
+def _usage_error(argv: list[str], exc: _UsageError, started: float) -> int:
+    """Report an argparse error: an error envelope under --json, else argparse's text."""
+    # The top-level options are the tokens before the subcommand; argparse
+    # also accepts an abbreviation such as --js for --json.
+    split = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    if not any(len(token) > 2 and "--json".startswith(token) for token in argv[:split]):
+        argparse.ArgumentParser.error(exc.parser, exc.message)
+    envelope = {
+        "command": argv[split] if split < len(argv) and argv[split] in _HANDLERS else None,
+        "status": "error",
+        "payload": {"message": exc.message},
+        "elapsed_ms": int((time.monotonic() - started) * 1000),
+    }
+    _emit(envelope, True)
+    return EXIT_USAGE
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     started = time.monotonic()
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _usage_error(argv, exc, started)
     try:
         payload = _HANDLERS[args.command](args)
         status, exit_code = "ok", EXIT_OK

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nutcirc import circulant
 from nutcirc.circulant import (
     GeneratorSet,
     adjacency_matrix,
@@ -15,6 +16,7 @@ from nutcirc.circulant import (
     parity_balanced,
 )
 from nutcirc.errors import CapacityError, ParameterError
+from nutcirc.families import FamilyId, build_family
 from nutcirc.polyalg import SparsePoly, reduce_mod_xb
 
 NUT_12REG = GeneratorSet(16, (1, 2, 4, 5, 6, 7))
@@ -194,3 +196,104 @@ def test_kernel_nullity_matches_sympy():
         g = GeneratorSet(n, tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))))
         expected = len(sympy.Matrix(adjacency_matrix(g)).nullspace())
         assert kernel_oracle(g).nullity == expected
+
+
+# --- the certified kernel oracle against the Bareiss reference ---------------
+
+
+def _random_circulants(seed, count, n_max):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, n_max + 1)
+        pool = list(range(1, (n + 1) // 2))
+        yield GeneratorSet(n, tuple(sorted(rng.sample(pool, rng.randint(0, len(pool))))))
+
+
+def _family_members(t_max, n_max):
+    for t in range(1, t_max + 1):
+        if t % 2:
+            for n in range(4 * t + 4, n_max + 1, 4):
+                yield build_family(FamilyId("dprime", t, n))
+        for n in range(4 * t + 6, n_max + 1, 4):
+            yield build_family(FamilyId("ddprime", t, n))
+
+
+def test_certificate_matches_bareiss_on_random_circulants():
+    nullities = set()
+    for g in _random_circulants(seed=31, count=250, n_max=64):
+        reference = circulant._bareiss_report(g)
+        assert circulant._certified_report(g) == reference, g
+        assert kernel_oracle(g) == reference, g
+        nullities.add(min(reference.nullity, 2))
+    assert nullities == {0, 1, 2}
+
+
+def test_certificate_matches_bareiss_on_family_members():
+    members = list(_family_members(t_max=5, n_max=72))
+    assert len(members) > 40
+    for g in members:
+        reference = circulant._bareiss_report(g)
+        assert reference.nullity == 1 and reference.full_support, g
+        assert circulant._certified_report(g) == reference, g
+
+
+def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
+    # Modulo 7, ranks drop and reconstructions (bound 1) fail often; every
+    # report must still be the exact one.
+    monkeypatch.setattr(circulant, "_PRIME", 7)
+    unlucky_rank = failed_certificate = 0
+    for g in _random_circulants(seed=3, count=600, n_max=40):
+        reference = circulant._bareiss_report(g)
+        assert kernel_oracle(g) == reference, g
+        _, free = circulant._eliminate_mod_p(g)
+        assert len(free) >= reference.nullity, g
+        if len(free) > reference.nullity:
+            unlucky_rank += 1
+        elif circulant._certified_report(g) is None:
+            failed_certificate += 1
+    assert unlucky_rank > 0 and failed_certificate > 0
+
+
+def test_rejected_vectors_fall_back_to_bareiss(monkeypatch):
+    monkeypatch.setattr(circulant, "_is_in_kernel", lambda g, vec: False)
+    cases = [NUT_12REG, GeneratorSet(4, (1,)), GeneratorSet(6, (1, 2)), GeneratorSet(10, (3, 4))]
+    cases += list(_random_circulants(seed=5, count=60, n_max=30))
+    for g in cases:
+        reference = circulant._bareiss_report(g)
+        if reference.nullity:
+            assert circulant._certified_report(g) is None, g
+        assert kernel_oracle(g) == reference, g
+
+
+@pytest.mark.parametrize("elements, nullity", [((16, 48, 80, 112), 224), ((32, 96), 192)])
+def test_high_nullity_at_order_256(elements, nullity):
+    g = GeneratorSet(256, elements)
+    report = kernel_oracle(g)
+    assert report == circulant.KernelReport(nullity, None, False)
+    assert report == circulant._bareiss_report(g)
+
+
+def test_is_in_kernel_matches_row_sums():
+    rng = random.Random(41)
+    for g in _random_circulants(seed=42, count=80, n_max=40):
+        offsets = [*g.elements, *(g.n - s for s in g.elements)]
+        for _ in range(4):
+            size = rng.choice((1, 3, 1 << 20, 1 << 70))
+            vec = tuple(rng.randint(-size, size) for _ in range(g.n))
+            rows_vanish = all(
+                sum(vec[(i + o) % g.n] for o in offsets) == 0 for i in range(g.n)
+            )
+            assert circulant._is_in_kernel(g, vec) == rows_vanish
+        report = kernel_oracle(g)
+        if report.nullity == 1:
+            big = tuple(v * (1 << 64) for v in report.kernel_vector)
+            assert circulant._is_in_kernel(g, big)
+            nudged = (big[0] + 1,) + big[1:]
+            assert not circulant._is_in_kernel(g, nudged)
+
+
+def test_default_oracle_limit_is_512(monkeypatch):
+    monkeypatch.delenv("NUTCIRC_ORACLE_LIMIT", raising=False)
+    assert circulant.DEFAULT_ORACLE_LIMIT == 512
+    with pytest.raises(CapacityError):
+        kernel_oracle(GeneratorSet(514, (1, 2)))

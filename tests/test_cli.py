@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nutcirc
-from nutcirc.cli import main
+from nutcirc.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,55 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "16", "--set", "1,2", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, command, fragment",
+    [
+        (["verify", "--n", "1x", "--set", "3,4"], "verify", "invalid int value: '1x'"),
+        (["verify", "--n", "16", "--set", "1,2", "--frobnicate"], "verify", "--frobnicate"),
+        (["tables", "--kind", "z", "--modulus", "3"], "tables", "invalid choice: 'z'"),
+        (["frobnicate"], None, "invalid choice: 'frobnicate'"),
+        ([], None, "required"),
+    ],
+)
+def test_usage_errors_under_json_use_the_envelope(capsys, argv, command, fragment):
+    code = main(["--json", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    envelope = json.loads(captured.out)
+    assert envelope["status"] == "error"
+    assert envelope["command"] == command
+    assert fragment in envelope["payload"]["message"]
+    assert set(envelope) == {"command", "status", "payload", "elapsed_ms"}
+
+
+def test_usage_error_under_abbreviated_json_uses_the_envelope(capsys):
+    code = main(["--js", "verify", "--n", "1x", "--set", "3,4"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
+def test_usage_error_without_json_keeps_argparse_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "1x", "--set", "3,4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nutcirc verify")
+    assert "invalid int value: '1x'" in captured.err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("nutcirc ")]
+    assert len(commands) == 5
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command in line
 
 
 def test_family_check(capsys):
