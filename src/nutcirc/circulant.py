@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Union
 
 from .errors import CapacityError, ParameterError
 from .polyalg import SparsePoly, divisors, phi_divides
+from .record import Record
 
 DEFAULT_ORACLE_LIMIT = 512
 ORACLE_LIMIT_ENV = "NUTCIRC_ORACLE_LIMIT"
@@ -42,8 +42,7 @@ REASON_NULLITY = "nullity-not-one"
 REASON_KERNEL_ZERO = "kernel-has-zero"
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """Order n plus strictly ascending offsets, each in 1 .. ceil(n/2) - 1.
 
     Offsets equal to n/2 are rejected: every stored offset s contributes the
@@ -52,10 +51,11 @@ class GeneratorSet:
     refusing to construct the graph).
     """
 
+    __slots__ = ("n", "elements")
     n: int
     elements: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 2:
             raise ParameterError(f"graph order must be >= 2, got {self.n}")
         prev = 0
@@ -75,23 +75,24 @@ class GeneratorSet:
         return 2 * len(self.elements)
 
 
-@dataclass(frozen=True)
-class NutVerdict:
+class NutVerdict(Record):
     """Decision record: nut or not, why, and the failing evidence if any.
 
     witness is the smallest failing cyclotomic index for spectral failures,
     and the exact kernel vector for kernel-based reasons (including ok).
     """
 
+    __slots__ = ("is_nut", "reason", "witness")
+    _defaults = {"witness": None}
     is_nut: bool
     reason: str
-    witness: Union[int, tuple[int, ...], None] = None
+    witness: Union[int, tuple[int, ...], None]
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(Record):
     """Exact null-space summary of the adjacency matrix."""
 
+    __slots__ = ("nullity", "kernel_vector", "full_support")
     nullity: int
     kernel_vector: Optional[tuple[int, ...]]
     full_support: bool
@@ -274,6 +275,15 @@ def _eliminate_mod_p(g: GeneratorSet) -> tuple[list[tuple[int, int]], list[int]]
     drops bits. After each column every row drops its top field, so rows
     shrink as the elimination proceeds.
 
+    Row i is x^i a(x) modulo x^n - 1, with a(x) the first row, so the rows
+    span the ideal that h = gcd(a, x^n - 1) generates in F_p[x]/(x^n - 1).
+    A nonzero element m h of it, deg m < r = n - deg h, has its lowest term
+    at the lowest term of m, since h(0) != 0; so the pivot columns are
+    exactly 0 .. r - 1, and the first free column ends the elimination,
+    with every later column free. (Were a pivot ever missed, the rank would
+    only be underestimated: k stays an upper bound, and the extra vectors
+    fail the exact check.)
+
     Returns the pivots, as (column, normalized pivot row from that column
     on, packed, with canonical residues), and the free columns. The rank mod
     p is at most the rank over Q, so n minus the number of pivots is an
@@ -287,16 +297,12 @@ def _eliminate_mod_p(g: GeneratorSet) -> tuple[list[tuple[int, int]], list[int]]
     hi = ones * ((1 << (64 - e)) - 1)
     rows = _packed_rows(g)
     pivots: list[tuple[int, int]] = []
-    free: list[int] = []
     for c in range(n):
         top = 64 * (n - c - 1)
         keep = (1 << top) - 1
         i = next((i for i, r in enumerate(rows) if (r >> top) % p), None)
         if i is None:
-            free.append(c)
-            for j, r in enumerate(rows):
-                rows[j] = r & keep
-            continue
+            return pivots, list(range(c, n))
         head = _unpack(rows.pop(i), n - c)
         inv = pow(head[0] % p, -1, p)
         piv = int.from_bytes(struct.pack(f">{n - c}Q", *[v * inv % p for v in head]), "big")
@@ -308,7 +314,7 @@ def _eliminate_mod_p(g: GeneratorSet) -> tuple[list[tuple[int, int]], list[int]]
             if fold:
                 r = (r & lo) + ((r >> e) & hi)
             rows[j] = r & keep
-    return pivots, free
+    return pivots, []
 
 
 def _kernel_basis_mod_p(

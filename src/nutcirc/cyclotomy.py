@@ -9,8 +9,6 @@ rules out prime and twice-prime indices without any division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParameterError
 from .polyalg import (
     SparsePoly,
@@ -21,12 +19,13 @@ from .polyalg import (
     reduce_mod_xb,
     totient_candidates,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CycloDivisorReport:
+class CycloDivisorReport(Record):
     """Complete set of indices b with Phi_b dividing the inspected polynomial."""
 
+    __slots__ = ("divisors", "search_bound", "method")
     divisors: tuple[int, ...]
     search_bound: int  # largest index examined (0 for a constant polynomial)
     method: str  # "oracle" or "accelerated"
@@ -35,14 +34,14 @@ class CycloDivisorReport:
         return b in self.divisors
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """One candidate index reduction b -> b / prime**exponent.
 
     condition_sum is the total of (p - 2) over the selected primes; a step is
     only emitted when that total exceeds term_count - 2.
     """
 
+    __slots__ = ("b", "prime", "exponent", "reduced", "term_count", "condition_sum")
     b: int
     prime: int
     exponent: int
@@ -129,7 +128,8 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
     applies and none of its reduced indices is an already-confirmed divisor
     (each reduced index is smaller than b, hence already classified), or
     (b) b is q or 2q for a prime q >= 7 and the term-count argument excludes
-    both. Everything else falls back to exact division.
+    both, whatever the number of terms. Everything else falls back to exact
+    division.
     """
     if p.is_zero():
         raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
@@ -146,11 +146,10 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
             steps = filaseta_step(terms, b)
             if steps and not any(s.reduced in found for s in steps):
                 continue
-        if terms <= 6:
-            q = _prime_or_double_prime(b)
-            if q is not None and large_prime_exclusion(p, q):
-                excluded.update((q, 2 * q))
-                continue
+        q = _prime_or_double_prime(b)
+        if q is not None and large_prime_exclusion(p, q):
+            excluded.update((q, 2 * q))
+            continue
         if phi_divides(p, b):
             found.add(b)
     return CycloDivisorReport(tuple(sorted(found)), max(candidates, default=0), "accelerated")

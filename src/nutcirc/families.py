@@ -11,8 +11,6 @@ small-modulus residue tables that certify the small-index cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib.resources import files as package_files
 from pathlib import Path
 from typing import Union
 
@@ -36,6 +34,7 @@ from .polyalg import (
     sparse_from_text,
     sparse_to_text,
 )
+from .record import Record
 
 VARIANT_DPRIME = "dprime"
 VARIANT_DDPRIME = "ddprime"
@@ -46,15 +45,15 @@ POLY_KINDS = ("q", "r", "u", "w")
 TABLE_MODULI = (3, 5, 6, 10, 15, 30)
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(Record):
     """One member of a generator-set family: variant name, parameter t, order n."""
 
+    __slots__ = ("variant", "t", "n")
     variant: str
     t: int
     n: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown family variant {self.variant!r}")
         t, n = self.t, self.n
@@ -83,14 +82,14 @@ class FamilyId:
                 raise ParameterError(f"ds requires even n >= 4t+4 = {4*t+4}, got n={n}")
 
 
-@dataclass(frozen=True)
-class FamilyPolyId:
+class FamilyPolyId(Record):
     """Selector for one of the four six-term family polynomials."""
 
+    __slots__ = ("kind", "t")
     kind: str
     t: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in POLY_KINDS:
             raise ParameterError(f"unknown family polynomial kind {self.kind!r}")
         if self.kind in ("q", "r"):
@@ -229,10 +228,10 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
 # --- residue tables ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     """One residue class: the reduced polynomial and its cyclotomic remainder."""
 
+    __slots__ = ("kind", "modulus", "residue", "reduced", "remainder")
     kind: str
     modulus: int
     residue: int
@@ -240,8 +239,8 @@ class TableRow:
     remainder: DensePoly
 
 
-@dataclass(frozen=True)
-class GoldenMismatch:
+class GoldenMismatch(Record):
+    __slots__ = ("kind", "modulus", "residue", "field", "expected", "actual")
     kind: str
     modulus: int
     residue: int
@@ -250,8 +249,8 @@ class GoldenMismatch:
     actual: str
 
 
-@dataclass(frozen=True)
-class GoldenReport:
+class GoldenReport(Record):
+    __slots__ = ("rows_checked", "mismatches", "zero_remainders")
     rows_checked: int
     mismatches: tuple[GoldenMismatch, ...]
     zero_remainders: tuple[tuple[str, int, int], ...]
@@ -298,7 +297,11 @@ def generate_table(kind: str, modulus: int) -> list[TableRow]:
 
 
 def golden_data_dir() -> Path:
-    return Path(str(package_files("nutcirc").joinpath("data", "appendix")))
+    # Imported here: on Python 3.12 and later importlib.resources loads
+    # inspect, which would cost every CLI start over 10 ms.
+    from importlib.resources import files
+
+    return Path(str(files("nutcirc").joinpath("data", "appendix")))
 
 
 def format_table_line(row: TableRow) -> str:

@@ -10,7 +10,6 @@ module ever rounds, so divisibility verdicts are exact.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Union
@@ -20,15 +19,15 @@ from .errors import ParameterError
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
-@dataclass(init=False, eq=True)
 class DensePoly:
     """Integer polynomial as a coefficient tuple, ascending from x^0.
 
     Trailing zeros are trimmed on construction, so the last coefficient is
     nonzero unless the polynomial is zero (empty tuple). The zero polynomial
-    has degree -1.
+    has degree -1. Polynomials compare by value and are unhashable.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -95,19 +94,27 @@ class DensePoly:
 
     __rmul__ = __mul__
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    __hash__ = None
+
     def __repr__(self) -> str:
         return f"DensePoly({dense_to_text(self)!r})"
 
 
-@dataclass(init=False, eq=True)
 class SparsePoly:
     """Integer polynomial as a map from exponent to nonzero coefficient.
 
     Construction accepts a mapping or an iterable of (exponent, coefficient)
     pairs; coefficients landing on the same exponent are summed and zero
     coefficients are dropped, so the stored map never contains a zero.
+    Polynomials compare by value and are unhashable.
     """
 
+    __slots__ = ("terms",)
     terms: dict[int, int]
 
     def __init__(self, terms: TermSource = ()):
@@ -143,6 +150,13 @@ class SparsePoly:
     def items_descending(self) -> Iterator[tuple[int, int]]:
         for e in sorted(self.terms, reverse=True):
             yield e, self.terms[e]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SparsePoly({sparse_to_text(self)!r})"

@@ -28,7 +28,6 @@ silently truncated.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -39,34 +38,37 @@ from .circulant import GeneratorSet, parity_balanced
 from .errors import ParameterError
 from .families import VARIANT_DDPRIME, FamilyId, build_family, family_nut_check
 from .polyalg import SparsePoly, divisors, euler_phi, phi_remainder
+from .record import Record
 
 DEFAULT_CAPACITY = 10**7
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """Existence record for one (order, degree) pair."""
 
+    __slots__ = ("n", "d", "exists", "witness", "sets_enumerated", "sets_passing", "skipped")
+    _defaults = {"skipped": False}
     n: int
     d: int
     exists: bool
     witness: Optional[GeneratorSet]
     sets_enumerated: int
     sets_passing: int
-    skipped: bool = False
+    skipped: bool
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
+class ProbeEntry(Record):
     """One probe result: brute-force search or family-membership control."""
 
+    __slots__ = ("t", "n", "mode", "found", "witness", "sets_tried", "skipped")
+    _defaults = {"skipped": False}
     t: int
     n: int
     mode: str  # "search" or "family-control"
     found: bool
     witness: Optional[GeneratorSet]
     sets_tried: int
-    skipped: bool = False
+    skipped: bool
 
 
 def enumerate_sets(n: int, d: int, balanced_only: bool = False) -> Iterator[GeneratorSet]:

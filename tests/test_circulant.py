@@ -265,6 +265,36 @@ def test_rejected_vectors_fall_back_to_bareiss(monkeypatch):
         assert kernel_oracle(g) == reference, g
 
 
+def _pivot_columns_mod(rows, p):
+    # Plain Gauss-Jordan elimination mod p over every column, no early stop.
+    rows = [[v % p for v in row] for row in rows]
+    columns = []
+    for c in range(len(rows[0])):
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
+            continue
+        pivot = rows.pop(i)
+        inv = pow(pivot[c], -1, p)
+        rows = [[(a - row[c] * inv * b) % p for a, b in zip(row, pivot)] for row in rows]
+        columns.append(c)
+    return columns
+
+
+def test_pivot_columns_lead_so_the_first_free_column_ends_elimination():
+    # The rows span the ideal of gcd(a, x^n - 1), so over any field the pivot
+    # columns are 0 .. rank - 1; _eliminate_mod_p stops at the first free one.
+    for g in _random_circulants(seed=41, count=80, n_max=40):
+        rows = adjacency_matrix(g)
+        _, over_q = circulant._bareiss_echelon([row[:] for row in rows])
+        assert over_q == list(range(len(over_q))), g
+        for p in (2, 3, 7):
+            columns = _pivot_columns_mod(rows, p)
+            assert columns == list(range(len(columns))), (g, p)
+        pivots, free = circulant._eliminate_mod_p(g)
+        assert [c for c, _ in pivots] == over_q, g
+        assert free == list(range(len(over_q), g.n)), g
+
+
 @pytest.mark.parametrize("elements, nullity", [((16, 48, 80, 112), 224), ((32, 96), 192)])
 def test_high_nullity_at_order_256(elements, nullity):
     g = GeneratorSet(256, elements)

@@ -287,3 +287,36 @@ def test_console_script_is_installed():
     assert result.returncode == 0
     envelope = json.loads(result.stdout)
     assert envelope["payload"]["divisors"] == []
+
+
+def test_cli_import_is_eager_and_loads_no_dataclasses():
+    """`import nutcirc.cli` loads every nutcirc module and neither dataclasses nor inspect.
+
+    The records are built without dataclasses, which generate their methods
+    with exec at import time and pull in inspect; that cost lands on every
+    CLI request. The import stays eager on purpose: the benchmark tracer
+    wraps functions only in the nutcirc modules that are loaded once
+    `import nutcirc.cli` returns, so a layer imported lazily would go
+    untraced.
+    """
+    package_root = str(Path(nutcirc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import nutcirc.cli\n"
+        "print(json.dumps({'loaded': sorted(sys.modules), 'added': sorted(set(sys.modules) - before)}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)
+    # Checked against what the import adds, so that a module the
+    # interpreter's own start-up loads (site, .pth files) does not count.
+    assert not {"dataclasses", "inspect"} & set(modules["added"])
+    layers = {"polyalg", "cyclotomy", "circulant", "families", "search", "cli"}
+    assert {f"nutcirc.{name}" for name in layers} <= set(modules["loaded"])
