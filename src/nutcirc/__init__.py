@@ -49,7 +49,7 @@ from .polyalg import (
     reduce_mod_xb,
     totient_candidates,
 )
-from .search import CatalogEntry, ProbeEntry, catalog, conjecture_probe, enumerate_sets
+from .search import CatalogEntry, ProbeEntry, catalog, conjecture_probe
 
 __all__ = [
     "CapacityError",
@@ -78,7 +78,6 @@ __all__ = [
     "cyclotomic",
     "dense_div_rem",
     "eigen_poly",
-    "enumerate_sets",
     "euler_phi",
     "exponent_set",
     "family_nut_check",

@@ -9,7 +9,6 @@ module ever rounds, so divisibility verdicts are exact.
 """
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Union
@@ -273,12 +272,7 @@ def totient_candidates(d: int) -> list[int]:
     return sorted(found)
 
 
-# Cyclotomic polynomials are shared process-wide; the cache may be read and
-# extended concurrently, so inserts happen under a lock.
-_CYCLO_CACHE: dict[int, DensePoly] = {}
-_CYCLO_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def cyclotomic(b: int) -> DensePoly:
     """The b-th cyclotomic polynomial: monic, integer, degree euler_phi(b).
 
@@ -286,13 +280,11 @@ def cyclotomic(b: int) -> DensePoly:
     (1 - x^(b/e))^mu(e) over squarefree e | b: mu(e) = +1 is a stride-(b/e)
     difference, mu(e) = -1 a stride-(b/e) prefix sum. For b >= 2 the signs
     cancel and Phi_b is palindromic, so the series is cut after
-    x^(euler_phi(b) // 2) and mirrored. Memoized process-wide.
+    x^(euler_phi(b) // 2) and mirrored. Memoized process-wide, bounded
+    like the arithmetic memos.
     """
     if b < 1:
         raise ParameterError(f"cyclotomic needs b >= 1, got {b}")
-    cached = _CYCLO_CACHE.get(b)
-    if cached is not None:
-        return cached
     factors = [(1, 1)]  # (squarefree e, mu(e))
     for p, _ in prime_factorization(b):
         factors += [(e * p, -mu) for e, mu in factors]
@@ -312,9 +304,7 @@ def cyclotomic(b: int) -> DensePoly:
                 for i in range(k, half):
                     coeffs[i] += coeffs[i - k]
         coeffs += reversed(coeffs[: phi + 1 - half])
-    poly = DensePoly(coeffs)
-    with _CYCLO_LOCK:
-        return _CYCLO_CACHE.setdefault(b, poly)
+    return DensePoly(coeffs)
 
 
 def phi_remainder(p: SparsePoly, b: int) -> DensePoly:

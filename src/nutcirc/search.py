@@ -7,40 +7,51 @@ P_S(x) = sum over s in S of x^s + x^(n-s). The remainder of P_S modulo Phi_b
 is linear in S, so it is the sum of the remainders of x^s + x^(n-s), and as
 b divides n those depend only on s mod b. For each order, a residue table
 holds, per offset s, the remainders for all such b side by side in one flat
-integer tuple (phi(b) coefficients per b, n - 2 in all), built once by
+integer tuple (phi(b) coefficients per b, n - 2 in all), built by
 ``polyalg.phi_remainder``.
 
-The scan is a depth-first walk over the parity-balanced subsets in
-lexicographic order that carries the running sum of the table rows, one
-tuple addition per level; a leaf is a nut set iff every b-slice of its sum
-is nonzero. Every step is exact integer arithmetic, so the verdict is the
-spectral check's verdict. Unbalanced sets are never visited, since no nut
-set is unbalanced: ``sets_enumerated`` is the closed-form count of all
-d/2-subsets (of the balanced ones with ``balanced_only``), while
-``sets_passing`` and the lexicographically least witness come from the walk.
+For a walk over k-sets each row is packed into one int: coefficient i,
+plus cmax (the table's largest |coefficient|), in the i-th field of
+w = bit_length(2 * cmax * k) bits. A field of a sum of at most k rows then
+lies in [0, 2 * cmax * k] and fits in w bits, so adding two packed ints adds
+every field at once and never carries. The scan is a depth-first walk over
+the parity-balanced subsets in lexicographic order that carries the running
+sum, one int addition per level. A leaf's b-slice is zero exactly when
+every field in it holds k * cmax, that is when ``total & mask_b`` equals
+``base_b * k`` (masks and bases precomputed once per order and k); a leaf
+is a nut set iff no b-slice is zero. Every step is exact integer
+arithmetic, so the verdict is the spectral check's verdict. Unbalanced sets
+are never visited, since no nut set is unbalanced: ``sets_enumerated`` is
+the closed-form count of all d/2-subsets (of the balanced ones with
+``balanced_only``), while ``sets_passing`` and the lexicographically least
+witness come from the walk.
 
-Work is split into shards by (order, leading element) and may run on one
-process pool for the whole catalog; shard results merge in shard order, so
-the output (including witnesses) is identical for any job count. Searches
-above the configured candidate ceiling are marked skipped rather than
-silently truncated.
+Work is split into shards by (order, leading element). A catalog whose walk
+(the balanced sets of all its scanned orders) has at least
+``POOL_MIN_SETS`` sets may run on one process pool; smaller ones run
+serially, where starting the pool costs more than it saves. Shard results
+merge in shard order, so the output (including witnesses) is identical for
+any job count. Orders with more than ``capacity`` candidate sets are marked
+skipped rather than silently truncated.
 """
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations
 from math import comb
-from operator import add
-from typing import Iterator, Optional
+from typing import Optional
 
-from .circulant import GeneratorSet, parity_balanced
+from .circulant import GeneratorSet
 from .errors import ParameterError
 from .families import VARIANT_DDPRIME, FamilyId, build_family, family_nut_check
 from .polyalg import SparsePoly, divisors, euler_phi, phi_remainder
 from .record import Record
 
 DEFAULT_CAPACITY = 10**7
+# Smallest walk, in balanced sets, that may use a process pool. Measured on
+# a 2-core machine: serial wins below about 28 000 sets, the pool above
+# about 60 000, and the two are even near 40 000.
+POOL_MIN_SETS = 40_000
 
 
 class CatalogEntry(Record):
@@ -71,38 +82,14 @@ class ProbeEntry(Record):
     skipped: bool
 
 
-def enumerate_sets(n: int, d: int, balanced_only: bool = False) -> Iterator[GeneratorSet]:
-    """All d/2-subsets of {1, .., n/2 - 1} in lexicographic order.
-
-    With balanced_only, only parity-balanced subsets are yielded; that
-    pruning is sound for nut searches because balance is necessary.
-    """
-    if n < 2 or n % 2:
-        raise ParameterError(f"enumerate_sets needs an even order >= 2, got {n}")
-    if d < 0 or d % 2:
-        raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
-    k = d // 2
-    if k > n // 2 - 1:
-        raise ParameterError(f"degree {d} is not realizable at order {n}")
-    for combo in combinations(range(1, n // 2), k):
-        g = GeneratorSet(n, combo)
-        if not balanced_only or parity_balanced(g):
-            yield g
-
-
-# Residue tables kept per process: shards of one order arrive together, so a
-# few tables suffice, and the bound caps memory on long catalogs.
-RESIDUE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=RESIDUE_CACHE_SIZE)
 def _residue_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
     """Remainders of x^s + x^(n-s) modulo Phi_b for every divisor b >= 3 of n.
 
     Returns (rows, slices). rows[s], for each offset 0 <= s < n/2,
     concatenates over those b, ascending, the phi(b) remainder coefficients;
     slices lists each b's (start, stop) in it. Modulo x^b - 1 the binomial
-    is x^(s mod b) + x^(-s mod b), so each b costs b divisions.
+    is x^r + x^(b-r) with r = s mod b, the same for r and b - r, so each b
+    costs b/2 + 1 divisions.
     """
     blocks: list[tuple[int, list[tuple[int, ...]]]] = []
     slices: list[tuple[int, int]] = []
@@ -111,11 +98,11 @@ def _residue_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
         if b < 3:
             continue
         phi = euler_phi(b)
-        block = []
-        for r in range(b):
+        half = []
+        for r in range(b // 2 + 1):
             rem = phi_remainder(SparsePoly([(r, 1), (-r % b, 1)]), b).coeffs
-            block.append(rem + (0,) * (phi - len(rem)))
-        blocks.append((b, block))
+            half.append(rem + (0,) * (phi - len(rem)))
+        blocks.append((b, [half[min(r, b - r)] for r in range(b)]))
         slices.append((width, width + phi))
         width += phi
     rows = tuple(
@@ -124,28 +111,77 @@ def _residue_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     return rows, tuple(slices)
 
 
-def _nut_sets(n: int, k: int, firsts: range) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every nut k-set of order n whose least element lies in firsts.
+# Packed tables kept per process: shards of one order arrive together, so a
+# few tables suffice, and the bound caps memory on long catalogs.
+RESIDUE_CACHE_SIZE = 8
 
-    Yields (elements, visited) in lexicographic order, where visited counts
-    the balanced sets walked so far, this one included. Only balanced sets
-    are walked, each node adding its offset's row to the running sum acc;
-    k must be even and at least 2.
+
+@lru_cache(maxsize=RESIDUE_CACHE_SIZE)
+def _packed_table(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
+    """The residue table of order n packed for sums of k rows.
+
+    Returns (rows, width, tests). rows[s] holds the table's row s as one
+    int, coefficient i plus cmax (the table's largest |coefficient|) in bits
+    [width*i, width*(i+1)). A field of a sum of at most k rows lies in
+    [0, 2*cmax*k], which fits in width bits, so adding packed rows adds them
+    field by field and never carries. tests holds, per divisor b, (mask_b,
+    base_b * k), where base_b has cmax in every field of the b-slice: a sum
+    of k rows has a zero b-slice exactly when ``total & mask_b`` equals
+    ``base_b * k``.
     """
-    rows, slices = _residue_table(n)
+    table, slices = _residue_table(n)
+    cmax = max(max(map(max, table)), -min(map(min, table)))
+    width = (2 * cmax * k).bit_length()
+    rows = []
+    for row in table:
+        packed = 0
+        for c in reversed(row):
+            packed = (packed << width) | (c + cmax)
+        rows.append(packed)
+    ones = (1 << width) - 1  # one field of ones
+    tests = []
+    for lo, hi in slices:
+        mask = ((1 << (width * (hi - lo))) - 1) << (width * lo)
+        tests.append((mask, mask // ones * cmax * k))
+    return tuple(rows), width, tuple(tests)
+
+
+def _walk(
+    n: int, k: int, firsts: range, first_only: bool = False
+) -> tuple[int, Optional[tuple[int, ...]], int]:
+    """Walk the balanced k-sets of order n whose least element lies in firsts.
+
+    Returns (passing, witness, visited): the number of nut sets, the
+    lexicographically least one (or None) and the number of balanced sets
+    walked. With first_only the walk stops at the first nut set. Each node
+    adds its offset's packed row to the running sum acc; k must be even and
+    at least 2.
+    """
+    rows, _, tests = _packed_table(n, k)
     m = n // 2 - 1
-    visited = 0
+    passing = visited = 0
+    witness: Optional[tuple[int, ...]] = None
 
     def walk(start, stop, acc, prefix, odd_left, even_left):
-        nonlocal visited
+        """Walk one subtree; True once first_only has its witness."""
+        nonlocal passing, visited, witness
         if odd_left + even_left == 1:
             # Last element: a single parity remains, so step by two.
-            for s in range(start + ((start + odd_left) & 1), m + 1, 2):
-                visited += 1
-                total = tuple(map(add, acc, rows[s]))
-                if all(any(total[lo:hi]) for lo, hi in slices):
-                    yield prefix + (s,), visited
-            return
+            leaves = range(start + ((start + odd_left) & 1), m + 1, 2)
+            for s in leaves:
+                total = acc + rows[s]
+                for mask, zero in tests:
+                    if total & mask == zero:
+                        break
+                else:
+                    passing += 1
+                    if witness is None:
+                        witness = prefix + (s,)
+                        if first_only:
+                            visited += (s - leaves.start) // 2 + 1
+                            return True
+            visited += len(leaves)
+            return False
         for s in range(start, stop):
             if s & 1:
                 if not odd_left:
@@ -158,9 +194,12 @@ def _nut_sets(n: int, k: int, firsts: range) -> Iterator[tuple[tuple[int, ...], 
             # Enough odd and even offsets must remain above s.
             if (m + 1) // 2 - (s + 1) // 2 < odd or m // 2 - s // 2 < even:
                 continue
-            yield from walk(s + 1, m + 1, tuple(map(add, acc, rows[s])), prefix + (s,), odd, even)
+            if walk(s + 1, m + 1, acc + rows[s], prefix + (s,), odd, even):
+                return True
+        return False
 
-    yield from walk(firsts.start, firsts.stop, (0,) * slices[-1][1], (), k // 2, k // 2)
+    walk(firsts.start, firsts.stop, 0, (), k // 2, k // 2)
+    return passing, witness, visited
 
 
 def _balanced_count(m: int, k: int) -> int:
@@ -173,11 +212,7 @@ def _balanced_count(m: int, k: int) -> int:
 def _scan_shard(shard: tuple[int, int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     """Nut sets with a fixed order and leading element: (count, least one)."""
     n, k, first = shard
-    passing, witness = 0, None
-    for elements, _ in _nut_sets(n, k, range(first, first + 1)):
-        passing += 1
-        if witness is None:
-            witness = elements
+    passing, witness, _ = _walk(n, k, range(first, first + 1))
     return passing, witness
 
 
@@ -223,8 +258,11 @@ def catalog(
 
     sets_enumerated counts every d/2-subset (only the balanced ones with
     balanced_only), sets_passing every nut set, and the witness is the
-    lexicographically least nut set. The result is deterministic for any job
-    count.
+    lexicographically least nut set. An order is skipped when its
+    C(n/2 - 1, d/2) candidate sets exceed capacity, in both modes, although
+    the walk visits only the balanced ones: one ceiling keeps an entry the
+    same with and without balanced_only. The result is deterministic for
+    any job count.
     """
     if d < 0 or d % 2:
         raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
@@ -243,6 +281,8 @@ def catalog(
         if k and k % 2 == 0 and k <= n // 2 - 1 and comb(n // 2 - 1, k) <= capacity
     ]
     shards = [(n, k, first) for n in scanned for first in range(1, n // 2 - k + 1)]
+    if sum(_balanced_count(n // 2 - 1, k) for n in scanned) < POOL_MIN_SETS:
+        jobs = 1
     found: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
     for (n, _, _), (passing, witness) in zip(shards, _run_shards(shards, jobs)):
         total, least = found.get(n, (0, None))
@@ -270,9 +310,8 @@ def _first_witness(n: int, d: int, capacity: int) -> tuple[Optional[GeneratorSet
         return None, 0, False
     if comb(m, k) > capacity:
         return None, 0, True
-    for elements, tried in _nut_sets(n, k, range(1, m + 1)):
-        return GeneratorSet(n, elements), tried, False
-    return None, _balanced_count(m, k), False
+    _, witness, tried = _walk(n, k, range(1, m + 1), first_only=True)
+    return (GeneratorSet(n, witness) if witness is not None else None), tried, False
 
 
 def conjecture_probe(

@@ -85,6 +85,17 @@ def test_oracle_leaves_arithmetic_caches_bounded():
     assert euler_phi.cache_info().currsize < ARITH_CACHE_SIZE
 
 
+def test_cyclotomic_cache_is_bounded():
+    assert cyclotomic.cache_info().maxsize == ARITH_CACHE_SIZE
+    cyclotomic.cache_clear()
+    first = cyclotomic(105)
+    assert cyclotomic(105) is first
+    info = cyclotomic.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    cyclo_divisors_oracle(SparsePoly({300: 1, 1: 1, 0: 1}))
+    assert cyclotomic.cache_info().currsize < ARITH_CACHE_SIZE
+
+
 def test_all_six_blocked_polynomials_have_empty_divisor_sets():
     for poly in (Z1, Z2, Z3, Z4, ZP, ZPP):
         assert cyclo_divisors_oracle(poly).divisors == ()

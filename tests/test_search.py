@@ -2,14 +2,35 @@
 from __future__ import annotations
 
 import concurrent.futures
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from nutcirc import search
-from nutcirc.circulant import GeneratorSet, is_nut_kernel, is_nut_spectral
+from nutcirc.circulant import GeneratorSet, is_nut_kernel, is_nut_spectral, parity_balanced
 from nutcirc.errors import ParameterError
-from nutcirc.search import CatalogEntry, ProbeEntry, catalog, conjecture_probe, enumerate_sets
+from nutcirc.search import CatalogEntry, ProbeEntry, catalog, conjecture_probe
+
+
+def enumerate_sets(n, d, balanced_only=False):
+    """All d/2-subsets of {1, .., n/2 - 1} in lexicographic order.
+
+    With balanced_only, only parity-balanced subsets are yielded; that
+    pruning is sound for nut searches because balance is necessary.
+    """
+    if n < 2 or n % 2:
+        raise ParameterError(f"enumerate_sets needs an even order >= 2, got {n}")
+    if d < 0 or d % 2:
+        raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
+    k = d // 2
+    if k > n // 2 - 1:
+        raise ParameterError(f"degree {d} is not realizable at order {n}")
+    for combo in combinations(range(1, n // 2), k):
+        g = GeneratorSet(n, combo)
+        if not balanced_only or parity_balanced(g):
+            yield g
 
 
 def reference_catalog(d, n_min, n_max, balanced_only):
@@ -121,12 +142,121 @@ def test_catalog_pool_is_clamped(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
-    # Orders 14 and 16 have 3 and 4 possible leading elements of a 4-set.
-    assert catalog(8, 14, 16, jobs=10**8) == catalog(8, 14, 16)
+    # Order 50 has 7 possible leading elements of an 18-set, and enough
+    # balanced 18-sets for the pool.
+    assert search._balanced_count(24, 18) >= search.POOL_MIN_SETS
+    assert catalog(36, 50, 50, jobs=10**8) == catalog(36, 50, 50)
     assert workers == [7]
     monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
-    assert catalog(8, 14, 30, jobs=10**8) == catalog(8, 14, 30)
+    assert catalog(8, 14, 60, jobs=10**8) == catalog(8, 14, 60)
     assert workers == [7, 3]
+
+
+def test_small_catalog_runs_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a catalog below POOL_MIN_SETS started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
+    # The balanced 4-sets of orders 12..44: 11 153, below the threshold.
+    walk = sum(search._balanced_count(n // 2 - 1, 4) for n in range(12, 45, 2))
+    assert walk == 11153 < search.POOL_MIN_SETS
+    assert catalog(8, 12, 44, jobs=2) == catalog(8, 12, 44)
+
+
+# Degree 12 on orders 16..48 and degree 16 on orders 22..40, recorded from the
+# tuple walk that the packed walk replaced: (n, C(n/2 - 1, d/2), balanced
+# sets, sets_passing, least witness).
+PINNED_CATALOGS = {
+    (12, 16, 48): [
+        (16, 7, 4, 4, (1, 2, 3, 4, 5, 6)),
+        (18, 28, 16, 6, (1, 2, 3, 4, 5, 8)),
+        (20, 84, 40, 32, (1, 2, 3, 4, 5, 6)),
+        (22, 210, 100, 90, (1, 2, 3, 4, 5, 6)),
+        (24, 462, 200, 96, (1, 2, 3, 4, 5, 8)),
+        (26, 924, 400, 380, (1, 2, 3, 4, 5, 6)),
+        (28, 1716, 700, 612, (1, 2, 3, 4, 5, 10)),
+        (30, 3003, 1225, 472, (1, 2, 3, 4, 5, 8)),
+        (32, 5005, 1960, 1960, (1, 2, 3, 4, 5, 6)),
+        (34, 8008, 3136, 3080, (1, 2, 3, 4, 5, 6)),
+        (36, 12376, 4704, 2226, (1, 2, 3, 4, 5, 8)),
+        (38, 18564, 7056, 6972, (1, 2, 3, 4, 5, 6)),
+        (40, 27132, 10080, 8240, (1, 2, 3, 4, 5, 6)),
+        (42, 38760, 14400, 6534, (1, 2, 3, 4, 5, 10)),
+        (44, 54264, 19800, 19080, (1, 2, 3, 4, 5, 6)),
+        (46, 74613, 27225, 27060, (1, 2, 3, 4, 5, 6)),
+        (48, 100947, 36300, 18492, (1, 2, 3, 4, 5, 8)),
+    ],
+    (16, 22, 40): [
+        (22, 45, 25, 20, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (24, 165, 75, 14, (1, 2, 3, 4, 5, 6, 9, 10)),
+        (26, 495, 225, 210, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (28, 1287, 525, 186, (1, 2, 3, 4, 5, 6, 7, 10)),
+        (30, 3003, 1225, 536, (1, 2, 3, 4, 5, 6, 7, 12)),
+        (32, 6435, 2450, 1152, (1, 2, 3, 4, 5, 6, 7, 10)),
+        (34, 12870, 4900, 4830, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (36, 24310, 8820, 2592, (1, 2, 3, 4, 5, 6, 9, 10)),
+        (38, 43758, 15876, 15750, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (40, 75582, 26460, 11096, (1, 2, 3, 4, 5, 6, 7, 10)),
+    ],
+}
+
+
+def test_catalog_d12_d16_entries_unchanged():
+    # Both catalogs are above POOL_MIN_SETS, so jobs=2 runs a real pool.
+    for (d, n_min, n_max), rows in PINNED_CATALOGS.items():
+        for balanced_only, jobs in ((False, 1), (True, 2)):
+            expected = [
+                CatalogEntry(n, d, True, GeneratorSet(n, w), bal if balanced_only else full, passing)
+                for n, full, bal, passing, w in rows
+            ]
+            got = catalog(d, n_min, n_max, jobs=jobs, balanced_only=balanced_only)
+            assert got == expected, (d, balanced_only)
+
+
+def test_packed_sums_unpack_to_tuple_sums():
+    rng = random.Random(6)
+    for n, k in ((36, 2), (44, 4), (48, 6), (60, 8), (420, 4), (420, 12), (840, 8)):
+        table, _ = search._residue_table(n)
+        rows, width, _ = search._packed_table(n, k)
+        cmax = max(abs(c) for row in table for c in row)
+        assert cmax == (3 if n in (420, 840) else 2)
+        ones = (1 << width) - 1
+        fields = len(table[0])
+        offsets = range(1, n // 2)
+        for _ in range(40):
+            subset = rng.sample(offsets, k)
+            total = sum(rows[s] for s in subset)
+            unpacked = [(total >> (width * i)) & ones for i in range(fields)]
+            sums = [sum(column) + k * cmax for column in zip(*(table[s] for s in subset))]
+            assert unpacked == sums and total >> (width * fields) == 0, (n, k, subset)
+        # The k offsets with the largest (smallest) coefficient i give field i
+        # its largest (smallest) value over all k-sets, so if these fit in
+        # width bits, no k-set carries out of any field.
+        for i, column in enumerate(zip(*table)):
+            ranked = sorted(offsets, key=column.__getitem__)
+            for subset in (ranked[:k], ranked[-k:]):
+                field = (sum(rows[s] for s in subset) >> (width * i)) & ones
+                assert field == sum(column[s] for s in subset) + k * cmax, (n, k, i)
+
+
+def test_packed_leaf_test_matches_tuple_slices():
+    rng = random.Random(7)
+    # Every k-set of three small orders, many of them with a zero slice, then
+    # random k-sets of a large one.
+    cases = [(n, k, combinations(range(1, n // 2), k)) for n, k in ((24, 4), (36, 4), (30, 6))]
+    cases.append((420, 4, (rng.sample(range(1, 210), 4) for _ in range(300))))
+    zero_seen = 0
+    for n, k, subsets in cases:
+        table, slices = search._residue_table(n)
+        rows, _, tests = search._packed_table(n, k)
+        for subset in subsets:
+            sums = [sum(column) for column in zip(*(table[s] for s in subset))]
+            zero_slices = [not any(sums[lo:hi]) for lo, hi in slices]
+            total = sum(rows[s] for s in subset)
+            assert [total & mask == zero for mask, zero in tests] == zero_slices, (n, subset)
+            zero_seen += any(zero_slices)
+    assert zero_seen
 
 
 def test_catalog_balanced_pruning_preserves_existence():
@@ -141,6 +271,15 @@ def test_catalog_capacity_marks_skipped():
     entries = catalog(8, 20, 24, capacity=10)
     assert all(e.skipped for e in entries)
     assert all(not e.exists and e.witness is None for e in entries)
+
+
+def test_catalog_capacity_counts_unbalanced_sets_under_balanced():
+    # Order 20, degree 8: 60 balanced 4-sets among C(9, 4) = 126. The ceiling
+    # counts all 126 in both modes, so a capacity of 100 skips the order.
+    assert search._balanced_count(9, 4) == 60 < 100 < comb(9, 4)
+    for balanced_only in (False, True):
+        (entry,) = catalog(8, 20, 20, balanced_only=balanced_only, capacity=100)
+        assert entry == CatalogEntry(20, 8, False, None, 0, 0, skipped=True)
 
 
 def test_catalog_validation():
