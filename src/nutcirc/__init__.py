@@ -49,7 +49,7 @@ from .polyalg import (
     reduce_mod_xb,
     totient_candidates,
 )
-from .search import CatalogEntry, ProbeEntry, catalog, conjecture_probe
+from .search import CatalogEntry, catalog
 
 __all__ = [
     "CapacityError",
@@ -65,14 +65,12 @@ __all__ = [
     "NutVerdict",
     "NutcircError",
     "ParameterError",
-    "ProbeEntry",
     "ReductionStep",
     "SparsePoly",
     "TableRow",
     "appendix_golden_check",
     "build_family",
     "catalog",
-    "conjecture_probe",
     "cyclo_divisors_accelerated",
     "cyclo_divisors_oracle",
     "cyclotomic",

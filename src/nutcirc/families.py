@@ -304,12 +304,6 @@ def golden_data_dir() -> Path:
     return Path(str(files("nutcirc").joinpath("data", "appendix")))
 
 
-def format_table_line(row: TableRow) -> str:
-    reduced = sparse_to_text(row.reduced)
-    remainder = sparse_to_text(row.remainder.to_sparse())
-    return f"{row.residue} {reduced} {remainder}"
-
-
 def appendix_golden_check(data_dir: Union[Path, str, None] = None) -> GoldenReport:
     """Regenerate all residue tables and diff them against the golden files.
 

@@ -42,9 +42,6 @@ class DensePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def evaluate(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -380,13 +377,3 @@ def dense_to_text(p: DensePoly) -> str:
     if p.is_zero():
         return "0"
     return ",".join(str(c) for c in p.coeffs)
-
-
-def dense_from_text(text: str) -> DensePoly:
-    body = text.strip()
-    if not body:
-        return DensePoly()
-    try:
-        return DensePoly(int(c) for c in body.split(","))
-    except ValueError:
-        raise ParameterError(f"malformed dense polynomial {text!r}") from None

@@ -33,6 +33,13 @@ serially, where starting the pool costs more than it saves. Shard results
 merge in shard order, so the output (including witnesses) is identical for
 any job count. Orders with more than ``capacity`` candidate sets are marked
 skipped rather than silently truncated.
+
+The case the paper leaves open, degree 4t with t even at an order n
+divisible by four, is ``catalog(4 * t, n, n)``: the walk visits sets in
+lexicographic order, so its witness is the least 4t-regular nut set of
+order n. Orders n = 2 (mod 4) are covered by the ddprime family, which
+``families.family_nut_check`` verifies; this module depends on
+``circulant`` and ``polyalg`` only.
 """
 from __future__ import annotations
 
@@ -43,7 +50,6 @@ from typing import Optional
 
 from .circulant import GeneratorSet
 from .errors import ParameterError
-from .families import VARIANT_DDPRIME, FamilyId, build_family, family_nut_check
 from .polyalg import SparsePoly, divisors, euler_phi, phi_remainder
 from .record import Record
 
@@ -65,20 +71,6 @@ class CatalogEntry(Record):
     witness: Optional[GeneratorSet]
     sets_enumerated: int
     sets_passing: int
-    skipped: bool
-
-
-class ProbeEntry(Record):
-    """One probe result: brute-force search or family-membership control."""
-
-    __slots__ = ("t", "n", "mode", "found", "witness", "sets_tried", "skipped")
-    _defaults = {"skipped": False}
-    t: int
-    n: int
-    mode: str  # "search" or "family-control"
-    found: bool
-    witness: Optional[GeneratorSet]
-    sets_tried: int
     skipped: bool
 
 
@@ -146,29 +138,24 @@ def _packed_table(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int
     return tuple(rows), width, tuple(tests)
 
 
-def _walk(
-    n: int, k: int, firsts: range, first_only: bool = False
-) -> tuple[int, Optional[tuple[int, ...]], int]:
-    """Walk the balanced k-sets of order n whose least element lies in firsts.
+def _walk(shard: tuple[int, int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Nut sets among the balanced k-sets of order n led by first, for a shard (n, k, first).
 
-    Returns (passing, witness, visited): the number of nut sets, the
-    lexicographically least one (or None) and the number of balanced sets
-    walked. With first_only the walk stops at the first nut set. Each node
-    adds its offset's packed row to the running sum acc; k must be even and
-    at least 2.
+    Returns the number of nut sets and the lexicographically least one (or
+    None). Each node adds its offset's packed row to the running sum acc; k
+    must be even and at least 2.
     """
+    n, k, first = shard
     rows, _, tests = _packed_table(n, k)
     m = n // 2 - 1
-    passing = visited = 0
+    passing = 0
     witness: Optional[tuple[int, ...]] = None
 
     def walk(start, stop, acc, prefix, odd_left, even_left):
-        """Walk one subtree; True once first_only has its witness."""
-        nonlocal passing, visited, witness
+        nonlocal passing, witness
         if odd_left + even_left == 1:
             # Last element: a single parity remains, so step by two.
-            leaves = range(start + ((start + odd_left) & 1), m + 1, 2)
-            for s in leaves:
+            for s in range(start + ((start + odd_left) & 1), m + 1, 2):
                 total = acc + rows[s]
                 for mask, zero in tests:
                     if total & mask == zero:
@@ -177,11 +164,7 @@ def _walk(
                     passing += 1
                     if witness is None:
                         witness = prefix + (s,)
-                        if first_only:
-                            visited += (s - leaves.start) // 2 + 1
-                            return True
-            visited += len(leaves)
-            return False
+            return
         for s in range(start, stop):
             if s & 1:
                 if not odd_left:
@@ -194,12 +177,10 @@ def _walk(
             # Enough odd and even offsets must remain above s.
             if (m + 1) // 2 - (s + 1) // 2 < odd or m // 2 - s // 2 < even:
                 continue
-            if walk(s + 1, m + 1, acc + rows[s], prefix + (s,), odd, even):
-                return True
-        return False
+            walk(s + 1, m + 1, acc + rows[s], prefix + (s,), odd, even)
 
-    walk(firsts.start, firsts.stop, 0, (), k // 2, k // 2)
-    return passing, witness, visited
+    walk(first, first + 1, 0, (), k // 2, k // 2)
+    return passing, witness
 
 
 def _balanced_count(m: int, k: int) -> int:
@@ -207,13 +188,6 @@ def _balanced_count(m: int, k: int) -> int:
     if k % 2:
         return 0
     return comb((m + 1) // 2, k // 2) * comb(m // 2, k // 2)
-
-
-def _scan_shard(shard: tuple[int, int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Nut sets with a fixed order and leading element: (count, least one)."""
-    n, k, first = shard
-    passing, witness, _ = _walk(n, k, range(first, first + 1))
-    return passing, witness
 
 
 def _usable_cpus() -> int:
@@ -233,7 +207,7 @@ def _run_shards(
     """
     workers = min(jobs, len(shards), _usable_cpus())
     if workers < 2:
-        return [_scan_shard(shard) for shard in shards]
+        return [_walk(shard) for shard in shards]
     # Imported here because it adds ~20 ms to every CLI start. The default
     # start method is kept: the CLI has no threads when it forks, and spawn
     # would re-import the package in every worker.
@@ -243,7 +217,7 @@ def _run_shards(
         # A few chunks per worker: one shard per message costs more in pipe
         # round trips than small shards take to scan.
         chunksize = max(1, len(shards) // (4 * workers))
-        return list(pool.map(_scan_shard, shards, chunksize=chunksize))
+        return list(pool.map(_walk, shards, chunksize=chunksize))
 
 
 def catalog(
@@ -273,74 +247,28 @@ def catalog(
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     k = d // 2
-    orders = range(n_min + n_min % 2, n_max + 1, 2)
-    # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
-    scanned = [
-        n
-        for n in orders
-        if k and k % 2 == 0 and k <= n // 2 - 1 and comb(n // 2 - 1, k) <= capacity
-    ]
-    shards = [(n, k, first) for n in scanned for first in range(1, n // 2 - k + 1)]
-    if sum(_balanced_count(n // 2 - 1, k) for n in scanned) < POOL_MIN_SETS:
-        jobs = 1
-    found: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
-    for (n, _, _), (passing, witness) in zip(shards, _run_shards(shards, jobs)):
-        total, least = found.get(n, (0, None))
-        found[n] = (total + passing, least if least is not None else witness)
-    entries = []
-    for n in orders:
+    entries: dict[int, CatalogEntry] = {}
+    scanned = []
+    for n in range(n_min + n_min % 2, n_max + 1, 2):
         m = n // 2 - 1
         if k > m:
-            entries.append(CatalogEntry(n, d, False, None, 0, 0))
+            entries[n] = CatalogEntry(n, d, False, None, 0, 0)
         elif comb(m, k) > capacity:
-            entries.append(CatalogEntry(n, d, False, None, 0, 0, skipped=True))
+            entries[n] = CatalogEntry(n, d, False, None, 0, 0, skipped=True)
         else:
-            passing, witness = found.get(n, (0, None))
-            enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)
-            g = GeneratorSet(n, witness) if witness is not None else None
-            entries.append(CatalogEntry(n, d, g is not None, g, enumerated, passing))
-    return entries
-
-
-def _first_witness(n: int, d: int, capacity: int) -> tuple[Optional[GeneratorSet], int, bool]:
-    """Least nut set of degree d (a positive multiple of 4), and balanced sets tried."""
-    k = d // 2
-    m = n // 2 - 1
-    if k > m:
-        return None, 0, False
-    if comb(m, k) > capacity:
-        return None, 0, True
-    _, witness, tried = _walk(n, k, range(1, m + 1), first_only=True)
-    return (GeneratorSet(n, witness) if witness is not None else None), tried, False
-
-
-def conjecture_probe(
-    t_values: list[int],
-    n_max_offset: int,
-    capacity: int = DEFAULT_CAPACITY,
-) -> list[ProbeEntry]:
-    """Probe 4t-regular nut existence for even t over orders 4t+8 .. 4t+offset.
-
-    Orders divisible by four are the open case and are brute-force searched
-    (first witness, balanced pruning). Orders congruent to 2 mod 4 inside the
-    range are covered by the block family and are verified through it as
-    controls. Searches above the capacity ceiling are marked skipped.
-    """
-    entries: list[ProbeEntry] = []
-    for t in t_values:
-        if t < 4 or t % 2:
-            raise ParameterError(f"conjecture probe needs even t >= 4, got {t}")
-        d = 4 * t
-        for n in range(4 * t + 8, 4 * t + n_max_offset + 1, 2):
-            if n % 4 == 0:
-                witness, tried, skipped = _first_witness(n, d, capacity)
-                entries.append(
-                    ProbeEntry(t, n, "search", witness is not None, witness, tried, skipped)
-                )
-            else:
-                g = build_family(FamilyId(VARIANT_DDPRIME, t, n))
-                verdict = family_nut_check(FamilyId(VARIANT_DDPRIME, t, n))
-                entries.append(
-                    ProbeEntry(t, n, "family-control", verdict.is_nut, g if verdict.is_nut else None, 1)
-                )
-    return entries
+            scanned.append(n)
+    # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
+    walked = scanned if k and k % 2 == 0 else []
+    shards = [(n, k, first) for n in walked for first in range(1, n // 2 - k + 1)]
+    if sum(_balanced_count(n // 2 - 1, k) for n in walked) < POOL_MIN_SETS:
+        jobs = 1
+    found: dict[int, tuple[int, Optional[tuple[int, ...]]]] = dict.fromkeys(scanned, (0, None))
+    for (n, _, _), (passing, witness) in zip(shards, _run_shards(shards, jobs)):
+        total, least = found[n]
+        found[n] = (total + passing, least or witness)
+    for n, (passing, witness) in found.items():
+        m = n // 2 - 1
+        enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)
+        g = GeneratorSet(n, witness) if witness else None
+        entries[n] = CatalogEntry(n, d, g is not None, g, enumerated, passing)
+    return [entries[n] for n in sorted(entries)]

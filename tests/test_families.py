@@ -15,12 +15,11 @@ from nutcirc.families import (
     exponent_set,
     family_nut_check,
     family_poly,
-    format_table_line,
     generate_table,
     golden_data_dir,
     unique_remainder_exists,
 )
-from nutcirc.polyalg import SparsePoly, sparse_to_text
+from nutcirc.polyalg import SparsePoly
 
 
 def test_family_id_validation_messages():
@@ -48,6 +47,8 @@ def test_build_family_examples():
     assert build_family(FamilyId("dprime", 3, 16)).elements == (1, 2, 4, 5, 6, 7)
     assert build_family(FamilyId("dprime", 1, 8)).elements == (2, 3)
     assert build_family(FamilyId("ddprime", 2, 14)).elements == (1, 4, 5, 6)
+    assert build_family(FamilyId("ddprime", 4, 26)).elements == (1, 2, 3, 7, 8, 10, 11, 12)
+    assert build_family(FamilyId("ddprime", 4, 30)).elements == (1, 2, 3, 8, 9, 12, 13, 14)
     assert build_family(FamilyId("ds", 3, 16)).elements == (1, 2, 4, 5, 6, 7)
 
 
@@ -227,8 +228,3 @@ def test_appendix_golden_check_detects_injected_fault(tmp_path):
 def test_appendix_golden_check_missing_file(tmp_path):
     with pytest.raises(ConfigurationError):
         appendix_golden_check(tmp_path)
-
-
-def test_format_table_line_round_trip():
-    row = generate_table("q", 3)[0]
-    assert format_table_line(row) == f"0 {sparse_to_text(row.reduced)} {sparse_to_text(row.remainder.to_sparse())}"

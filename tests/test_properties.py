@@ -1,4 +1,4 @@
-"""Property-based differential checks: spectral vs kernel, oracle vs accelerated.
+"""Property-based differential checks: spectral vs kernel vs family check, oracle vs accelerated.
 
 Skipped when hypothesis is not installed. Examples are derandomized and no
 example database is kept, so every run checks the same inputs.
@@ -18,6 +18,7 @@ from nutcirc.circulant import (  # noqa: E402
     kernel_oracle,
 )
 from nutcirc.cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle  # noqa: E402
+from nutcirc.families import FamilyId, build_family, family_nut_check  # noqa: E402
 from nutcirc.polyalg import (  # noqa: E402
     SparsePoly,
     cyclotomic,
@@ -51,6 +52,28 @@ def test_nullity_is_totient_weighted_divisor_count(g):
     p = eigen_poly(g)
     predicted = sum(euler_phi(b) for b in divisors(g.n) if phi_divides(p, b))
     assert kernel_oracle(g).nullity == predicted
+
+
+@st.composite
+def family_members(draw, n_max=160):
+    """dprime members (odd t, 4 | n, n >= 4t+4) and ddprime members (n = 2 mod 4, n >= 4t+6)."""
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(range(1, (n_max - 4) // 4 + 1, 2)))
+        return FamilyId("dprime", t, draw(st.sampled_from(range(4 * t + 4, n_max + 1, 4))))
+    t = draw(st.integers(min_value=1, max_value=(n_max - 6) // 4))
+    return FamilyId("ddprime", t, draw(st.sampled_from(range(4 * t + 6, n_max + 1, 4))))
+
+
+# Fewer examples than the circulant checks: members reach order 160, where
+# the kernel route costs tens of milliseconds.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(family_members())
+def test_family_check_matches_spectral_and_kernel(fid):
+    # Every member of both families is a nut graph, so the three verdicts
+    # agree by all being True.
+    g = build_family(fid)
+    verdicts = (family_nut_check(fid).is_nut, is_nut_spectral(g).is_nut, is_nut_kernel(g).is_nut)
+    assert verdicts == (True, True, True), fid
 
 
 # Planted factors: small indices, prime and twice-prime indices q, 2q with

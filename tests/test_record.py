@@ -17,7 +17,7 @@ from nutcirc.errors import ParameterError
 from nutcirc.families import FamilyId, FamilyPolyId, GoldenMismatch, GoldenReport, TableRow
 from nutcirc.polyalg import DensePoly, SparsePoly
 from nutcirc.record import Record
-from nutcirc.search import CatalogEntry, ProbeEntry
+from nutcirc.search import CatalogEntry
 
 # (class, field values in field order, the repr the dataclass printed)
 RECORDS = [
@@ -67,12 +67,6 @@ RECORDS = [
         "CatalogEntry(n=14, d=8, exists=True, witness=GeneratorSet(n=14, elements=(1, 2, 3, 5)), "
         "sets_enumerated=10, sets_passing=2, skipped=False)",
     ),
-    (
-        ProbeEntry,
-        (3, 16, "search", False, None, 5, True),
-        "ProbeEntry(t=3, n=16, mode='search', found=False, witness=None, sets_tried=5, "
-        "skipped=True)",
-    ),
 ]
 FIELDS = {
     GeneratorSet: ("n", "elements"),
@@ -86,7 +80,6 @@ FIELDS = {
     GoldenMismatch: ("kind", "modulus", "residue", "field", "expected", "actual"),
     GoldenReport: ("rows_checked", "mismatches", "zero_remainders"),
     CatalogEntry: ("n", "d", "exists", "witness", "sets_enumerated", "sets_passing", "skipped"),
-    ProbeEntry: ("t", "n", "mode", "found", "witness", "sets_tried", "skipped"),
 }
 # TableRow holds polynomials, which are unhashable, so it is unhashable too.
 HASHABLE = [case for case in RECORDS if case[0] is not TableRow]
@@ -168,7 +161,6 @@ def test_defaults():
     assert NutVerdict(is_nut=True, reason="ok") == NutVerdict(True, "ok", None)
     assert CatalogEntry(16, 8, False, None, 0, 0).skipped is False
     assert CatalogEntry(16, 8, False, None, 0, 0, skipped=True).skipped is True
-    assert ProbeEntry(3, 16, "search", False, None, 5).skipped is False
 
 
 def test_wrong_arguments_raise_type_error():

@@ -1,4 +1,4 @@
-"""Tests for the existence catalog and the conjecture probe."""
+"""Tests for the existence catalog: the packed residue walk, its shards and pool."""
 from __future__ import annotations
 
 import concurrent.futures
@@ -11,7 +11,7 @@ import pytest
 from nutcirc import search
 from nutcirc.circulant import GeneratorSet, is_nut_kernel, is_nut_spectral, parity_balanced
 from nutcirc.errors import ParameterError
-from nutcirc.search import CatalogEntry, ProbeEntry, catalog, conjecture_probe
+from nutcirc.search import CatalogEntry, catalog
 
 
 def enumerate_sets(n, d, balanced_only=False):
@@ -97,9 +97,29 @@ def test_catalog_witnesses_are_lexicographically_least_and_valid():
             assert not is_nut_spectral(g).is_nut
 
 
-def test_catalog_deterministic_across_jobs():
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Send every catalog with jobs > 1 to a real two-worker pool.
+
+    Returns the list of worker counts of the pools entered.
+    """
+    entered = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search, "POOL_MIN_SETS", 0)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    return entered
+
+
+def test_catalog_deterministic_across_jobs(real_pool):
     solo = catalog(8, 12, 18, jobs=1)
     multi = catalog(8, 12, 18, jobs=3)
+    assert real_pool == [2]
     assert solo == multi
 
 
@@ -120,8 +140,9 @@ def test_catalog_counts_match_enumeration():
                 assert entry.sets_enumerated == len(list(enumerate_sets(n, 2 * k, balanced_only)))
 
 
-def test_catalog_jobs_on_one_order():
+def test_catalog_jobs_on_one_order(real_pool):
     assert catalog(8, 30, 30, jobs=2) == catalog(8, 30, 30, jobs=1)
+    assert real_pool == [2]
 
 
 def test_catalog_pool_is_clamped(monkeypatch):
@@ -298,56 +319,6 @@ def test_catalog_validation():
 def test_catalog_unrealizable_degree_reports_nonexistence():
     entries = {e.n: e for e in catalog(8, 8, 12)}
     assert not entries[8].exists and entries[8].sets_enumerated == 0
-
-
-def test_conjecture_probe_t4():
-    entries = conjecture_probe([4], 16)
-    by_n = {e.n: e for e in entries}
-    assert sorted(by_n) == [24, 26, 28, 30, 32]
-    for n in (24, 28, 32):
-        entry = by_n[n]
-        assert entry.mode == "search"
-        assert entry.found and entry.witness is not None
-        assert is_nut_spectral(entry.witness).is_nut
-    for n in (26, 30):
-        entry = by_n[n]
-        assert entry.mode == "family-control"
-        assert entry.found and entry.witness is not None
-        assert is_nut_spectral(entry.witness).is_nut
-
-
-def test_conjecture_probe_t4_entries_unchanged():
-    def search_entry(n, witness, tried):
-        return ProbeEntry(4, n, "search", True, GeneratorSet(n, witness), tried)
-
-    def control_entry(n, witness):
-        return ProbeEntry(4, n, "family-control", True, GeneratorSet(n, witness), 1)
-
-    assert conjecture_probe([4], 16) == [
-        search_entry(24, (1, 2, 3, 4, 5, 6, 9, 10), 5),
-        control_entry(26, (1, 2, 3, 7, 8, 10, 11, 12)),
-        search_entry(28, (1, 2, 3, 4, 5, 6, 7, 10), 2),
-        control_entry(30, (1, 2, 3, 8, 9, 12, 13, 14)),
-        search_entry(32, (1, 2, 3, 4, 5, 6, 7, 10), 2),
-    ]
-
-
-def test_first_witness_without_nut_counts_every_balanced_set():
-    assert search._first_witness(16, 8, search.DEFAULT_CAPACITY) == (None, 18, False)
-
-
-def test_conjecture_probe_empty_and_validation():
-    assert conjecture_probe([], 16) == []
-    with pytest.raises(ParameterError):
-        conjecture_probe([3], 16)
-    with pytest.raises(ParameterError):
-        conjecture_probe([2], 16)
-
-
-def test_conjecture_probe_capacity_skip():
-    entries = conjecture_probe([4], 8, capacity=5)
-    searched = [e for e in entries if e.mode == "search"]
-    assert searched and all(e.skipped and not e.found for e in searched)
 
 
 def test_degree_constraint_sweep():
