@@ -316,15 +316,17 @@ def _emit(envelope: dict[str, Any], as_json: bool) -> None:
         print(f"error: {envelope['payload']['message']}")
 
 
-def _usage_error(argv: list[str], exc: _UsageError, started: float) -> int:
-    """Report an argparse error: an error envelope under --json, else argparse's text."""
-    # The top-level options are the tokens before the subcommand; argparse
-    # also accepts an abbreviation such as --js for --json.
-    split = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
-    if not any(len(token) > 2 and "--json".startswith(token) for token in argv[:split]):
+def _usage_error(args: argparse.Namespace, exc: _UsageError, started: float) -> int:
+    """Report an argparse error: an error envelope under --json, else argparse's text.
+
+    argparse fills ``args`` in order, so ``json`` and ``command`` hold what it
+    parsed before the error: ``--json`` counts only ahead of the subcommand,
+    and ``command`` stays None until a valid subcommand name is read.
+    """
+    if not args.json:
         argparse.ArgumentParser.error(exc.parser, exc.message)
     envelope = {
-        "command": argv[split] if split < len(argv) and argv[split] in _HANDLERS else None,
+        "command": args.command,
         "status": "error",
         "payload": {"message": exc.message},
         "elapsed_ms": int((time.monotonic() - started) * 1000),
@@ -334,12 +336,12 @@ def _usage_error(argv: list[str], exc: _UsageError, started: float) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     started = time.monotonic()
+    args = argparse.Namespace()
     try:
-        args = build_parser().parse_args(argv)
+        build_parser().parse_args(argv, args)
     except _UsageError as exc:
-        return _usage_error(argv, exc, started)
+        return _usage_error(args, exc, started)
     try:
         payload = _HANDLERS[args.command](args)
         status, exit_code = "ok", EXIT_OK

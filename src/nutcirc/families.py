@@ -4,10 +4,12 @@ Three generator-set families are built here: two block constructions (one for
 orders divisible by four, one for orders congruent to 2 mod 4) and the older
 consecutive-run family they extend. Each block family comes with a pair of
 six-term polynomials whose cyclotomic non-divisibility is exactly what makes
-every member a nut graph; ``family_nut_check`` re-derives nut-ness through
+every member a nut graph. The four polynomials live in one table, ``_SHAPES``,
+each exponent as a*t + c. ``family_nut_check`` re-derives nut-ness through
 that divisor classification without ever forming the eigenvalue polynomial,
-and ``generate_table``/``appendix_golden_check`` regenerate and diff the
-small-modulus residue tables that certify the small-index cases.
+and ``generate_table``/``appendix_golden_check`` regenerate (remainders
+through ``phi_remainder``) and diff the small-modulus residue tables that
+certify the small-index cases.
 """
 from __future__ import annotations
 
@@ -25,11 +27,10 @@ from .errors import ConfigurationError, ParameterError
 from .polyalg import (
     DensePoly,
     SparsePoly,
-    cyclotomic,
-    dense_div_rem,
     divisors,
     is_prime,
     phi_divides,
+    phi_remainder,
     reduce_mod_xb,
     sparse_from_text,
     sparse_to_text,
@@ -41,7 +42,17 @@ VARIANT_DDPRIME = "ddprime"
 VARIANT_DS_PRIOR = "ds"
 VARIANTS = (VARIANT_DPRIME, VARIANT_DDPRIME, VARIANT_DS_PRIOR)
 
-POLY_KINDS = ("q", "r", "u", "w")
+# The four six-term family polynomials, one entry per kind: whether t must be
+# odd, the least t, the least prime p for ``unique_remainder_exists``, and the
+# six terms (a, c, coefficient), each meaning coefficient * x^(a*t + c).
+# q and r serve the 4 | n family, u and w the n = 2 (mod 4) family.
+_SHAPES = {
+    "q": (True, 3, 5, ((2, -1, 2), (1, 1, 1), (1, 0, -1), (1, -1, 1), (1, -2, -1), (0, 0, -2))),
+    "r": (True, 3, 5, ((2, -1, 2), (1, 1, -1), (1, 0, -3), (1, -1, 3), (1, -2, 1), (0, 0, -2))),
+    "u": (False, 2, 7, ((4, -1, 2), (2, 4, 1), (2, 1, -2), (2, -1, 2), (2, -4, -1), (0, 1, -2))),
+    "w": (False, 2, 7, ((4, -1, 2), (2, 4, -1), (2, 1, -2), (2, -1, 2), (2, -4, 1), (0, 1, -2))),
+}
+POLY_KINDS = tuple(_SHAPES)
 TABLE_MODULI = (3, 5, 6, 10, 15, 30)
 
 
@@ -90,13 +101,12 @@ class FamilyPolyId(Record):
     t: int
 
     def _check(self):
-        if self.kind not in POLY_KINDS:
+        if self.kind not in _SHAPES:
             raise ParameterError(f"unknown family polynomial kind {self.kind!r}")
-        if self.kind in ("q", "r"):
-            if self.t % 2 == 0 or self.t < 3:
-                raise ParameterError(f"{self.kind} requires odd t >= 3, got t={self.t}")
-        elif self.t < 2:
-            raise ParameterError(f"{self.kind} requires t >= 2, got t={self.t}")
+        odd, least_t = _SHAPES[self.kind][:2]
+        if self.t < least_t or (odd and self.t % 2 == 0):
+            parity = "odd " if odd else ""
+            raise ParameterError(f"{self.kind} requires {parity}t >= {least_t}, got t={self.t}")
 
 
 def build_family(fid: FamilyId) -> GeneratorSet:
@@ -114,40 +124,14 @@ def build_family(fid: FamilyId) -> GeneratorSet:
 
 
 def _family_terms(kind: str, t: int) -> list[tuple[int, int]]:
-    # Exponent/coefficient shape shared by the public constructor and the
-    # residue-table generator (the latter instantiates arbitrary residues,
-    # so no parity validation here).
-    if kind == "q":
-        if t < 3:
-            raise ParameterError(f"q-polynomial shape needs t >= 3, got {t}")
-        return [(2 * t - 1, 2), (t + 1, 1), (t, -1), (t - 1, 1), (t - 2, -1), (0, -2)]
-    if kind == "r":
-        if t < 3:
-            raise ParameterError(f"r-polynomial shape needs t >= 3, got {t}")
-        return [(2 * t - 1, 2), (t + 1, -1), (t, -3), (t - 1, 3), (t - 2, 1), (0, -2)]
-    if kind == "u":
-        if t < 2:
-            raise ParameterError(f"u-polynomial shape needs t >= 2, got {t}")
-        return [
-            (4 * t - 1, 2),
-            (2 * t + 4, 1),
-            (2 * t + 1, -2),
-            (2 * t - 1, 2),
-            (2 * t - 4, -1),
-            (1, -2),
-        ]
-    if kind == "w":
-        if t < 2:
-            raise ParameterError(f"w-polynomial shape needs t >= 2, got {t}")
-        return [
-            (4 * t - 1, 2),
-            (2 * t + 4, -1),
-            (2 * t + 1, -2),
-            (2 * t - 1, 2),
-            (2 * t - 4, 1),
-            (1, -2),
-        ]
-    raise ParameterError(f"unknown family polynomial kind {kind!r}")
+    # Shared by the public constructor and the residue-table generator, which
+    # instantiates arbitrary residues, so parity is not checked here.
+    if kind not in _SHAPES:
+        raise ParameterError(f"unknown family polynomial kind {kind!r}")
+    _, least_t, _, terms = _SHAPES[kind]
+    if t < least_t:
+        raise ParameterError(f"{kind}-polynomial shape needs t >= {least_t}, got {t}")
+    return [(a * t + c, coeff) for a, c, coeff in terms]
 
 
 def family_poly(pid: FamilyPolyId) -> SparsePoly:
@@ -164,19 +148,15 @@ def unique_remainder_exists(pid: FamilyPolyId, p: int) -> bool:
     """True iff some exponent's residue mod p is unique within the support set.
 
     This is the pigeonhole fact that powers the prime-index exclusions; it is
-    stated for primes p >= 5 on the q/r supports and p >= 7 on the u/w
-    supports.
+    stated for primes p from the kind's least prime on: 5 for q/r, 7 for u/w.
     """
-    minimum = 5 if pid.kind in ("q", "r") else 7
+    minimum = _SHAPES[pid.kind][2]
     if p < minimum or not is_prime(p):
         raise ParameterError(
             f"unique_remainder_exists({pid.kind}) needs a prime p >= {minimum}, got {p}"
         )
-    exps = exponent_set(pid)
-    residues: dict[int, int] = {}
-    for e in exps:
-        residues[e % p] = residues.get(e % p, 0) + 1
-    return any(count == 1 for count in residues.values())
+    residues = [e % p for e in exponent_set(pid)]
+    return any(residues.count(r) == 1 for r in residues)
 
 
 def family_nut_check(fid: FamilyId) -> NutVerdict:
@@ -208,16 +188,9 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
         # x^(n/2 + shift) = -1, i.e. iff Phi_b divides x^(n/2 + shift) + 1.
         shift = 1 if dprime else 2
         rules = [(n, SparsePoly([(n // 2 + shift, 1), (0, 1)]))]
-    elif dprime:
-        rules = [
-            (n // 4, family_poly(FamilyPolyId("q", t))),
-            (n // 2, family_poly(FamilyPolyId("r", t))),
-        ]
     else:
-        rules = [
-            (n // 2, family_poly(FamilyPolyId("u", t))),
-            (n, family_poly(FamilyPolyId("w", t))),
-        ]
+        pairs = (("q", 4), ("r", 2)) if dprime else (("u", 2), ("w", 1))
+        rules = [(n // k, family_poly(FamilyPolyId(kind, t))) for kind, k in pairs]
     for b in divisors(n):
         poly = next((poly for m, poly in rules if m % b == 0), None)
         if b >= 3 and poly is not None and phi_divides(poly, b):
@@ -262,11 +235,9 @@ class GoldenReport(Record):
 
 def _table_representative(kind: str, residue: int, modulus: int) -> int:
     # The reduced polynomial depends on t only through t mod modulus, so any
-    # representative works; the smallest one keeping the six-term shape valid
-    # is used (t >= 3 for q/r, t >= 2 for u/w).
+    # representative works; the least one at or above the kind's least t.
     t = residue % modulus
-    minimum = 3 if kind in ("q", "r") else 2
-    while t < minimum:
+    while t < _SHAPES[kind][1]:
         t += modulus
     return t
 
@@ -286,22 +257,16 @@ def generate_table(kind: str, modulus: int) -> list[TableRow]:
         raise ParameterError(
             f"unsupported table modulus {modulus}; expected one of {TABLE_MODULI}"
         )
-    phi = cyclotomic(modulus)
     rows = []
     for residue in range(modulus):
-        t = _table_representative(kind, residue, modulus)
-        reduced = reduce_mod_xb(SparsePoly(_family_terms(kind, t)), modulus)
-        _, remainder = dense_div_rem(reduced.to_dense(), phi)
-        rows.append(TableRow(kind, modulus, residue, reduced, remainder))
+        poly = SparsePoly(_family_terms(kind, _table_representative(kind, residue, modulus)))
+        reduced = reduce_mod_xb(poly, modulus)
+        rows.append(TableRow(kind, modulus, residue, reduced, phi_remainder(poly, modulus)))
     return rows
 
 
 def golden_data_dir() -> Path:
-    # Imported here: on Python 3.12 and later importlib.resources loads
-    # inspect, which would cost every CLI start over 10 ms.
-    from importlib.resources import files
-
-    return Path(str(files("nutcirc").joinpath("data", "appendix")))
+    return Path(__file__).parent / "data" / "appendix"
 
 
 def appendix_golden_check(data_dir: Union[Path, str, None] = None) -> GoldenReport:
@@ -326,32 +291,23 @@ def appendix_golden_check(data_dir: Union[Path, str, None] = None) -> GoldenRepo
                 rows_checked += 1
                 if row.remainder.is_zero():
                     zero_remainders.append((kind, modulus, row.residue))
-                golden = golden_rows.get(row.residue)
+                golden = golden_rows.pop(row.residue, None)
                 if golden is None:
                     mismatches.append(
                         GoldenMismatch(kind, modulus, row.residue, "row", "<present>", "<missing>")
                     )
                     continue
-                expected_reduced, expected_remainder = golden
-                actual_reduced = sparse_to_text(row.reduced)
-                actual_remainder = sparse_to_text(row.remainder.to_sparse())
-                if actual_reduced != expected_reduced:
-                    mismatches.append(
-                        GoldenMismatch(
-                            kind, modulus, row.residue, "reduced", expected_reduced, actual_reduced
+                actual = (sparse_to_text(row.reduced), sparse_to_text(row.remainder.to_sparse()))
+                for field, expected, got in zip(("reduced", "remainder"), golden, actual):
+                    if got != expected:
+                        mismatches.append(
+                            GoldenMismatch(kind, modulus, row.residue, field, expected, got)
                         )
-                    )
-                if actual_remainder != expected_remainder:
-                    mismatches.append(
-                        GoldenMismatch(
-                            kind,
-                            modulus,
-                            row.residue,
-                            "remainder",
-                            expected_remainder,
-                            actual_remainder,
-                        )
-                    )
+            # Rows left over name residues the table does not have.
+            mismatches += (
+                GoldenMismatch(kind, modulus, residue, "row", "<absent>", "<present>")
+                for residue in golden_rows
+            )
     return GoldenReport(rows_checked, tuple(mismatches), tuple(zero_remainders))
 
 
@@ -364,10 +320,9 @@ def _parse_golden(path: Path) -> dict[int, tuple[str, str]]:
         parts = body.split()
         if len(parts) != 3:
             raise ConfigurationError(f"{path}:{line_no}: expected 3 fields, got {len(parts)}")
-        residue_str, reduced, remainder = parts
-        # Round-trip through the parser so the stored text is canonical.
-        rows[int(residue_str)] = (
-            sparse_to_text(sparse_from_text(reduced)),
-            sparse_to_text(sparse_from_text(remainder)),
-        )
+        residue = int(parts[0])
+        if residue in rows:
+            raise ConfigurationError(f"{path}:{line_no}: repeated residue {residue}")
+        # Round-trip the reduced and remainder texts so the stored text is canonical.
+        rows[residue] = tuple(sparse_to_text(sparse_from_text(text)) for text in parts[1:])
     return rows

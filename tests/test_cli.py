@@ -85,6 +85,13 @@ def test_unknown_flag_exits_2(capsys):
         (["tables", "--kind", "z", "--modulus", "3"], "tables", "invalid choice: 'z'"),
         (["frobnicate"], None, "invalid choice: 'frobnicate'"),
         ([], None, "required"),
+        (["verify", "--n", "8"], "verify", "--set"),
+        (["--jso", "verify"], "verify", "required"),
+        (
+            ["search", "--degree", "8", "--n-min", "10", "--n-max", "12", "--oops"],
+            "search",
+            "--oops",
+        ),
     ],
 )
 def test_usage_errors_under_json_use_the_envelope(capsys, argv, command, fragment):
@@ -103,6 +110,17 @@ def test_usage_error_under_abbreviated_json_uses_the_envelope(capsys):
     code = main(["--js", "verify", "--n", "1x", "--set", "3,4"])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
+def test_json_after_the_subcommand_keeps_argparse_text(capsys):
+    # --json is a top-level flag; after the subcommand it is an unknown flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--json", "--n", "8", "--set", "1,2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nutcirc")
+    assert "unrecognized arguments: --json" in captured.err
 
 
 def test_usage_error_without_json_keeps_argparse_text(capsys):
@@ -124,6 +142,12 @@ def test_readme_cli_examples_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command in line
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_family_check(capsys):

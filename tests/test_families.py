@@ -10,6 +10,7 @@ from nutcirc.errors import ConfigurationError, ParameterError
 from nutcirc.families import (
     FamilyId,
     FamilyPolyId,
+    _family_terms,
     appendix_golden_check,
     build_family,
     exponent_set,
@@ -72,6 +73,41 @@ def test_family_poly_examples():
     assert family_poly(FamilyPolyId("w", 2)) == SparsePoly(
         {8: -1, 7: 2, 5: -2, 3: 2, 1: -2, 0: 1}
     )
+
+
+# The paper's four polynomials, transcribed term by term: kind -> (least t,
+# t must be odd, terms as functions of t in the order _family_terms lists them).
+PAPER_POLYS = {
+    "q": (3, True, lambda t: [
+        (2 * t - 1, 2), (t + 1, 1), (t, -1), (t - 1, 1), (t - 2, -1), (0, -2)
+    ]),
+    "r": (3, True, lambda t: [
+        (2 * t - 1, 2), (t + 1, -1), (t, -3), (t - 1, 3), (t - 2, 1), (0, -2)
+    ]),
+    "u": (2, False, lambda t: [
+        (4 * t - 1, 2), (2 * t + 4, 1), (2 * t + 1, -2), (2 * t - 1, 2), (2 * t - 4, -1), (1, -2)
+    ]),
+    "w": (2, False, lambda t: [
+        (4 * t - 1, 2), (2 * t + 4, -1), (2 * t + 1, -2), (2 * t - 1, 2), (2 * t - 4, 1), (1, -2)
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAPER_POLYS))
+def test_family_polys_match_the_paper(kind):
+    least, odd, terms = PAPER_POLYS[kind]
+    for t in range(least, 61):
+        assert _family_terms(kind, t) == terms(t), (kind, t)
+        if t % 2 or not odd:
+            assert family_poly(FamilyPolyId(kind, t)) == SparsePoly(terms(t)), (kind, t)
+        else:
+            with pytest.raises(ParameterError, match="odd t"):
+                FamilyPolyId(kind, t)
+    # One below the least t the shape degenerates, which pins the least t.
+    exponents = [e for e, _ in terms(least - 1)]
+    assert len(set(exponents)) < 6 or min(exponents) < 0
+    with pytest.raises(ParameterError, match=f"needs t >= {least}, got {least - 1}"):
+        _family_terms(kind, least - 1)
 
 
 def test_family_poly_validation():
@@ -208,21 +244,48 @@ def test_appendix_golden_check_passes():
     assert report.ok
 
 
-def test_appendix_golden_check_detects_injected_fault(tmp_path):
+def _golden_copy_with(tmp_path, name, edit):
+    """A copy of the golden tables with edit applied to the lines of one file."""
     data = tmp_path / "appendix"
     shutil.copytree(golden_data_dir(), data)
-    target = data / "q_3.txt"
-    lines = target.read_text().splitlines()
-    # Perturb one coefficient of one remainder.
-    residue, reduced, remainder = lines[1].split()
-    broken = remainder.replace(":", ":9", 1)
-    lines[1] = f"{residue} {reduced} {broken}"
-    target.write_text("\n".join(lines) + "\n")
-    report = appendix_golden_check(data)
+    target = data / name
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    return data
+
+
+def test_appendix_golden_check_detects_injected_fault(tmp_path):
+    def perturb(lines):
+        # Perturb one coefficient of one remainder.
+        residue, reduced, remainder = lines[1].split()
+        broken = remainder.replace(":", ":9", 1)
+        return [lines[0], f"{residue} {reduced} {broken}", *lines[2:]]
+
+    report = appendix_golden_check(_golden_copy_with(tmp_path, "q_3.txt", perturb))
     assert len(report.mismatches) == 1
     mismatch = report.mismatches[0]
     assert (mismatch.kind, mismatch.modulus, mismatch.residue) == ("q", 3, 1)
     assert mismatch.field == "remainder"
+
+
+def test_appendix_golden_check_reports_an_extra_row(tmp_path):
+    data = _golden_copy_with(tmp_path, "q_3.txt", lambda lines: lines + ["99 1:1,0:1 1:1"])
+    report = appendix_golden_check(data)
+    assert not report.ok
+    assert len(report.mismatches) == 1
+    mismatch = report.mismatches[0]
+    assert (mismatch.kind, mismatch.modulus, mismatch.residue) == ("q", 3, 99)
+    assert mismatch.field == "row"
+
+
+def test_appendix_golden_check_rejects_a_repeated_residue(tmp_path):
+    def add_wrong_duplicate(lines):
+        index = next(i for i, line in enumerate(lines) if line.split()[:1] == ["1"])
+        residue, reduced, _ = lines[index].split()
+        return lines[:index] + [f"{residue} {reduced} 0:77"] + lines[index:]
+
+    data = _golden_copy_with(tmp_path, "q_5.txt", add_wrong_duplicate)
+    with pytest.raises(ConfigurationError, match=r"q_5\.txt:\d+: repeated residue 1"):
+        appendix_golden_check(data)
 
 
 def test_appendix_golden_check_missing_file(tmp_path):
