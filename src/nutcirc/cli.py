@@ -12,27 +12,24 @@ completed command), 1 for domain errors (capacity, missing data, an unwritable
 --out file), 2 for usage errors (bad flags or arguments violating
 preconditions). With --json, usage errors that argparse detects also leave
 through the envelope; without it they keep argparse's usage text on stderr.
+
+Each subcommand imports only the layers it calls, when argparse reaches it:
+a cyclodiv request never compiles circulant, families or search. So
+elapsed_ms, timed from the start of main, includes the import of the
+subcommand's layers.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from . import families, search
-from .circulant import (
-    NutVerdict,
-    is_nut_kernel,
-    is_nut_spectral,
-    parse_generator_set,
-)
-from .cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle
 from .errors import CapacityError, ConfigurationError, ParameterError
-from .polyalg import sparse_from_text, sparse_to_text
+
+if TYPE_CHECKING:
+    from .circulant import NutVerdict
+    from .search import CatalogEntry
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -53,7 +50,7 @@ def verdict_to_json(verdict: NutVerdict) -> dict[str, Any]:
     return payload
 
 
-def entry_to_json(entry: search.CatalogEntry) -> dict[str, Any]:
+def entry_to_json(entry: CatalogEntry) -> dict[str, Any]:
     return {
         "n": entry.n,
         "exists": entry.exists,
@@ -67,7 +64,15 @@ def entry_to_json(entry: search.CatalogEntry) -> dict[str, Any]:
 # --- subcommand implementations ----------------------------------------------
 
 
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--set", required=True, help="comma-separated generator elements")
+    parser.add_argument("--method", choices=("spectral", "kernel", "both"), default="both")
+
+
 def _cmd_verify(args) -> dict[str, Any]:
+    from .circulant import is_nut_kernel, is_nut_spectral, parse_generator_set
+
     g = parse_generator_set(args.n, args.set)
     results: dict[str, Any] = {}
     if args.method in ("spectral", "both"):
@@ -86,7 +91,19 @@ def _cmd_verify(args) -> dict[str, Any]:
     return payload
 
 
+def _family_arguments(parser: argparse.ArgumentParser) -> None:
+    from .families import VARIANTS
+
+    parser.add_argument("--variant", choices=VARIANTS, required=True)
+    parser.add_argument("--t", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--check", action="store_true", help="run all nut checks")
+
+
 def _cmd_family(args) -> dict[str, Any]:
+    from . import families
+    from .circulant import is_nut_kernel, is_nut_spectral
+
     fid = families.FamilyId(args.variant, args.t, args.n)
     g = families.build_family(fid)
     payload: dict[str, Any] = {
@@ -111,8 +128,19 @@ def _cmd_family(args) -> dict[str, Any]:
     return payload
 
 
+def _tables_arguments(parser: argparse.ArgumentParser) -> None:
+    from .families import POLY_KINDS
+
+    parser.add_argument("--kind", choices=POLY_KINDS, required=True)
+    parser.add_argument("--modulus", type=int, required=True)
+    parser.add_argument("--format", choices=("csv", "md"), default="csv")
+
+
 def _cmd_tables(args) -> dict[str, Any]:
-    rows = families.generate_table(args.kind, args.modulus)
+    from .families import generate_table
+    from .polyalg import sparse_to_text
+
+    rows = generate_table(args.kind, args.modulus)
     return {
         "kind": args.kind,
         "modulus": args.modulus,
@@ -128,8 +156,20 @@ def _cmd_tables(args) -> dict[str, Any]:
     }
 
 
+def _search_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--degree", type=int, required=True)
+    parser.add_argument("--n-min", type=int, required=True)
+    parser.add_argument("--n-max", type=int, required=True)
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--balanced", action="store_true", help="prune unbalanced sets")
+    parser.add_argument("--out", help="write the result document to this path")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
 def _cmd_search(args) -> dict[str, Any]:
-    entries = search.catalog(
+    from .search import catalog
+
+    entries = catalog(
         args.degree,
         args.n_min,
         args.n_max,
@@ -141,11 +181,12 @@ def _cmd_search(args) -> dict[str, Any]:
         "entries": [entry_to_json(e) for e in entries],
     }
     if args.out:
-        document = (
-            _search_csv(payload)
-            if args.format == "csv"
-            else json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        if args.format == "csv":
+            document = _search_csv(payload)
+        else:
+            import json
+
+            document = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         try:
             with open(args.out, "w") as fh:
                 fh.write(document)
@@ -154,7 +195,15 @@ def _cmd_search(args) -> dict[str, Any]:
     return payload
 
 
+def _cyclodiv_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--poly", required=True, help="sparse form, e.g. 5:2,4:1,0:-2")
+    parser.add_argument("--engine", choices=("oracle", "fast"), default="oracle")
+
+
 def _cmd_cyclodiv(args) -> dict[str, Any]:
+    from .cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle
+    from .polyalg import sparse_from_text
+
     poly = sparse_from_text(args.poly)
     if poly.is_zero():
         raise ParameterError("the zero polynomial is divisible by every cyclotomic polynomial")
@@ -181,6 +230,9 @@ def _render_verdict(name: str, data: dict[str, Any]) -> str:
 
 
 def _search_csv(payload: dict[str, Any]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "exists", "witness", "sets_enumerated", "sets_passing", "skipped"])
@@ -252,8 +304,40 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError on a usage error; adds its arguments on its first parse.
+
+    A subcommand's arguments are added by ``arguments(parser)`` only when
+    argparse parses that subcommand, because some take their choices from
+    the subcommand's layer (``families.VARIANTS``), which other subcommands
+    never load.
+    """
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise _UsageError(self, message)
+
+
+# subcommand -> (help, function adding its arguments, handler)
+_COMMANDS = {
+    "verify": ("decide nut-ness of Circ(n, S)", _verify_arguments, _cmd_verify),
+    "family": ("build a family generator set", _family_arguments, _cmd_family),
+    "tables": ("regenerate a residue table", _tables_arguments, _cmd_tables),
+    "search": ("catalog nut existence by order", _search_arguments, _cmd_search),
+    "cyclodiv": (
+        "cyclotomic divisor set of a sparse polynomial",
+        _cyclodiv_arguments,
+        _cmd_cyclodiv,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,52 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="decide nut-ness of Circ(n, S)")
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--set", required=True, help="comma-separated generator elements")
-    p_verify.add_argument(
-        "--method", choices=("spectral", "kernel", "both"), default="both"
-    )
-
-    p_family = sub.add_parser("family", help="build a family generator set")
-    p_family.add_argument("--variant", choices=families.VARIANTS, required=True)
-    p_family.add_argument("--t", type=int, required=True)
-    p_family.add_argument("--n", type=int, required=True)
-    p_family.add_argument("--check", action="store_true", help="run all nut checks")
-
-    p_tables = sub.add_parser("tables", help="regenerate a residue table")
-    p_tables.add_argument("--kind", choices=families.POLY_KINDS, required=True)
-    p_tables.add_argument("--modulus", type=int, required=True)
-    p_tables.add_argument("--format", choices=("csv", "md"), default="csv")
-
-    p_search = sub.add_parser("search", help="catalog nut existence by order")
-    p_search.add_argument("--degree", type=int, required=True)
-    p_search.add_argument("--n-min", type=int, required=True)
-    p_search.add_argument("--n-max", type=int, required=True)
-    p_search.add_argument("--jobs", type=int, default=1)
-    p_search.add_argument("--balanced", action="store_true", help="prune unbalanced sets")
-    p_search.add_argument("--out", help="write the result document to this path")
-    p_search.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_cyclo = sub.add_parser("cyclodiv", help="cyclotomic divisor set of a sparse polynomial")
-    p_cyclo.add_argument("--poly", required=True, help="sparse form, e.g. 5:2,4:1,0:-2")
-    p_cyclo.add_argument("--engine", choices=("oracle", "fast"), default="oracle")
-
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, arguments=arguments)
     return parser
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "family": _cmd_family,
-    "tables": _cmd_tables,
-    "search": _cmd_search,
-    "cyclodiv": _cmd_cyclodiv,
-}
 
 
 def _emit(envelope: dict[str, Any], as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(envelope, sort_keys=True))
     elif envelope["status"] == "ok":
         print(_render_human(envelope["command"], envelope["payload"]))
@@ -343,7 +390,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         return _usage_error(args, exc, started)
     try:
-        payload = _HANDLERS[args.command](args)
+        payload = _COMMANDS[args.command][2](args)
         status, exit_code = "ok", EXIT_OK
     except ParameterError as exc:
         payload = {"message": str(exc)}

@@ -6,10 +6,19 @@ is measured against. The accelerated engine prunes candidates first, using
 the index-reduction theorem for lacunary polynomials (removing a large prime
 power from b must leave another valid index) and a term-count argument that
 rules out prime and twice-prime indices without any division.
+
+Each engine refuses a polynomial above its degree ceiling with CapacityError
+before it lists a candidate. Each ceiling is the degree at which lacunary
+inputs take a second or two on a 2-core machine (Python 3.11): the oracle
+takes 0.9-1.2 s on trinomials and 2.5 s on a ten-term polynomial of degree
+1000 (6.6 s on x^2000 + x + 1); the accelerated engine 0.3-1.4 s (under
+60 MB) on trinomials and ten-term polynomials of degree 10 000 (4.4 s and
+142 MB on x^20000 + x + 1). The ceilings bound the degree, not the number
+of terms: a dense polynomial of degree 600 takes about 4 s in either engine.
 """
 from __future__ import annotations
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .polyalg import (
     SparsePoly,
     is_prime,
@@ -20,6 +29,9 @@ from .polyalg import (
     totient_candidates,
 )
 from .record import Record
+
+ORACLE_MAX_DEGREE = 1000
+ACCELERATED_MAX_DEGREE = 10_000
 
 
 class CycloDivisorReport(Record):
@@ -56,11 +68,18 @@ def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
     Phi_b has degree euler_phi(b), so only indices with euler_phi(b) <= deg p
     can divide p; each of them is tested.
     """
-    if p.is_zero():
-        raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
-    candidates = totient_candidates(p.degree)
+    candidates = _candidates(p, ORACLE_MAX_DEGREE, "oracle")
     found = [b for b in candidates if phi_divides(p, b)]
     return CycloDivisorReport(tuple(found), max(candidates, default=0), "oracle")
+
+
+def _candidates(p: SparsePoly, ceiling: int, engine: str) -> list[int]:
+    """totient_candidates(deg p), for a nonzero p within the engine's degree ceiling."""
+    if p.is_zero():
+        raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
+    if p.degree > ceiling:
+        raise CapacityError(f"degree {p.degree} exceeds the {engine} engine's ceiling {ceiling}")
+    return totient_candidates(p.degree)
 
 
 def filaseta_step(term_count: int, b: int) -> list[ReductionStep]:
@@ -131,10 +150,8 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
     both, whatever the number of terms. Everything else falls back to exact
     division.
     """
-    if p.is_zero():
-        raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
+    candidates = _candidates(p, ACCELERATED_MAX_DEGREE, "accelerated")
     terms = p.term_count()
-    candidates = totient_candidates(p.degree)
     found: set[int] = set()
     excluded: set[int] = set()
     # Ascending order matters: every reduced index is smaller than b, so it

@@ -320,9 +320,13 @@ def _parse_golden(path: Path) -> dict[int, tuple[str, str]]:
         parts = body.split()
         if len(parts) != 3:
             raise ConfigurationError(f"{path}:{line_no}: expected 3 fields, got {len(parts)}")
-        residue = int(parts[0])
+        try:
+            residue = int(parts[0])
+            # Round-trip the reduced and remainder texts so the stored text is canonical.
+            texts = tuple(sparse_to_text(sparse_from_text(text)) for text in parts[1:])
+        except ValueError as exc:  # from int, or sparse_from_text's ParameterError
+            raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
         if residue in rows:
             raise ConfigurationError(f"{path}:{line_no}: repeated residue {residue}")
-        # Round-trip the reduced and remainder texts so the stored text is canonical.
-        rows[residue] = tuple(sparse_to_text(sparse_from_text(text)) for text in parts[1:])
+        rows[residue] = texts
     return rows

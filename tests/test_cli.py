@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nutcirc
+from nutcirc import cyclotomy
 from nutcirc.cli import build_parser, main
 
 
@@ -92,6 +93,11 @@ def test_unknown_flag_exits_2(capsys):
             "search",
             "--oops",
         ),
+        (
+            ["family", "--variant", "bogus", "--t", "3", "--n", "16"],
+            "family",
+            "invalid choice: 'bogus'",
+        ),
     ],
 )
 def test_usage_errors_under_json_use_the_envelope(capsys, argv, command, fragment):
@@ -131,6 +137,18 @@ def test_usage_error_without_json_keeps_argparse_text(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: nutcirc verify")
     assert "invalid int value: '1x'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, choices", [("family", "{dprime,ddprime,ds}"), ("tables", "{q,r,u,w}")]
+)
+def test_subcommand_help_lists_choices_from_its_layer(capsys, command, choices):
+    # The choices come from families, whose import waits until argparse
+    # reaches the subcommand.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert choices in capsys.readouterr().out
 
 
 def test_readme_cli_examples_parse():
@@ -218,6 +236,23 @@ def test_cyclodiv_non_descending_exponents_exit_2(capsys, poly):
     assert code == 2
     assert envelope["status"] == "error"
     assert "strictly descending" in envelope["payload"]["message"]
+
+
+@pytest.mark.parametrize(
+    "engine, name, ceiling",
+    [
+        ("oracle", "oracle", cyclotomy.ORACLE_MAX_DEGREE),
+        ("fast", "accelerated", cyclotomy.ACCELERATED_MAX_DEGREE),
+    ],
+)
+def test_cyclodiv_degree_over_the_ceiling_is_domain_error(capsys, engine, name, ceiling):
+    poly = f"{ceiling + 1}:1,1:1,0:1"
+    code, envelope = run_json(capsys, "cyclodiv", "--poly", poly, "--engine", engine)
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert envelope["payload"]["message"] == (
+        f"degree {ceiling + 1} exceeds the {name} engine's ceiling {ceiling}"
+    )
 
 
 def test_search_json_schema_and_out_file(capsys, tmp_path):
@@ -313,34 +348,87 @@ def test_console_script_is_installed():
     assert envelope["payload"]["divisors"] == []
 
 
-def test_cli_import_is_eager_and_loads_no_dataclasses():
-    """`import nutcirc.cli` loads every nutcirc module and neither dataclasses nor inspect.
+LAYERS = frozenset({"polyalg", "record", "cyclotomy", "circulant", "families", "search"})
 
-    The records are built without dataclasses, which generate their methods
-    with exec at import time and pull in inspect; that cost lands on every
-    CLI request. The import stays eager on purpose: the benchmark tracer
-    wraps functions only in the nutcirc modules that are loaded once
-    `import nutcirc.cli` returns, so a layer imported lazily would go
-    untraced.
+
+def _modules_added(code: str, *argv: str) -> set[str]:
+    """Modules that running code adds to a fresh interpreter's sys.modules.
+
+    The child keeps this process's environment, so with
+    PYTHONDONTWRITEBYTECODE set it writes no .pyc files under src/. Counting
+    only what code adds leaves out what the interpreter's own start-up loads
+    (site, .pth files).
     """
     package_root = str(Path(nutcirc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import nutcirc.cli\n"
-        "print(json.dumps({'loaded': sorted(sys.modules), 'added': sorted(set(sys.modules) - before)}))\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0, result.stderr
-    modules = json.loads(result.stdout)
-    # Checked against what the import adds, so that a module the
-    # interpreter's own start-up loads (site, .pth files) does not count.
-    assert not {"dataclasses", "inspect"} & set(modules["added"])
-    layers = {"polyalg", "cyclotomy", "circulant", "families", "search", "cli"}
-    assert {f"nutcirc.{name}" for name in layers} <= set(modules["loaded"])
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        ([], set(), LAYERS),
+        (["cyclodiv", "--poly", "2:1,0:1"], {"cyclotomy"}, {"circulant", "families", "search"}),
+        (
+            ["search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
+            {"search", "circulant"},
+            {"families", "cyclotomy"},
+        ),
+        (
+            ["verify", "--n", "16", "--set", "1,2,4,5,6,7"],
+            {"circulant"},
+            {"families", "search", "cyclotomy"},
+        ),
+    ],
+    ids=["import", "cyclodiv", "search", "verify"],
+)
+def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(argv, used, unused):
+    """A CLI request loads the layers its subcommand calls, no others, and no dataclasses.
+
+    Every request is one process, and where no .pyc can be written each
+    module it loads is compiled again: `import nutcirc.cli` plus
+    `build_parser()` stops at `nutcirc.errors`, and a subcommand adds only its
+    own layers. The records are built without dataclasses, which generate
+    their methods with exec at import time and pull in inspect.
+    """
+    code = (
+        "from nutcirc.cli import build_parser, main\n"
+        "build_parser()\n"
+        "if sys.argv[1:]:\n"
+        "    assert main(['--json', *sys.argv[1:]]) == 0"
+    )
+    added = _modules_added(code, *argv)
+    assert not {"dataclasses", "inspect"} & added
+    layers = {name.split(".", 1)[1] for name in added if name.startswith("nutcirc.")}
+    assert used <= layers
+    assert not unused & layers
+
+
+def test_package_exports_load_on_first_use():
+    for name in nutcirc.__all__:
+        value = getattr(nutcirc, name)
+        assert value.__module__.startswith("nutcirc.")
+        assert getattr(sys.modules[value.__module__], name) is value
+    namespace: dict = {}
+    exec("from nutcirc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(nutcirc.__all__)
+    assert all(namespace[name] is getattr(nutcirc, name) for name in nutcirc.__all__)
+    assert set(nutcirc.__all__) <= set(dir(nutcirc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(nutcirc, "no_such_name")
+    added = _modules_added("import nutcirc")
+    assert "nutcirc" in added
+    assert not {f"nutcirc.{name}" for name in LAYERS | {"cli", "errors"}} & added

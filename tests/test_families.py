@@ -288,6 +288,23 @@ def test_appendix_golden_check_rejects_a_repeated_residue(tmp_path):
         appendix_golden_check(data)
 
 
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ("x 1:1 1:1", "invalid literal for int"),
+        ("7 1:x 1:1", "malformed sparse polynomial term '1:x'"),
+    ],
+)
+def test_appendix_golden_check_rejects_a_malformed_line(tmp_path, line, fragment):
+    # A broken installed table is a configuration error (exit 1) naming the
+    # file and line, never a bare ValueError or a usage error.
+    data = _golden_copy_with(tmp_path, "q_3.txt", lambda lines: lines + [line])
+    with pytest.raises(ConfigurationError, match=r"q_3\.txt:\d+: ") as exc:
+        appendix_golden_check(data)
+    assert not isinstance(exc.value, ParameterError)
+    assert fragment in str(exc.value)
+
+
 def test_appendix_golden_check_missing_file(tmp_path):
     with pytest.raises(ConfigurationError):
         appendix_golden_check(tmp_path)
