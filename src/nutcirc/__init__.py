@@ -32,7 +32,6 @@ _EXPORTS = {
             "cyclo_divisors_accelerated",
             "cyclo_divisors_oracle",
             "filaseta_step",
-            "large_prime_exclusion",
         ),
         "errors": ("CapacityError", "ConfigurationError", "NutcircError", "ParameterError"),
         "families": (
@@ -55,7 +54,6 @@ _EXPORTS = {
             "dense_div_rem",
             "euler_phi",
             "phi_divides",
-            "reduce_mod_signed",
             "reduce_mod_xb",
             "totient_candidates",
         ),

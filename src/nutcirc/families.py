@@ -14,15 +14,8 @@ certify the small-index cases.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .circulant import (
-    REASON_OK,
-    REASON_SPECTRAL,
-    GeneratorSet,
-    NutVerdict,
-    parity_balanced,
-)
 from .errors import ConfigurationError, ParameterError
 from .polyalg import (
     DensePoly,
@@ -36,6 +29,9 @@ from .polyalg import (
     sparse_to_text,
 )
 from .record import Record
+
+if TYPE_CHECKING:
+    from .circulant import GeneratorSet, NutVerdict
 
 VARIANT_DPRIME = "dprime"
 VARIANT_DDPRIME = "ddprime"
@@ -111,6 +107,8 @@ class FamilyPolyId(Record):
 
 def build_family(fid: FamilyId) -> GeneratorSet:
     """Sorted generator set of the family member; always 2t elements."""
+    from .circulant import GeneratorSet
+
     t, n = fid.t, fid.n
     low = list(range(1, t))
     high = list(range(n // 2 - (t - 1), n // 2))
@@ -171,6 +169,8 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
     to a closed-form binomial divisibility in both families. The returned
     witness is the smallest failing divisor index in the respective scheme.
     """
+    from .circulant import REASON_OK, REASON_SPECTRAL, NutVerdict, parity_balanced
+
     if fid.variant == VARIANT_DS_PRIOR:
         raise ParameterError(
             "family_nut_check covers the dprime/ddprime constructions only; "

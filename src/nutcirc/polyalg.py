@@ -6,6 +6,11 @@ remainders, and a sparse exponent-to-coefficient map (``SparsePoly``) for the
 lacunary six-term family polynomials and circulant eigenvalue polynomials.
 Coefficients are arbitrary-precision integers everywhere; no operation in this
 module ever rounds, so divisibility verdicts are exact.
+
+Each question about Phi_b has one primitive. ``phi_remainder`` gives the
+remainder, by exact division. ``phi_divides`` decides divisibility alone,
+without forming Phi_b: it multiplies p by one binomial per prime of b modulo
+x^b - 1 and tests for zero.
 """
 from __future__ import annotations
 
@@ -305,25 +310,44 @@ def cyclotomic(b: int) -> DensePoly:
 
 
 def phi_remainder(p: SparsePoly, b: int) -> DensePoly:
-    """Remainder of p modulo Phi_b, for b >= 1.
+    """Remainder of p modulo Phi_b, for b >= 1, by exact division.
 
-    Phi_b divides x^b - 1, so p is first folded modulo x^b - 1 (exponents
-    taken mod b, colliding coefficients summed) into a polynomial of degree
-    below b, and only that is divided by Phi_b. The remainder is linear in p.
+    Phi_b divides x^b - 1, so p is first folded modulo x^b - 1 into a
+    polynomial of degree below b, and only that is divided by Phi_b. The
+    remainder is linear in p.
     """
-    if b < 1:
-        raise ParameterError(f"phi_remainder needs b >= 1, got {b}")
-    # Same fold as reduce_mod_xb, written straight into a dense list: the
-    # intermediate SparsePoly would triple the cost on the spectral hot path.
-    folded = [0] * min(b, p.degree + 1)
-    for e, c in p.terms.items():
-        folded[e % b] += c
-    return dense_div_rem(DensePoly(folded), cyclotomic(b))[1]
+    return dense_div_rem(reduce_mod_xb(p, b).to_dense(), cyclotomic(b))[1]
 
 
 def phi_divides(p: SparsePoly, b: int) -> bool:
-    """True iff Phi_b divides p, for b >= 1."""
-    return phi_remainder(p, b).is_zero()
+    """True iff Phi_b divides p, for b >= 1, without forming Phi_b or dividing.
+
+    Let g_b be the product of x^(b/q) - 1 over the distinct primes q | b
+    (g_1 = 1). The test folds p modulo x^b - 1, multiplies the fold by each
+    factor of g_b modulo x^b - 1, and reports whether the product is zero.
+
+    Proof. Let z be a primitive b-th root of unity. The factor z^(jb/q) - 1
+    vanishes iff q | j, so g_b(z^j) = 0 iff some prime of b divides j, that
+    is iff z^j is not a primitive b-th root. x^b - 1 has the b distinct roots
+    z^j, so it divides a polynomial iff that polynomial vanishes at every
+    z^j. Hence x^b - 1 divides p * g_b iff p vanishes at every primitive b-th
+    root of unity. Phi_b is monic and has exactly those roots, each simple,
+    so this holds iff Phi_b divides p in Z[x]. Folding p modulo x^b - 1
+    changes none of these values.
+
+    Each factor costs one pass over at most b terms, and the product has at
+    most 2^omega(b) times the terms of the fold.
+    """
+    terms = reduce_mod_xb(p, b).terms
+    for q, _ in prime_factorization(b):
+        # terms * (x^k - 1) modulo x^b - 1, on a plain dict.
+        k = b // q
+        product = {e: -c for e, c in terms.items()}
+        for e, c in terms.items():
+            shifted = (e + k) % b
+            product[shifted] = product.get(shifted, 0) + c
+        terms = {e: c for e, c in product.items() if c}
+    return not terms
 
 
 def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:
@@ -335,13 +359,6 @@ def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:
     if b < 1:
         raise ParameterError(f"reduce_mod_xb needs b >= 1, got {b}")
     return SparsePoly((e % b, c) for e, c in p.terms.items())
-
-
-def reduce_mod_signed(p: SparsePoly, q: int) -> SparsePoly:
-    """Reduce p modulo x^q + 1: c*x^a maps to c*(-1)^(a//q) * x^(a mod q)."""
-    if q < 1:
-        raise ParameterError(f"reduce_mod_signed needs q >= 1, got {q}")
-    return SparsePoly((e % q, -c if (e // q) % 2 else c) for e, c in p.terms.items())
 
 
 # --- textual interchange format -------------------------------------------

@@ -238,21 +238,31 @@ def test_cyclodiv_non_descending_exponents_exit_2(capsys, poly):
     assert "strictly descending" in envelope["payload"]["message"]
 
 
+def _over_degree(engine, name, ceiling):
+    message = f"degree {ceiling + 1} exceeds the {name} engine's ceiling {ceiling}"
+    poly = f"{ceiling + 1}:1,1:1,0:1"
+    return pytest.param(engine, poly, message, id=f"{engine}-{name}-{ceiling}")
+
+
 @pytest.mark.parametrize(
-    "engine, name, ceiling",
+    "engine, poly, message",
     [
-        ("oracle", "oracle", cyclotomy.ORACLE_MAX_DEGREE),
-        ("fast", "accelerated", cyclotomy.ACCELERATED_MAX_DEGREE),
+        _over_degree("oracle", "oracle", cyclotomy.ORACLE_MAX_DEGREE),
+        _over_degree("fast", "accelerated", cyclotomy.ACCELERATED_MAX_DEGREE),
+        pytest.param(
+            "fast",
+            ",".join(f"{e}:1" for e in range(2000, -1, -1)),
+            "2001 terms times degree 2000 exceeds the accelerated engine's work ceiling "
+            f"{cyclotomy.ACCELERATED_MAX_WORK}",
+            id="fast-accelerated-work",
+        ),
     ],
 )
-def test_cyclodiv_degree_over_the_ceiling_is_domain_error(capsys, engine, name, ceiling):
-    poly = f"{ceiling + 1}:1,1:1,0:1"
+def test_cyclodiv_degree_over_the_ceiling_is_domain_error(capsys, engine, poly, message):
     code, envelope = run_json(capsys, "cyclodiv", "--poly", poly, "--engine", engine)
     assert code == 1
     assert envelope["status"] == "error"
-    assert envelope["payload"]["message"] == (
-        f"degree {ceiling + 1} exceeds the {name} engine's ceiling {ceiling}"
-    )
+    assert envelope["payload"]["message"] == message
 
 
 def test_search_json_schema_and_out_file(capsys, tmp_path):
@@ -392,8 +402,13 @@ def _modules_added(code: str, *argv: str) -> set[str]:
             {"circulant"},
             {"families", "search", "cyclotomy"},
         ),
+        (
+            ["tables", "--kind", "q", "--modulus", "3"],
+            {"families"},
+            {"circulant", "search", "cyclotomy"},
+        ),
     ],
-    ids=["import", "cyclodiv", "search", "verify"],
+    ids=["import", "cyclodiv", "search", "verify", "tables"],
 )
 def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(argv, used, unused):
     """A CLI request loads the layers its subcommand calls, no others, and no dataclasses.

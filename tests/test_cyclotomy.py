@@ -9,7 +9,6 @@ from nutcirc.cyclotomy import (
     cyclo_divisors_accelerated,
     cyclo_divisors_oracle,
     filaseta_step,
-    large_prime_exclusion,
 )
 from nutcirc.errors import ParameterError
 from nutcirc.families import FamilyPolyId, family_poly
@@ -134,35 +133,6 @@ def test_filaseta_step_validation():
         filaseta_step(0, 10)
     with pytest.raises(ParameterError):
         filaseta_step(6, 1)
-
-
-def test_large_prime_exclusion_examples():
-    q3 = family_poly(FamilyPolyId("q", 3))
-    assert large_prime_exclusion(q3, 7) is True
-    # Phi_7 itself reduces to Phi_7 (exactly 7 terms): inconclusive.
-    assert large_prime_exclusion(cyclotomic(7).to_sparse(), 7) is False
-    assert large_prime_exclusion(family_poly(FamilyPolyId("u", 2)), 7) is True
-
-
-def test_large_prime_exclusion_validation():
-    q3 = family_poly(FamilyPolyId("q", 3))
-    with pytest.raises(ParameterError):
-        large_prime_exclusion(q3, 5)
-    with pytest.raises(ParameterError):
-        large_prime_exclusion(q3, 9)
-    # A 7-term input is inconclusive at q=7, not an error.
-    assert large_prime_exclusion(SparsePoly({e: 1 for e in range(7)}), 7) is False
-
-
-def test_large_prime_exclusion_sound_against_oracle():
-    polys = [family_poly(FamilyPolyId(k, t)) for k in ("q", "r") for t in (3, 5, 7)]
-    polys += [family_poly(FamilyPolyId(k, t)) for k in ("u", "w") for t in (2, 3, 4)]
-    for poly in polys:
-        found = set(cyclo_divisors_oracle(poly).divisors)
-        for q in (7, 11, 13, 17):
-            if large_prime_exclusion(poly, q):
-                assert q not in found
-                assert 2 * q not in found
 
 
 def test_engines_agree_on_family_polynomials():

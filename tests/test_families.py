@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from nutcirc import polyalg
 from nutcirc.circulant import is_nut_kernel, is_nut_spectral, parity_balanced
 from nutcirc.errors import ConfigurationError, ParameterError
 from nutcirc.families import (
@@ -192,6 +193,20 @@ def test_family_nut_check_agrees_with_both_routes_small_grid():
         assert family_verdict.is_nut
         assert is_nut_spectral(g).is_nut
         assert is_nut_kernel(g).is_nut
+
+
+def test_divisibility_checks_form_no_cyclotomic_and_divide_nothing(monkeypatch):
+    # phi_divides decides without Phi_b, so the spectral route at a large
+    # order and both family checks leave the cyclotomic memo cold.
+    def no_division(a, b):
+        raise AssertionError("dense_div_rem called on a divisibility path")
+
+    monkeypatch.setattr(polyalg, "dense_div_rem", no_division)
+    polyalg.cyclotomic.cache_clear()
+    assert is_nut_spectral(build_family(FamilyId("dprime", 3, 27720))).is_nut
+    assert family_nut_check(FamilyId("dprime", 5, 4620)).is_nut
+    assert family_nut_check(FamilyId("ddprime", 4, 2310)).is_nut
+    assert polyalg.cyclotomic.cache_info().misses == 0
 
 
 def test_generate_table_known_rows():

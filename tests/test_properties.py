@@ -1,4 +1,5 @@
-"""Property-based differential checks: spectral vs kernel vs family check, oracle vs accelerated.
+"""Property-based differential checks: spectral vs kernel vs family check, oracle vs
+accelerated, division-free divisibility vs exact division.
 
 Skipped when hypothesis is not installed. Examples are derandomized and no
 example database is kept, so every run checks the same inputs.
@@ -25,6 +26,8 @@ from nutcirc.polyalg import (  # noqa: E402
     divisors,
     euler_phi,
     phi_divides,
+    phi_remainder,
+    totient_candidates,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -76,9 +79,9 @@ def test_family_check_matches_spectral_and_kernel(fid):
     assert verdicts == (True, True, True), fid
 
 
-# Planted factors: small indices, prime and twice-prime indices q, 2q with
-# q >= 7 (the term-count exclusion's targets) and composite ones.
-PLANTED = (1, 2, 3, 4, 6, 7, 12, 14, 15, 22, 26, 30, 42)
+# Planted factors: small indices, primes and twice-primes, a prime power
+# (128) and products of three or four primes (30, 42, 210).
+PLANTED = (1, 2, 3, 4, 6, 7, 12, 14, 15, 22, 26, 30, 42, 128, 210)
 
 
 @st.composite
@@ -109,3 +112,11 @@ def test_accelerated_engine_matches_oracle(case):
     assert cyclo_divisors_accelerated(p).divisors == oracle.divisors
     if planted:
         assert planted in oracle.divisors
+
+
+@PROPERTY_SETTINGS
+@given(lacunary_polys())
+def test_phi_divides_matches_exact_division(case):
+    p, _ = case
+    for b in totient_candidates(p.degree) + [210, 2310]:
+        assert phi_divides(p, b) == phi_remainder(p, b).is_zero(), b
