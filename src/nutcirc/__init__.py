@@ -28,7 +28,6 @@ _EXPORTS = {
         ),
         "cyclotomy": (
             "CycloDivisorReport",
-            "ReductionStep",
             "cyclo_divisors_accelerated",
             "cyclo_divisors_oracle",
             "filaseta_step",

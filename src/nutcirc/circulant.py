@@ -20,18 +20,24 @@ floating point, and nothing here depends on the spectral side.
 """
 from __future__ import annotations
 
-import os
 import struct
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Union
 
 from .errors import CapacityError, ParameterError
-from .polyalg import SparsePoly, divisors, phi_divides
+from .polyalg import SparsePoly, divisors, phi_divides, prime_factorization
 from .record import Record
 
-DEFAULT_ORACLE_LIMIT = 512
-ORACLE_LIMIT_ENV = "NUTCIRC_ORACLE_LIMIT"
+# Size ceilings, each checked before any work; timings on a 2-core machine.
+# Elimination is cubic in the order: the kernel oracle takes about half a
+# second at n = 512. Listing the spectral indices factors n by trial
+# division, about 0.1 s near 10^12. The spectral work, terms times the sum
+# of 2^omega(b) over those indices, bounds the phi_divides passes: 4118
+# random offsets at n = 720 720 (work 3.0 * 10^7) take 3 to 4 s.
+KERNEL_MAX_ORDER = 512
+SPECTRAL_MAX_ORDER = 10**12
+SPECTRAL_MAX_WORK = 3 * 10**7
 _PRIME = (1 << 31) - 1  # Mersenne prime of the kernel oracle's rank bound
 
 REASON_OK = "ok"
@@ -135,28 +141,37 @@ def is_nut_spectral(g: GeneratorSet) -> NutVerdict:
     to P having no n-th root of unity among its roots other than 1 and -1,
     because each such root is a primitive b-th root for exactly one divisor
     b >= 3 of n. The witness on failure is the smallest failing b.
+
+    Raises CapacityError, whatever the verdict, when n exceeds
+    SPECTRAL_MAX_ORDER or the work, 2|S| terms times the sum of 2^omega(b)
+    over the tested b, exceeds SPECTRAL_MAX_WORK.
     """
+    indices = spectral_indices(g.n)
+    work = 2 * len(g.elements) * sum(1 << len(prime_factorization(b)) for b in indices)
+    if work > SPECTRAL_MAX_WORK:
+        raise CapacityError(
+            f"spectral work {work} on order {g.n} exceeds the ceiling {SPECTRAL_MAX_WORK}"
+        )
     if g.n % 2:
         return NutVerdict(False, REASON_ODD_ORDER)
     if not g.elements or not parity_balanced(g):
         return NutVerdict(False, REASON_PARITY)
     p = eigen_poly(g)
-    for b in divisors(g.n):
-        if b >= 3 and phi_divides(p, b):
+    for b in indices:
+        if phi_divides(p, b):
             return NutVerdict(False, REASON_SPECTRAL, witness=b)
     return NutVerdict(True, REASON_OK)
 
 
-def _oracle_limit(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ORACLE_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"{ORACLE_LIMIT_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_ORACLE_LIMIT
+def spectral_indices(n: int) -> list[int]:
+    """The divisors b >= 3 of n, ascending: the Phi_b the spectral criterion tests.
+
+    Listing them factors n by trial division, so an order above
+    SPECTRAL_MAX_ORDER raises CapacityError first.
+    """
+    if n > SPECTRAL_MAX_ORDER:
+        raise CapacityError(f"order {n} exceeds the spectral order ceiling {SPECTRAL_MAX_ORDER}")
+    return [b for b in divisors(n) if b >= 3]
 
 
 def adjacency_matrix(g: GeneratorSet) -> list[list[int]]:
@@ -397,20 +412,18 @@ def _bareiss_report(g: GeneratorSet) -> KernelReport:
     return KernelReport(1, vec, all(v != 0 for v in vec))
 
 
-def kernel_oracle(g: GeneratorSet, limit: Optional[int] = None) -> KernelReport:
+def kernel_oracle(g: GeneratorSet) -> KernelReport:
     """Exact nullity of the adjacency matrix, plus the kernel vector if unique.
 
     The report is a certificate: the rank modulo a 31-bit prime bounds the
     nullity from above, and as many exactly verified independent kernel
     vectors bound it from below (`_certified_report`). When the certificate
     cannot be completed, fraction-free integer elimination decides instead.
-    The order is capped (default 512, overridable via the
-    NUTCIRC_ORACLE_LIMIT environment variable or the limit argument)
-    because elimination is cubic.
+    Elimination is cubic, so an order above KERNEL_MAX_ORDER raises
+    CapacityError first.
     """
-    cap = _oracle_limit(limit)
-    if g.n > cap:
-        raise CapacityError(f"order {g.n} exceeds the kernel oracle limit {cap}")
+    if g.n > KERNEL_MAX_ORDER:
+        raise CapacityError(f"order {g.n} exceeds the kernel oracle ceiling {KERNEL_MAX_ORDER}")
     report = _certified_report(g)
     if report is None:
         report = _bareiss_report(g)
@@ -438,9 +451,9 @@ def _is_in_kernel(g: GeneratorSet, vec: tuple[int, ...]) -> bool:
     return total == len(offsets) * bias * unit
 
 
-def is_nut_kernel(g: GeneratorSet, limit: Optional[int] = None) -> NutVerdict:
+def is_nut_kernel(g: GeneratorSet) -> NutVerdict:
     """Nut-ness straight from the definition: nullity one, full-support kernel."""
-    report = kernel_oracle(g, limit)
+    report = kernel_oracle(g)
     if report.nullity != 1:
         return NutVerdict(False, REASON_NULLITY)
     if not report.full_support:

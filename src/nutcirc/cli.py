@@ -161,7 +161,11 @@ def _search_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-min", type=int, required=True)
     parser.add_argument("--n-max", type=int, required=True)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--balanced", action="store_true", help="prune unbalanced sets")
+    parser.add_argument(
+        "--balanced",
+        action="store_true",
+        help="count only balanced sets in sets_enumerated (the walk always skips the others)",
+    )
     parser.add_argument("--out", help="write the result document to this path")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 

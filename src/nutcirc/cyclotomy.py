@@ -46,22 +46,6 @@ class CycloDivisorReport(Record):
         return b in self.divisors
 
 
-class ReductionStep(Record):
-    """One candidate index reduction b -> b / prime**exponent.
-
-    condition_sum is the total of (p - 2) over the selected primes; a step is
-    only emitted when that total exceeds term_count - 2.
-    """
-
-    __slots__ = ("b", "prime", "exponent", "reduced", "term_count", "condition_sum")
-    b: int
-    prime: int
-    exponent: int
-    reduced: int
-    term_count: int
-    condition_sum: int
-
-
 def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
     """Ground-truth divisor set, by exact trial division over all candidates.
 
@@ -70,36 +54,29 @@ def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
     follow terms times degree (0.7 s for a trinomial, 11 s dense, both at
     degree 1000), so only the degree is bounded.
     """
-    candidates = _candidates(p, ORACLE_MAX_DEGREE, "oracle")
+    _check_degree(p, ORACLE_MAX_DEGREE, "oracle")
+    candidates = totient_candidates(p.degree)
     found = [b for b in candidates if phi_remainder(p, b).is_zero()]
     return CycloDivisorReport(tuple(found), max(candidates, default=0), "oracle")
 
 
-def _candidates(
-    p: SparsePoly, ceiling: int, engine: str, work_ceiling: int | None = None
-) -> list[int]:
-    """totient_candidates(deg p), for a nonzero p within the engine's ceilings."""
+def _check_degree(p: SparsePoly, ceiling: int, engine: str) -> None:
+    """Refuse the zero polynomial, and a degree above the engine's ceiling."""
     if p.is_zero():
         raise ParameterError("zero polynomial: every cyclotomic polynomial divides it")
     if p.degree > ceiling:
         raise CapacityError(f"degree {p.degree} exceeds the {engine} engine's ceiling {ceiling}")
-    if work_ceiling is not None and p.term_count() * p.degree > work_ceiling:
-        raise CapacityError(
-            f"{p.term_count()} terms times degree {p.degree} exceeds the {engine} "
-            f"engine's work ceiling {work_ceiling}"
-        )
-    return totient_candidates(p.degree)
 
 
-def filaseta_step(term_count: int, b: int) -> list[ReductionStep]:
-    """Candidate index reductions for a polynomial with term_count nonzero terms.
+def filaseta_step(term_count: int, b: int) -> list[int]:
+    """Reduced indices of b for a polynomial with term_count nonzero terms.
 
     Selects the distinct primes of b in decreasing order until their (p - 2)
-    total exceeds term_count - 2, then emits one step per contributing prime
-    (each removing that prime's full power from b). If the total over all
+    total exceeds term_count - 2, then returns, per selected prime in that
+    order, b with that prime's full power removed. If the total over all
     primes of b never exceeds term_count - 2, no reduction is certified and
-    the empty list is returned. At least one emitted candidate is guaranteed
-    to preserve divisibility; which one is not determined here.
+    the empty list is returned. Phi_b divides the polynomial only if Phi_r
+    does for at least one returned r; which one is not determined here.
     """
     if term_count < 1:
         raise ParameterError(f"term_count must be >= 1, got {term_count}")
@@ -116,17 +93,7 @@ def filaseta_step(term_count: int, b: int) -> list[ReductionStep]:
             break
     else:
         return []
-    return [
-        ReductionStep(
-            b=b,
-            prime=q,
-            exponent=factors[q],
-            reduced=b // q ** factors[q],
-            term_count=term_count,
-            condition_sum=total,
-        )
-        for q in chosen
-    ]
+    return [b // q ** factors[q] for q in chosen]
 
 
 def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
@@ -137,15 +104,21 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
     (each reduced index is smaller than b, hence already classified).
     Everything else is tested by the division-free phi_divides.
     """
-    candidates = _candidates(p, ACCELERATED_MAX_DEGREE, "accelerated", ACCELERATED_MAX_WORK)
+    _check_degree(p, ACCELERATED_MAX_DEGREE, "accelerated")
     terms = p.term_count()
+    if terms * p.degree > ACCELERATED_MAX_WORK:
+        raise CapacityError(
+            f"{terms} terms times degree {p.degree} exceeds the accelerated "
+            f"engine's work ceiling {ACCELERATED_MAX_WORK}"
+        )
+    candidates = totient_candidates(p.degree)
     found: set[int] = set()
     # Ascending order matters: every reduced index is smaller than b, so it
     # has already been classified when b is reached.
     for b in candidates:
         if b >= 2:
-            steps = filaseta_step(terms, b)
-            if steps and not any(s.reduced in found for s in steps):
+            reduced = filaseta_step(terms, b)
+            if reduced and not any(r in found for r in reduced):
                 continue
         if phi_divides(p, b):
             found.add(b)

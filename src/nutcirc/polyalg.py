@@ -47,53 +47,8 @@ class DensePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose_xpow(self, k: int) -> "DensePoly":
-        """Return p(x^k) for k >= 1."""
-        if k < 1:
-            raise ParameterError(f"compose_xpow needs k >= 1, got {k}")
-        out = [0] * (len(self.coeffs) * k)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return DensePoly(out)
-
     def to_sparse(self) -> "SparsePoly":
         return SparsePoly((i, c) for i, c in enumerate(self.coeffs) if c != 0)
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DensePoly(out)
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self + (-other)
-
-    def __neg__(self) -> "DensePoly":
-        return DensePoly(-c for c in self.coeffs)
-
-    def __mul__(self, other: "Union[DensePoly, int]") -> "DensePoly":
-        if isinstance(other, int):
-            return DensePoly(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return DensePoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return DensePoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -136,9 +91,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, x: int) -> int:
-        return sum(c * x**e for e, c in self.terms.items())
 
     def to_dense(self) -> DensePoly:
         if not self.terms:

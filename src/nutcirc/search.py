@@ -31,8 +31,8 @@ Work is split into shards by (order, leading element). A catalog whose walk
 ``POOL_MIN_SETS`` sets may run on one process pool; smaller ones run
 serially, where starting the pool costs more than it saves. Shard results
 merge in shard order, so the output (including witnesses) is identical for
-any job count. Orders with more than ``capacity`` candidate sets are marked
-skipped rather than silently truncated.
+any job count. Orders with more than ``CATALOG_MAX_SETS`` candidate sets are
+marked skipped rather than silently truncated.
 
 The case the paper leaves open, degree 4t with t even at an order n
 divisible by four, is ``catalog(4 * t, n, n)``: the walk visits sets in
@@ -53,7 +53,8 @@ from .errors import ParameterError
 from .polyalg import SparsePoly, divisors, euler_phi, phi_remainder
 from .record import Record
 
-DEFAULT_CAPACITY = 10**7
+# Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
+CATALOG_MAX_SETS = 10**7
 # Smallest walk, in balanced sets, that may use a process pool. Measured on
 # a 2-core machine: serial wins below about 28 000 sets, the pool above
 # about 60 000, and the two are even near 40 000.
@@ -226,17 +227,16 @@ def catalog(
     n_max: int,
     jobs: int = 1,
     balanced_only: bool = False,
-    capacity: int = DEFAULT_CAPACITY,
 ) -> list[CatalogEntry]:
     """Existence catalog for degree d over every even order in [n_min, n_max].
 
     sets_enumerated counts every d/2-subset (only the balanced ones with
     balanced_only), sets_passing every nut set, and the witness is the
     lexicographically least nut set. An order is skipped when its
-    C(n/2 - 1, d/2) candidate sets exceed capacity, in both modes, although
-    the walk visits only the balanced ones: one ceiling keeps an entry the
-    same with and without balanced_only. The result is deterministic for
-    any job count.
+    C(n/2 - 1, d/2) candidate sets exceed CATALOG_MAX_SETS, in both modes,
+    although the walk visits only the balanced ones: one ceiling keeps an
+    entry the same with and without balanced_only. The result is
+    deterministic for any job count.
     """
     if d < 0 or d % 2:
         raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
@@ -253,7 +253,7 @@ def catalog(
         m = n // 2 - 1
         if k > m:
             entries[n] = CatalogEntry(n, d, False, None, 0, 0)
-        elif comb(m, k) > capacity:
+        elif comb(m, k) > CATALOG_MAX_SETS:
             entries[n] = CatalogEntry(n, d, False, None, 0, 0, skipped=True)
         else:
             scanned.append(n)

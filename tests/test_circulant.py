@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from polyref import evaluate
 
 from nutcirc import circulant
 from nutcirc.circulant import (
@@ -54,7 +55,7 @@ def test_eigen_poly_term_count_and_row_sum():
         g = GeneratorSet(n, tuple(sorted(rng.sample(pool, k))))
         p = eigen_poly(g)
         assert p.term_count() == 2 * len(g.elements)
-        assert p.evaluate(1) == g.degree
+        assert evaluate(p, 1) == g.degree
 
 
 def test_eigen_poly_trace_is_zero():
@@ -105,6 +106,34 @@ def test_is_nut_spectral_octahedron_witness():
     assert verdict.witness == 6
 
 
+def test_spectral_ceilings_are_inclusive(monkeypatch):
+    # NUT_12REG: 12 terms; the divisors 4, 8 and 16 of 16 have one prime each,
+    # so the work is 12 * (2 + 2 + 2) = 72.
+    monkeypatch.setattr(circulant, "SPECTRAL_MAX_ORDER", 16)
+    monkeypatch.setattr(circulant, "SPECTRAL_MAX_WORK", 72)
+    assert is_nut_spectral(NUT_12REG).is_nut
+    monkeypatch.setattr(circulant, "SPECTRAL_MAX_WORK", 71)
+    with pytest.raises(CapacityError, match="spectral work 72 on order 16 exceeds the ceiling 71"):
+        is_nut_spectral(NUT_12REG)
+    # Over a ceiling, shortcut verdicts (odd order, imbalance) are refused too.
+    for g in (GeneratorSet(17, (1, 2)), GeneratorSet(18, (1, 3))):
+        with pytest.raises(CapacityError, match=f"order {g.n} exceeds the spectral order ceiling 16"):
+            is_nut_spectral(g)
+
+
+def test_spectral_ceilings_refuse_before_factoring_or_testing():
+    # Factoring this order by trial division takes over a minute.
+    with pytest.raises(CapacityError, match="spectral order ceiling"):
+        is_nut_spectral(GeneratorSet(2 * 10**18 + 6, (1, 2)))
+    # 720720 has 240 divisors, 238 of them >= 3, and the sum of 2^omega(b)
+    # over those is 3642; {1..4120} is balanced with 8240 terms, so the work
+    # is 30 010 080, just above the ceiling.
+    g = GeneratorSet(720720, tuple(range(1, 4121)))
+    assert circulant.SPECTRAL_MAX_WORK == 3 * 10**7
+    with pytest.raises(CapacityError, match="spectral work 30010080 on order 720720"):
+        is_nut_spectral(g)
+
+
 def test_kernel_oracle_unique_full_support():
     report = kernel_oracle(NUT_12REG)
     assert report.nullity == 1
@@ -123,19 +152,14 @@ def test_kernel_oracle_octahedron():
     assert kernel_oracle(GeneratorSet(6, (1, 2))).nullity == 3
 
 
-def test_kernel_oracle_capacity():
-    with pytest.raises(CapacityError):
-        kernel_oracle(GeneratorSet(300, (1, 2)), limit=256)
-    with pytest.raises(CapacityError):
-        kernel_oracle(GeneratorSet(12, (1, 2)), limit=10)
-
-
-def test_kernel_oracle_env_override(monkeypatch):
-    monkeypatch.setenv("NUTCIRC_ORACLE_LIMIT", "8")
-    with pytest.raises(CapacityError):
-        kernel_oracle(GeneratorSet(10, (3, 4)))
-    monkeypatch.setenv("NUTCIRC_ORACLE_LIMIT", "16")
+def test_kernel_oracle_capacity(monkeypatch):
+    # The ceiling is inclusive: order 10 runs at a ceiling of 10, order 11 does not.
+    monkeypatch.setattr(circulant, "KERNEL_MAX_ORDER", 10)
     assert kernel_oracle(GeneratorSet(10, (3, 4))).nullity == 1
+    assert is_nut_kernel(GeneratorSet(10, (3, 4))).is_nut
+    for check in (kernel_oracle, is_nut_kernel):
+        with pytest.raises(CapacityError, match="order 11 exceeds the kernel oracle ceiling 10"):
+            check(GeneratorSet(11, (1, 2)))
 
 
 def test_is_nut_kernel_examples():
@@ -322,8 +346,7 @@ def test_is_in_kernel_matches_row_sums():
             assert not circulant._is_in_kernel(g, nudged)
 
 
-def test_default_oracle_limit_is_512(monkeypatch):
-    monkeypatch.delenv("NUTCIRC_ORACLE_LIMIT", raising=False)
-    assert circulant.DEFAULT_ORACLE_LIMIT == 512
+def test_default_oracle_limit_is_512():
+    assert circulant.KERNEL_MAX_ORDER == 512
     with pytest.raises(CapacityError):
-        kernel_oracle(GeneratorSet(514, (1, 2)))
+        kernel_oracle(GeneratorSet(513, (1, 2)))

@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import nutcirc
-from nutcirc import cyclotomy
+from nutcirc import circulant, cyclotomy
 from nutcirc.cli import build_parser, main
 
 
@@ -55,12 +58,48 @@ def test_verify_bad_set_is_usage_error(capsys):
 
 
 def test_verify_capacity_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("NUTCIRC_ORACLE_LIMIT", "8")
+    monkeypatch.setattr(circulant, "KERNEL_MAX_ORDER", 8)
     code, envelope = run_json(
         capsys, "verify", "--n", "10", "--set", "3,4", "--method", "kernel"
     )
     assert code == 1
     assert envelope["status"] == "error"
+
+
+HUGE_ORDER = "2000000000000000006"  # trial division takes over a minute to factor it
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--n", HUGE_ORDER, "--set", "1,2", "--method", "spectral"],
+            f"order {HUGE_ORDER} exceeds the spectral order ceiling",
+        ),
+        (
+            ["family", "--variant", "ddprime", "--t", "2", "--n", HUGE_ORDER, "--check"],
+            f"order {HUGE_ORDER} exceeds the spectral order ceiling",
+        ),
+        (
+            ["family", "--variant", "dprime", "--t", "10000001", "--n", "40000008"],
+            "family parameter t=10000001 exceeds the ceiling",
+        ),
+    ],
+    ids=["verify-spectral", "family-check", "family-build"],
+)
+def test_requests_over_a_ceiling_are_refused_at_once(capsys, argv, message):
+    started = time.perf_counter()
+    code, envelope = run_json(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert message in envelope["payload"]["message"]
+
+
+def test_family_without_check_answers_at_a_huge_order(capsys):
+    code, envelope = run_json(capsys, "family", "--variant", "ddprime", "--t", "2", "--n", HUGE_ORDER)
+    assert code == 0
+    assert envelope["payload"]["set"][-1] == int(HUGE_ORDER) // 2 - 1
 
 
 def test_verify_payload_bytes_are_deterministic(capsys):
@@ -160,6 +199,30 @@ def test_readme_cli_examples_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command in line
+
+
+def test_readme_lists_every_ceiling_with_its_value():
+    # Each ceiling is a module constant named <LAYER>_MAX_<QUANTITY>; README
+    # lists each one as "- `NAME` = value (`nutcirc.module`)", and no other.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Size ceilings", 1)[1].split("\n## ", 1)[0]
+    entry = r"^- `(\w+)` = ([\d ]+?) \(`nutcirc\.(\w+)`\)"
+    listed = {
+        name: (module, int(value.replace(" ", "")))
+        for name, value, module in re.findall(entry, section, re.M)
+    }
+    defined = {}
+    for path in Path(nutcirc.__file__).parent.glob("*.py"):
+        for name in re.findall(r"^([A-Z]\w*_MAX_\w+) = ", path.read_text(), re.M):
+            defined[name] = (path.stem, getattr(import_module(f"nutcirc.{path.stem}"), name))
+    assert len(defined) == 8
+    assert listed == defined
+
+
+def test_no_module_reads_the_environment():
+    # Ceilings and behaviour are fixed in code, never taken from the environment.
+    for path in Path(nutcirc.__file__).parent.rglob("*.py"):
+        assert not re.search(r"environ|getenv", path.read_text()), path.name
 
 
 def test_readme_library_sketch_runs():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from polyref import mul
 
 from nutcirc.cyclotomy import (
     cyclo_divisors_accelerated,
@@ -101,18 +102,13 @@ def test_all_six_blocked_polynomials_have_empty_divisor_sets():
 
 
 def test_filaseta_step_examples():
-    steps = filaseta_step(6, 21)
-    assert len(steps) == 1
-    step = steps[0]
-    assert (step.prime, step.exponent, step.reduced) == (7, 1, 3)
-    assert step.condition_sum == 5
-    assert step.condition_sum > step.term_count - 2
-
+    # Six terms need a (p - 2) total above 4: 7 - 2 = 5 clears it, so 21 -> 3.
+    assert filaseta_step(6, 21) == [3]
+    # 5 - 2 + 3 - 2 = 4 does not.
     assert filaseta_step(6, 15) == []
-
-    steps = filaseta_step(3, 7)
-    assert len(steps) == 1
-    assert (steps[0].prime, steps[0].reduced, steps[0].condition_sum) == (7, 1, 5)
+    assert filaseta_step(3, 7) == [1]
+    # Prime powers are removed whole: 7^2 * 3 -> 3.
+    assert filaseta_step(6, 147) == [3]
 
 
 def test_filaseta_step_prime_powers_and_multiple_candidates():
@@ -120,12 +116,12 @@ def test_filaseta_step_prime_powers_and_multiple_candidates():
     assert filaseta_step(6, 8) == []
     # For N=2 both primes of 35 contribute before the sum clears 0? No:
     # largest first, 7-2 = 5 > 0 already, so only one candidate appears.
-    steps = filaseta_step(2, 35)
-    assert [(s.prime, s.reduced) for s in steps] == [(7, 5)]
-    # N=8 needs 5 + 3 from {7, 5} to clear 6, so both candidates appear.
-    steps = filaseta_step(8, 35)
-    assert [(s.prime, s.reduced) for s in steps] == [(7, 5), (5, 7)]
-    assert all(s.condition_sum == 8 for s in steps)
+    assert filaseta_step(2, 35) == [5]
+    # N=8 needs 5 + 3 from {7, 5} to clear 6, so both candidates appear,
+    # largest prime first; N=9 needs more than 7, which 8 still is.
+    assert filaseta_step(8, 35) == [5, 7]
+    assert filaseta_step(9, 35) == [5, 7]
+    assert filaseta_step(10, 35) == []
 
 
 def test_filaseta_step_validation():
@@ -166,7 +162,7 @@ def test_engines_agree_on_products_with_cyclotomic_factors():
     for b in (4, 7, 9, 14, 21):
         base = cyclotomic(b)
         other = cyclotomic(rng.choice((1, 2, 3)))
-        poly = (base * other).to_sparse()
+        poly = mul(base, other).to_sparse()
         oracle = cyclo_divisors_oracle(poly).divisors
         assert b in oracle
         assert cyclo_divisors_accelerated(poly).divisors == oracle
@@ -182,6 +178,6 @@ def test_filaseta_consistency_on_divisor_chains():
     for b in found:
         if b < 2 or max(p for p, _ in prime_factorization(b)) < 7:
             continue
-        steps = filaseta_step(poly.term_count(), b)
-        assert steps
-        assert any(s.reduced in found for s in steps)
+        reduced = filaseta_step(poly.term_count(), b)
+        assert reduced
+        assert any(r in found for r in reduced)

@@ -4,10 +4,11 @@ from __future__ import annotations
 import shutil
 
 import pytest
+from polyref import evaluate
 
-from nutcirc import polyalg
+from nutcirc import circulant, families, polyalg
 from nutcirc.circulant import is_nut_kernel, is_nut_spectral, parity_balanced
-from nutcirc.errors import ConfigurationError, ParameterError
+from nutcirc.errors import CapacityError, ConfigurationError, ParameterError
 from nutcirc.families import (
     FamilyId,
     FamilyPolyId,
@@ -129,8 +130,8 @@ def test_family_polys_have_six_terms_and_vanish_at_plus_minus_one():
         poly = family_poly(pid)
         assert poly.term_count() == 6
         assert len(exponent_set(pid)) == 6
-        assert poly.evaluate(1) == 0
-        assert poly.evaluate(-1) == 0
+        assert evaluate(poly, 1) == 0
+        assert evaluate(poly, -1) == 0
 
 
 def test_exponent_set_examples():
@@ -207,6 +208,28 @@ def test_divisibility_checks_form_no_cyclotomic_and_divide_nothing(monkeypatch):
     assert family_nut_check(FamilyId("dprime", 5, 4620)).is_nut
     assert family_nut_check(FamilyId("ddprime", 4, 2310)).is_nut
     assert polyalg.cyclotomic.cache_info().misses == 0
+
+
+def test_family_ceilings_are_inclusive(monkeypatch):
+    monkeypatch.setattr(families, "FAMILY_MAX_T", 3)
+    monkeypatch.setattr(circulant, "SPECTRAL_MAX_ORDER", 16)
+    assert family_nut_check(FamilyId("dprime", 3, 16)).is_nut
+    with pytest.raises(CapacityError, match="t=4 exceeds the ceiling 3"):
+        build_family(FamilyId("ddprime", 4, 22))
+    with pytest.raises(CapacityError, match="order 20 exceeds the spectral order ceiling 16"):
+        family_nut_check(FamilyId("dprime", 3, 20))
+
+
+def test_family_ceilings_refuse_before_building_or_factoring():
+    with pytest.raises(CapacityError, match="t=10000001 exceeds the ceiling 100000"):
+        build_family(FamilyId("dprime", 10_000_001, 40_000_008))
+    # Factoring this order by trial division takes over a minute; building
+    # the member factors nothing.
+    huge = FamilyId("ddprime", 2, 2 * 10**18 + 6)
+    with pytest.raises(CapacityError, match="spectral order ceiling"):
+        family_nut_check(huge)
+    half = 10**18 + 3
+    assert build_family(huge).elements == (1, (half + 1) // 2, (half + 3) // 2, half - 1)
 
 
 def test_generate_table_known_rows():

@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from nutcirc.circulant import GeneratorSet, KernelReport, NutVerdict
-from nutcirc.cyclotomy import CycloDivisorReport, ReductionStep
+from nutcirc.cyclotomy import CycloDivisorReport
 from nutcirc.errors import ParameterError
 from nutcirc.families import FamilyId, FamilyPolyId, GoldenMismatch, GoldenReport, TableRow
 from nutcirc.polyalg import DensePoly, SparsePoly
@@ -36,11 +36,6 @@ RECORDS = [
         CycloDivisorReport,
         ((1, 2, 8), 24, "oracle"),
         "CycloDivisorReport(divisors=(1, 2, 8), search_bound=24, method='oracle')",
-    ),
-    (
-        ReductionStep,
-        (30, 5, 1, 6, 6, 3),
-        "ReductionStep(b=30, prime=5, exponent=1, reduced=6, term_count=6, condition_sum=3)",
     ),
     (FamilyId, ("dprime", 3, 16), "FamilyId(variant='dprime', t=3, n=16)"),
     (FamilyPolyId, ("u", 2), "FamilyPolyId(kind='u', t=2)"),
@@ -73,7 +68,6 @@ FIELDS = {
     NutVerdict: ("is_nut", "reason", "witness"),
     KernelReport: ("nullity", "kernel_vector", "full_support"),
     CycloDivisorReport: ("divisors", "search_bound", "method"),
-    ReductionStep: ("b", "prime", "exponent", "reduced", "term_count", "condition_sum"),
     FamilyId: ("variant", "t", "n"),
     FamilyPolyId: ("kind", "t"),
     TableRow: ("kind", "modulus", "residue", "reduced", "remainder"),

@@ -288,19 +288,25 @@ def test_catalog_balanced_pruning_preserves_existence():
         assert [e.witness for e in full] == [e.witness for e in pruned]
 
 
-def test_catalog_capacity_marks_skipped():
-    entries = catalog(8, 20, 24, capacity=10)
+def test_catalog_capacity_marks_skipped(monkeypatch):
+    monkeypatch.setattr(search, "CATALOG_MAX_SETS", 10)
+    entries = catalog(8, 20, 24)
     assert all(e.skipped for e in entries)
     assert all(not e.exists and e.witness is None for e in entries)
 
 
-def test_catalog_capacity_counts_unbalanced_sets_under_balanced():
+def test_catalog_capacity_counts_unbalanced_sets_under_balanced(monkeypatch):
     # Order 20, degree 8: 60 balanced 4-sets among C(9, 4) = 126. The ceiling
-    # counts all 126 in both modes, so a capacity of 100 skips the order.
+    # counts all 126 in both modes, so a ceiling of 100 skips the order, and
+    # one of 126 scans it.
     assert search._balanced_count(9, 4) == 60 < 100 < comb(9, 4)
+    monkeypatch.setattr(search, "CATALOG_MAX_SETS", 100)
     for balanced_only in (False, True):
-        (entry,) = catalog(8, 20, 20, balanced_only=balanced_only, capacity=100)
+        (entry,) = catalog(8, 20, 20, balanced_only=balanced_only)
         assert entry == CatalogEntry(20, 8, False, None, 0, 0, skipped=True)
+    monkeypatch.setattr(search, "CATALOG_MAX_SETS", 126)
+    (entry,) = catalog(8, 20, 20)
+    assert not entry.skipped and entry.sets_enumerated == 126
 
 
 def test_catalog_validation():
