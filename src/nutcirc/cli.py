@@ -75,10 +75,12 @@ def _cmd_verify(args) -> dict[str, Any]:
 
     g = parse_generator_set(args.n, args.set)
     results: dict[str, Any] = {}
-    if args.method in ("spectral", "both"):
-        results["spectral"] = verdict_to_json(is_nut_spectral(g))
-    if args.method in ("kernel", "both"):
+    # The kernel runs first, so that its order ceiling refuses before any
+    # spectral work; the results keep the order spectral, kernel.
+    if args.method != "spectral":
         results["kernel"] = verdict_to_json(is_nut_kernel(g))
+    if args.method != "kernel":
+        results = {"spectral": verdict_to_json(is_nut_spectral(g)), **results}
     payload: dict[str, Any] = {
         "n": g.n,
         "set": list(g.elements),
@@ -114,10 +116,9 @@ def _cmd_family(args) -> dict[str, Any]:
         "degree": g.degree,
     }
     if args.check:
-        checks = {
-            "spectral": verdict_to_json(is_nut_spectral(g)),
-            "kernel": verdict_to_json(is_nut_kernel(g)),
-        }
+        # The kernel runs first, as in verify.
+        kernel = verdict_to_json(is_nut_kernel(g))
+        checks = {"spectral": verdict_to_json(is_nut_spectral(g)), "kernel": kernel}
         if args.variant in (families.VARIANT_DPRIME, families.VARIANT_DDPRIME):
             checks["family"] = verdict_to_json(families.family_nut_check(fid))
         else:

@@ -14,51 +14,57 @@ For a walk over k-sets each row is packed into one int: coefficient i,
 plus cmax (the table's largest |coefficient|), in the i-th field of
 w = bit_length(2 * cmax * k) bits. A field of a sum of at most k rows then
 lies in [0, 2 * cmax * k] and fits in w bits, so adding two packed ints adds
-every field at once and never carries. The scan is a depth-first walk over
-the parity-balanced subsets in lexicographic order that carries the running
-sum, one int addition per level. A leaf's b-slice is zero exactly when
-every field in it holds k * cmax, that is when ``total & mask_b`` equals
-``base_b * k`` (masks and bases precomputed once per order and k); a leaf
-is a nut set iff no b-slice is zero. Every step is exact integer
-arithmetic, so the verdict is the spectral check's verdict. Unbalanced sets
-are never visited, since no nut set is unbalanced: ``sets_enumerated`` is
-the closed-form count of all d/2-subsets (of the balanced ones with
-``balanced_only``), while ``sets_passing`` and the lexicographically least
-witness come from the walk.
+every field at once and never carries. A parity-balanced k-set is an odd
+half (k/2 odd offsets) plus an even half (k/2 even ones), so the walk is a
+double loop: the packed sums of all even halves are computed once per order
+and k, and each odd half's sum is added to each of them. A leaf's b-slice is
+zero exactly when every field in it holds k * cmax, that is when
+``total & mask_b`` equals ``base_b * k`` (masks and bases precomputed once
+per order and k); a leaf is a nut set iff no b-slice is zero. Every step is
+exact integer arithmetic, so the verdict is the spectral check's verdict.
+Unbalanced sets are never visited, since no nut set is unbalanced:
+``sets_enumerated`` is the closed-form count of all d/2-subsets (of the
+balanced ones with ``balanced_only``), while ``sets_passing`` and the
+lexicographically least witness come from the walk.
 
-Work is split into shards by (order, leading element). A catalog whose walk
+Work is split into shards by (order, least odd offset). A catalog whose walk
 (the balanced sets of all its scanned orders) has at least
 ``POOL_MIN_SETS`` sets may run on one process pool; smaller ones run
-serially, where starting the pool costs more than it saves. Shard results
-merge in shard order, so the output (including witnesses) is identical for
-any job count. Orders with more than ``CATALOG_MAX_SETS`` candidate sets are
-marked skipped rather than silently truncated.
+serially, where starting the pool costs more than it saves. Each shard
+returns its least nut set and the merge keeps the least of those, so the
+output (including witnesses) is identical for any job count and shard
+order. A range of more than ``CATALOG_MAX_ORDERS`` even orders raises
+``CapacityError``; orders with more than ``CATALOG_MAX_SETS`` candidate sets
+are marked skipped rather than silently truncated.
 
 The case the paper leaves open, degree 4t with t even at an order n
-divisible by four, is ``catalog(4 * t, n, n)``: the walk visits sets in
-lexicographic order, so its witness is the least 4t-regular nut set of
-order n. Orders n = 2 (mod 4) are covered by the ddprime family, which
-``families.family_nut_check`` verifies; this module depends on
-``circulant`` and ``polyalg`` only.
+divisible by four, is ``catalog(4 * t, n, n)``, whose witness is the least
+4t-regular nut set of order n. Orders n = 2 (mod 4) are covered by the
+ddprime family, which ``families.family_nut_check`` verifies; this module
+depends on ``circulant`` and ``polyalg`` only.
 """
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .circulant import GeneratorSet
-from .errors import ParameterError
-from .polyalg import SparsePoly, divisors, euler_phi, phi_remainder
+from .circulant import GeneratorSet, spectral_indices
+from .errors import CapacityError, ParameterError
+from .polyalg import SparsePoly, euler_phi, phi_remainder
 from .record import Record
 
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
 CATALOG_MAX_SETS = 10**7
+# Most even orders in one catalog range: 10 000 entries build and print in
+# about 0.3 s.
+CATALOG_MAX_ORDERS = 10_000
 # Smallest walk, in balanced sets, that may use a process pool. Measured on
-# a 2-core machine: serial wins below about 28 000 sets, the pool above
-# about 60 000, and the two are even near 40 000.
-POOL_MIN_SETS = 40_000
+# a 2-core machine: serial wins below about 50 000 sets, the pool above
+# about 90 000, and the two are even near 70 000.
+POOL_MIN_SETS = 70_000
 
 
 class CatalogEntry(Record):
@@ -87,9 +93,7 @@ def _residue_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     blocks: list[tuple[int, list[tuple[int, ...]]]] = []
     slices: list[tuple[int, int]] = []
     width = 0
-    for b in divisors(n):
-        if b < 3:
-            continue
+    for b in spectral_indices(n):
         phi = euler_phi(b)
         half = []
         for r in range(b // 2 + 1):
@@ -104,13 +108,7 @@ def _residue_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     return rows, tuple(slices)
 
 
-# Packed tables kept per process: shards of one order arrive together, so a
-# few tables suffice, and the bound caps memory on long catalogs.
-RESIDUE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=RESIDUE_CACHE_SIZE)
-def _packed_table(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
+def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
     """The residue table of order n packed for sums of k rows.
 
     Returns (rows, width, tests). rows[s] holds the table's row s as one
@@ -139,48 +137,60 @@ def _packed_table(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int
     return tuple(rows), width, tuple(tests)
 
 
+# Packed tables kept per process: shards of one order arrive together, so a
+# few tables suffice, and the bound caps memory on long catalogs.
+RESIDUE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=RESIDUE_CACHE_SIZE)
+def _packed_table(
+    n: int, k: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """What the walk over balanced k-sets of order n needs: (rows, tests, evens).
+
+    rows and tests are ``_pack_residues(n, k)``'s. evens holds every k/2-set
+    of even offsets in 1 .. n/2 - 1, in lexicographic order, as (the sum of
+    its packed rows, its offsets). The catalog walks only orders whose
+    k-sets are under CATALOG_MAX_SETS, so evens stays small.
+    """
+    rows, _, tests = _pack_residues(n, k)
+    halves = combinations(range(2, n // 2, 2), k // 2)
+    return rows, tests, tuple((sum(rows[s] for s in half), half) for half in halves)
+
+
 def _walk(shard: tuple[int, int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Nut sets among the balanced k-sets of order n led by first, for a shard (n, k, first).
+    """Nut sets among the balanced k-sets of order n whose least odd offset is first.
 
     Returns the number of nut sets and the lexicographically least one (or
-    None). Each node adds its offset's packed row to the running sum acc; k
-    must be even and at least 2.
+    None), for a shard (n, k, first) with k even and at least 2. A balanced
+    k-set is an odd half, k/2 odd offsets, plus an even half, k/2 even ones,
+    so its packed sum is the odd half's plus the even half's. Fix an odd
+    half O and let E < E' be even halves whose first difference is e < e'.
+    Below e, the sorted sets O + E and O + E' both hold O's elements and the
+    common prefix of E and E'; next, O + E holds e and O + E' something
+    larger (e' or an odd element, never the even e). So O + E < O + E': the
+    first passing even half gives the least nut set containing O, and the
+    shard's least is the least of those over all O.
     """
     n, k, first = shard
-    rows, _, tests = _packed_table(n, k)
-    m = n // 2 - 1
+    rows, tests, evens = _packed_table(n, k)
     passing = 0
     witness: Optional[tuple[int, ...]] = None
-
-    def walk(start, stop, acc, prefix, odd_left, even_left):
-        nonlocal passing, witness
-        if odd_left + even_left == 1:
-            # Last element: a single parity remains, so step by two.
-            for s in range(start + ((start + odd_left) & 1), m + 1, 2):
-                total = acc + rows[s]
-                for mask, zero in tests:
-                    if total & mask == zero:
-                        break
-                else:
-                    passing += 1
-                    if witness is None:
-                        witness = prefix + (s,)
-            return
-        for s in range(start, stop):
-            if s & 1:
-                if not odd_left:
-                    continue
-                odd, even = odd_left - 1, even_left
+    for rest in combinations(range(first + 2, n // 2, 2), k // 2 - 1):
+        odd = (first,) + rest
+        acc = sum(rows[s] for s in odd)
+        least = None
+        for even_sum, even in evens:
+            total = acc + even_sum
+            for mask, zero in tests:
+                if total & mask == zero:
+                    break
             else:
-                if not even_left:
-                    continue
-                odd, even = odd_left, even_left - 1
-            # Enough odd and even offsets must remain above s.
-            if (m + 1) // 2 - (s + 1) // 2 < odd or m // 2 - s // 2 < even:
-                continue
-            walk(s + 1, m + 1, acc + rows[s], prefix + (s,), odd, even)
-
-    walk(first, first + 1, 0, (), k // 2, k // 2)
+                passing += 1
+                least = least or even
+        if least:
+            found = tuple(sorted(odd + least))
+            witness = min(witness, found) if witness else found
     return passing, witness
 
 
@@ -235,8 +245,9 @@ def catalog(
     lexicographically least nut set. An order is skipped when its
     C(n/2 - 1, d/2) candidate sets exceed CATALOG_MAX_SETS, in both modes,
     although the walk visits only the balanced ones: one ceiling keeps an
-    entry the same with and without balanced_only. The result is
-    deterministic for any job count.
+    entry the same with and without balanced_only. A range of more than
+    CATALOG_MAX_ORDERS even orders raises CapacityError before any order is
+    built. The result is deterministic for any job count.
     """
     if d < 0 or d % 2:
         raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
@@ -246,6 +257,12 @@ def catalog(
         raise ParameterError(f"empty order range [{n_min}, {n_max}]")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    orders = n_max // 2 - (n_min + 1) // 2 + 1
+    if orders > CATALOG_MAX_ORDERS:
+        raise CapacityError(
+            f"{orders} even orders in [{n_min}, {n_max}] exceed "
+            f"the catalog order ceiling {CATALOG_MAX_ORDERS}"
+        )
     k = d // 2
     entries: dict[int, CatalogEntry] = {}
     scanned = []
@@ -259,13 +276,14 @@ def catalog(
             scanned.append(n)
     # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
     walked = scanned if k and k % 2 == 0 else []
-    shards = [(n, k, first) for n in walked for first in range(1, n // 2 - k + 1)]
+    # The least odd offset of an odd half is at most n/2 - 1 - (k - 2).
+    shards = [(n, k, first) for n in walked for first in range(1, n // 2 - k + 2, 2)]
     if sum(_balanced_count(n // 2 - 1, k) for n in walked) < POOL_MIN_SETS:
         jobs = 1
     found: dict[int, tuple[int, Optional[tuple[int, ...]]]] = dict.fromkeys(scanned, (0, None))
     for (n, _, _), (passing, witness) in zip(shards, _run_shards(shards, jobs)):
         total, least = found[n]
-        found[n] = (total + passing, least or witness)
+        found[n] = (total + passing, min(filter(None, (least, witness)), default=None))
     for n, (passing, witness) in found.items():
         m = n // 2 - 1
         enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)

@@ -67,6 +67,9 @@ def test_verify_capacity_is_domain_error(capsys, monkeypatch):
 
 
 HUGE_ORDER = "2000000000000000006"  # trial division takes over a minute to factor it
+# The dprime member with t = 2001 at order 720 720, near the spectral work
+# ceiling: its spectral check alone takes about 1 s.
+HEAVY_SET = ",".join(map(str, [*range(1, 2001), 180180, 180181, *range(358360, 360360)]))
 
 
 @pytest.mark.parametrize(
@@ -77,15 +80,36 @@ HUGE_ORDER = "2000000000000000006"  # trial division takes over a minute to fact
             f"order {HUGE_ORDER} exceeds the spectral order ceiling",
         ),
         (
+            # The kernel ceiling refuses first, before the order is factored.
             ["family", "--variant", "ddprime", "--t", "2", "--n", HUGE_ORDER, "--check"],
-            f"order {HUGE_ORDER} exceeds the spectral order ceiling",
+            f"order {HUGE_ORDER} exceeds the kernel oracle ceiling",
         ),
         (
             ["family", "--variant", "dprime", "--t", "10000001", "--n", "40000008"],
             "family parameter t=10000001 exceeds the ceiling",
         ),
+        # The kernel ceiling refuses before the slow spectral check runs.
+        (
+            ["verify", "--n", "720720", "--set", HEAVY_SET, "--method", "both"],
+            "order 720720 exceeds the kernel oracle ceiling 512",
+        ),
+        (
+            ["family", "--variant", "dprime", "--t", "2001", "--n", "720720", "--check"],
+            "order 720720 exceeds the kernel oracle ceiling 512",
+        ),
+        (
+            ["search", "--degree", "8", "--n-min", "2", "--n-max", "1000000000000"],
+            "500000000000 even orders in [2, 1000000000000] exceed the catalog order ceiling",
+        ),
     ],
-    ids=["verify-spectral", "family-check", "family-build"],
+    ids=[
+        "verify-spectral",
+        "family-check",
+        "family-build",
+        "verify-both",
+        "family-check-kernel",
+        "search",
+    ],
 )
 def test_requests_over_a_ceiling_are_refused_at_once(capsys, argv, message):
     started = time.perf_counter()
@@ -215,7 +239,7 @@ def test_readme_lists_every_ceiling_with_its_value():
     for path in Path(nutcirc.__file__).parent.glob("*.py"):
         for name in re.findall(r"^([A-Z]\w*_MAX_\w+) = ", path.read_text(), re.M):
             defined[name] = (path.stem, getattr(import_module(f"nutcirc.{path.stem}"), name))
-    assert len(defined) == 8
+    assert len(defined) == 9
     assert listed == defined
 
 
@@ -404,6 +428,12 @@ def test_human_output_renders(capsys):
     code, out = run_cli(capsys, "verify", "--n", "16", "--set", "1,2,4,5,6,7")
     assert code == 0
     assert "NUT" in out
+    # The kernel check runs first, but the lines keep the order spectral, kernel.
+    labels = [line.split(":")[0].strip() for line in out.splitlines()[1:]]
+    assert labels == ["spectral", "kernel", "methods agree"]
+    code, out = run_cli(capsys, "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check")
+    labels = [line.split(":")[0].strip() for line in out.splitlines()[1:]]
+    assert labels == ["spectral", "kernel", "family", "checks agree"]
 
 
 def test_console_script_is_installed():

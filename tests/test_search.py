@@ -1,4 +1,8 @@
-"""Tests for the existence catalog: the packed residue walk, its shards and pool."""
+"""Tests for the existence catalog: the packed residue walk, its shards and pool.
+
+The walk pairs each odd half of a balanced set with every even half, so its
+shards are (order, k, least odd offset), and shard results merge by min.
+"""
 from __future__ import annotations
 
 import concurrent.futures
@@ -10,7 +14,7 @@ import pytest
 
 from nutcirc import search
 from nutcirc.circulant import GeneratorSet, is_nut_kernel, is_nut_spectral, parity_balanced
-from nutcirc.errors import ParameterError
+from nutcirc.errors import CapacityError, ParameterError
 from nutcirc.search import CatalogEntry, catalog
 
 
@@ -85,7 +89,7 @@ def test_catalog_degree_six_is_empty():
 
 
 def test_catalog_witnesses_are_lexicographically_least_and_valid():
-    for entry in catalog(8, 14, 20):
+    for entry in catalog(8, 14, 20) + catalog(12, 16, 24):
         if not entry.exists:
             continue
         witness = entry.witness
@@ -163,14 +167,17 @@ def test_catalog_pool_is_clamped(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
-    # Order 50 has 7 possible leading elements of an 18-set, and enough
-    # balanced 18-sets for the pool.
-    assert search._balanced_count(24, 18) >= search.POOL_MIN_SETS
-    assert catalog(36, 50, 50, jobs=10**8) == catalog(36, 50, 50)
-    assert workers == [7]
+    # An odd half of a balanced 18-set at order 52 holds 9 of the odd offsets
+    # 1 .. 25, so its least one is 1, 3, 5, 7 or 9: five shards. The order has
+    # enough balanced 18-sets for the pool.
+    assert search._balanced_count(25, 18) >= search.POOL_MIN_SETS
+    assert catalog(36, 52, 52, jobs=10**8) == catalog(36, 52, 52)
+    assert workers == [5]
     monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
-    assert catalog(8, 14, 60, jobs=10**8) == catalog(8, 14, 60)
-    assert workers == [7, 3]
+    walk = sum(search._balanced_count(n // 2 - 1, 4) for n in range(14, 65, 2))
+    assert walk >= search.POOL_MIN_SETS
+    assert catalog(8, 14, 64, jobs=10**8) == catalog(8, 14, 64)
+    assert workers == [5, 3]
 
 
 def test_small_catalog_runs_serially(monkeypatch):
@@ -186,8 +193,9 @@ def test_small_catalog_runs_serially(monkeypatch):
 
 
 # Degree 12 on orders 16..48 and degree 16 on orders 22..40, recorded from the
-# tuple walk that the packed walk replaced: (n, C(n/2 - 1, d/2), balanced
-# sets, sets_passing, least witness).
+# tuple walk that the packed walk replaced, and degree 20 on orders 24..44,
+# recorded from the depth-first packed walk that the odd-by-even walk
+# replaced: (n, C(n/2 - 1, d/2), balanced sets, sets_passing, least witness).
 PINNED_CATALOGS = {
     (12, 16, 48): [
         (16, 7, 4, 4, (1, 2, 3, 4, 5, 6)),
@@ -220,11 +228,25 @@ PINNED_CATALOGS = {
         (38, 43758, 15876, 15750, (1, 2, 3, 4, 5, 6, 7, 8)),
         (40, 75582, 26460, 11096, (1, 2, 3, 4, 5, 6, 7, 10)),
     ],
+    (20, 24, 44): [
+        (24, 11, 6, 4, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (26, 66, 36, 30, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (28, 286, 126, 114, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (30, 1001, 441, 168, (1, 2, 3, 4, 5, 6, 7, 8, 9, 14)),
+        (32, 3003, 1176, 1176, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (34, 8008, 3136, 3080, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (36, 19448, 7056, 4380, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (38, 43758, 15876, 15750, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (40, 92378, 31752, 24728, (1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+        (42, 184756, 63504, 37272, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+        (44, 352716, 116424, 114000, (1, 2, 3, 4, 5, 6, 7, 8, 9, 14)),
+    ],
 }
 
 
 def test_catalog_d12_d16_entries_unchanged():
-    # Both catalogs are above POOL_MIN_SETS, so jobs=2 runs a real pool.
+    # The d = 12 and d = 20 catalogs are above POOL_MIN_SETS, so jobs=2 runs a
+    # real pool on them.
     for (d, n_min, n_max), rows in PINNED_CATALOGS.items():
         for balanced_only, jobs in ((False, 1), (True, 2)):
             expected = [
@@ -239,7 +261,7 @@ def test_packed_sums_unpack_to_tuple_sums():
     rng = random.Random(6)
     for n, k in ((36, 2), (44, 4), (48, 6), (60, 8), (420, 4), (420, 12), (840, 8)):
         table, _ = search._residue_table(n)
-        rows, width, _ = search._packed_table(n, k)
+        rows, width, _ = search._pack_residues(n, k)
         cmax = max(abs(c) for row in table for c in row)
         assert cmax == (3 if n in (420, 840) else 2)
         ones = (1 << width) - 1
@@ -270,7 +292,7 @@ def test_packed_leaf_test_matches_tuple_slices():
     zero_seen = 0
     for n, k, subsets in cases:
         table, slices = search._residue_table(n)
-        rows, _, tests = search._packed_table(n, k)
+        rows, _, tests = search._pack_residues(n, k)
         for subset in subsets:
             sums = [sum(column) for column in zip(*(table[s] for s in subset))]
             zero_slices = [not any(sums[lo:hi]) for lo, hi in slices]
@@ -307,6 +329,20 @@ def test_catalog_capacity_counts_unbalanced_sets_under_balanced(monkeypatch):
     monkeypatch.setattr(search, "CATALOG_MAX_SETS", 126)
     (entry,) = catalog(8, 20, 20)
     assert not entry.skipped and entry.sets_enumerated == 126
+
+
+def test_catalog_order_ceiling_is_inclusive(monkeypatch):
+    # [3, 9] and [4, 10] hold the even orders 4, 6, 8 (and 10): a ceiling of 3
+    # admits the first range and refuses the second before any order is built.
+    monkeypatch.setattr(search, "CATALOG_MAX_ORDERS", 3)
+    assert [e.n for e in catalog(8, 3, 9)] == [4, 6, 8]
+    with pytest.raises(CapacityError, match="4 even orders in \\[4, 10\\]"):
+        catalog(8, 4, 10)
+    # Without an entry class, building any entry fails at once: the refusal
+    # of a huge range comes before the order loop.
+    monkeypatch.setattr(search, "CatalogEntry", None)
+    with pytest.raises(CapacityError):
+        catalog(0, 2, 10**12)
 
 
 def test_catalog_validation():
