@@ -70,17 +70,31 @@ def _verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=("spectral", "kernel", "both"), default="both")
 
 
+def _run_checks(g, method: str = "both", **later) -> tuple[dict[str, Any], bool]:
+    """Verdicts on g keyed spectral, kernel, then each later check, and whether they agree.
+
+    method picks the routes, and the kernel runs first, so that its order
+    ceiling refuses before any spectral work. Each later check is a thunk
+    giving a verdict, or None where it does not apply.
+    """
+    from .circulant import is_nut_kernel, is_nut_spectral
+
+    results: dict[str, Any] = {}
+    if method != "spectral":
+        results["kernel"] = verdict_to_json(is_nut_kernel(g))
+    if method != "kernel":
+        results = {"spectral": verdict_to_json(is_nut_spectral(g)), **results}
+    for name, check in later.items():
+        results[name] = check and verdict_to_json(check())
+    decided = {r["is_nut"] for r in results.values() if r is not None}
+    return results, len(decided) == 1
+
+
 def _cmd_verify(args) -> dict[str, Any]:
-    from .circulant import is_nut_kernel, is_nut_spectral, parse_generator_set
+    from .circulant import parse_generator_set
 
     g = parse_generator_set(args.n, args.set)
-    results: dict[str, Any] = {}
-    # The kernel runs first, so that its order ceiling refuses before any
-    # spectral work; the results keep the order spectral, kernel.
-    if args.method != "spectral":
-        results["kernel"] = verdict_to_json(is_nut_kernel(g))
-    if args.method != "kernel":
-        results = {"spectral": verdict_to_json(is_nut_spectral(g)), **results}
+    results, agree = _run_checks(g, args.method)
     payload: dict[str, Any] = {
         "n": g.n,
         "set": list(g.elements),
@@ -89,7 +103,7 @@ def _cmd_verify(args) -> dict[str, Any]:
         "results": results,
     }
     if args.method == "both":
-        payload["agree"] = results["spectral"]["is_nut"] == results["kernel"]["is_nut"]
+        payload["agree"] = agree
     return payload
 
 
@@ -103,8 +117,9 @@ def _family_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_family(args) -> dict[str, Any]:
+    from functools import partial
+
     from . import families
-    from .circulant import is_nut_kernel, is_nut_spectral
 
     fid = families.FamilyId(args.variant, args.t, args.n)
     g = families.build_family(fid)
@@ -116,16 +131,9 @@ def _cmd_family(args) -> dict[str, Any]:
         "degree": g.degree,
     }
     if args.check:
-        # The kernel runs first, as in verify.
-        kernel = verdict_to_json(is_nut_kernel(g))
-        checks = {"spectral": verdict_to_json(is_nut_spectral(g)), "kernel": kernel}
-        if args.variant in (families.VARIANT_DPRIME, families.VARIANT_DDPRIME):
-            checks["family"] = verdict_to_json(families.family_nut_check(fid))
-        else:
-            checks["family"] = None
-        decided = [c["is_nut"] for c in checks.values() if c is not None]
-        payload["checks"] = checks
-        payload["agree"] = len(set(decided)) == 1
+        applies = args.variant in (families.VARIANT_DPRIME, families.VARIANT_DDPRIME)
+        family = partial(families.family_nut_check, fid) if applies else None
+        payload["checks"], payload["agree"] = _run_checks(g, family=family)
     return payload
 
 

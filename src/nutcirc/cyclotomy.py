@@ -42,9 +42,6 @@ class CycloDivisorReport(Record):
     search_bound: int  # largest index examined (0 for a constant polynomial)
     method: str  # "oracle" or "accelerated"
 
-    def __contains__(self, b: int) -> bool:
-        return b in self.divisors
-
 
 def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
     """Ground-truth divisor set, by exact trial division over all candidates.

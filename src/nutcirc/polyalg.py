@@ -146,8 +146,8 @@ def dense_div_rem(a: DensePoly, b: DensePoly) -> tuple[DensePoly, DensePoly]:
     return DensePoly(q), DensePoly(ra[: m - 1])
 
 
-# Bound on each arithmetic memo below: scans revisit an index only shortly
-# after first use, so a modest window keeps the hits and caps the memory.
+# Bound on the factorization and cyclotomic memos: scans revisit an index
+# only shortly after first use, so a modest window keeps the hits and caps memory.
 ARITH_CACHE_SIZE = 4096
 
 
@@ -175,7 +175,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factorization(n) == ((n, 1),)
 
 
-@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n >= 1, ascending."""
     ds = [1]
@@ -184,7 +183,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def euler_phi(b: int) -> int:
     """Euler totient of b >= 1."""
     if b < 1:
@@ -235,7 +233,7 @@ def cyclotomic(b: int) -> DensePoly:
     difference, mu(e) = -1 a stride-(b/e) prefix sum. For b >= 2 the signs
     cancel and Phi_b is palindromic, so the series is cut after
     x^(euler_phi(b) // 2) and mirrored. Memoized process-wide, bounded
-    like the arithmetic memos.
+    like the factorization memo.
     """
     if b < 1:
         raise ParameterError(f"cyclotomic needs b >= 1, got {b}")

@@ -5,16 +5,17 @@ spectral criterion of ``circulant.is_nut_spectral``: S is a nut set iff it is
 parity balanced and, for every divisor b >= 3 of n, Phi_b does not divide
 P_S(x) = sum over s in S of x^s + x^(n-s). The remainder of P_S modulo Phi_b
 is linear in S, so it is the sum of the remainders of x^s + x^(n-s), and as
-b divides n those depend only on s mod b. For each order, a residue table
-holds, per offset s, the remainders for all such b side by side in one flat
-integer tuple (phi(b) coefficients per b, n - 2 in all), built by
+b divides n those depend only on s mod b, the same for residues r and b - r.
+So each b takes only the b/2 + 1 remainders with r <= b/2, from
 ``polyalg.phi_remainder``.
 
-For a walk over k-sets each row is packed into one int: coefficient i,
-plus cmax (the table's largest |coefficient|), in the i-th field of
-w = bit_length(2 * cmax * k) bits. A field of a sum of at most k rows then
-lies in [0, 2 * cmax * k] and fits in w bits, so adding two packed ints adds
-every field at once and never carries. A parity-balanced k-set is an odd
+For a walk over k-sets each remainder is packed once into one int:
+coefficient i, plus cmax (the largest |coefficient| of all of them), in the
+i-th of phi(b) fields of w = bit_length(2 * cmax * k) bits. Row s, one int
+per offset, ORs together every b's packed remainder for s mod b, each b in
+its own block of fields. A field of a sum of at most k rows then lies in
+[0, 2 * cmax * k] and fits in w bits, so adding two packed ints adds every
+field at once and never carries. A parity-balanced k-set is an odd
 half (k/2 odd offsets) plus an even half (k/2 even ones), so the walk is a
 double loop: the packed sums of all even halves are computed once per order
 and k, and each odd half's sum is added to each of them. A leaf's b-slice is
@@ -34,8 +35,9 @@ serially, where starting the pool costs more than it saves. Each shard
 returns its least nut set and the merge keeps the least of those, so the
 output (including witnesses) is identical for any job count and shard
 order. A range of more than ``CATALOG_MAX_ORDERS`` even orders raises
-``CapacityError``; orders with more than ``CATALOG_MAX_SETS`` candidate sets
-are marked skipped rather than silently truncated.
+``CapacityError``; orders above ``CATALOG_MAX_ORDER``, or with more than
+``CATALOG_MAX_SETS`` candidate sets, are marked skipped rather than silently
+truncated.
 
 The case the paper leaves open, degree 4t with t even at an order n
 divisible by four, is ``catalog(4 * t, n, n)``, whose witness is the least
@@ -58,6 +60,11 @@ from .record import Record
 
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
 CATALOG_MAX_SETS = 10**7
+# Largest scanned order. Building an order's residues divides by each Phi_b,
+# b | n, which is slowest for b with several odd primes: catalog(4, n, n)
+# takes 1.6 s at n = 910, the slowest order up to 1 000, 4.9 s at 1 190 and
+# 47 s at 2 310.
+CATALOG_MAX_ORDER = 1000
 # Most even orders in one catalog range: 10 000 entries build and print in
 # about 0.3 s.
 CATALOG_MAX_ORDERS = 10_000
@@ -81,59 +88,40 @@ class CatalogEntry(Record):
     skipped: bool
 
 
-def _residue_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
-    """Remainders of x^s + x^(n-s) modulo Phi_b for every divisor b >= 3 of n.
-
-    Returns (rows, slices). rows[s], for each offset 0 <= s < n/2,
-    concatenates over those b, ascending, the phi(b) remainder coefficients;
-    slices lists each b's (start, stop) in it. Modulo x^b - 1 the binomial
-    is x^r + x^(b-r) with r = s mod b, the same for r and b - r, so each b
-    costs b/2 + 1 divisions.
-    """
-    blocks: list[tuple[int, list[tuple[int, ...]]]] = []
-    slices: list[tuple[int, int]] = []
-    width = 0
-    for b in spectral_indices(n):
-        phi = euler_phi(b)
-        half = []
-        for r in range(b // 2 + 1):
-            rem = phi_remainder(SparsePoly([(r, 1), (-r % b, 1)]), b).coeffs
-            half.append(rem + (0,) * (phi - len(rem)))
-        blocks.append((b, [half[min(r, b - r)] for r in range(b)]))
-        slices.append((width, width + phi))
-        width += phi
-    rows = tuple(
-        tuple(c for b, block in blocks for c in block[s % b]) for s in range(n // 2)
-    )
-    return rows, tuple(slices)
-
-
 def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
-    """The residue table of order n packed for sums of k rows.
+    """Remainders of x^s + x^(n-s) modulo each Phi_b, b >= 3 dividing n, packed for k-sets.
 
-    Returns (rows, width, tests). rows[s] holds the table's row s as one
-    int, coefficient i plus cmax (the table's largest |coefficient|) in bits
-    [width*i, width*(i+1)). A field of a sum of at most k rows lies in
-    [0, 2*cmax*k], which fits in width bits, so adding packed rows adds them
-    field by field and never carries. tests holds, per divisor b, (mask_b,
-    base_b * k), where base_b has cmax in every field of the b-slice: a sum
-    of k rows has a zero b-slice exactly when ``total & mask_b`` equals
-    ``base_b * k``.
+    Returns (rows, width, tests). Each such b, ascending, has a block of
+    phi(b) fields of width bits, each holding a coefficient plus cmax (the
+    largest |coefficient| of all the remainders); rows[s], for 0 <= s < n/2,
+    holds in block b the remainder of x^r + x^(b-r), r = min(s mod b, b - s
+    mod b). A field of a sum of at most k rows lies in [0, 2*cmax*k], which
+    fits in width bits, so adding packed rows never carries. tests holds,
+    per block, (mask_b, base_b * k), where base_b has cmax in every field of
+    the block: a sum of k rows has a zero remainder modulo Phi_b exactly
+    when ``total & mask_b`` equals ``base_b * k``.
     """
-    table, slices = _residue_table(n)
-    cmax = max(max(map(max, table)), -min(map(min, table)))
+    blocks = []
+    for b in spectral_indices(n):
+        rems = (phi_remainder(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
+        blocks.append((b, euler_phi(b), [rem.coeffs for rem in rems]))
+    cmax = max(abs(c) for _, _, half in blocks for rem in half for c in rem)
     width = (2 * cmax * k).bit_length()
-    rows = []
-    for row in table:
-        packed = 0
-        for c in reversed(row):
-            packed = (packed << width) | (c + cmax)
-        rows.append(packed)
     ones = (1 << width) - 1  # one field of ones
+    rows = [0] * (n // 2)
     tests = []
-    for lo, hi in slices:
-        mask = ((1 << (width * (hi - lo))) - 1) << (width * lo)
-        tests.append((mask, mask // ones * cmax * k))
+    offset = 0
+    for b, phi, half in blocks:
+        mask = (1 << (width * phi)) - 1
+        base = mask // ones * cmax  # cmax in every field of the block
+        packed = [
+            (base + sum(c << (width * i) for i, c in enumerate(rem))) << offset for rem in half
+        ]
+        for s in range(n // 2):
+            r = s % b
+            rows[s] |= packed[min(r, b - r)]
+        tests.append((mask << offset, base * k << offset))
+        offset += width * phi
     return tuple(rows), width, tuple(tests)
 
 
@@ -268,10 +256,11 @@ def catalog(
     scanned = []
     for n in range(n_min + n_min % 2, n_max + 1, 2):
         m = n // 2 - 1
-        if k > m:
-            entries[n] = CatalogEntry(n, d, False, None, 0, 0)
-        elif comb(m, k) > CATALOG_MAX_SETS:
+        # comb(m, k) is 0 for k > m, and is never formed above the order ceiling.
+        if n > CATALOG_MAX_ORDER or comb(m, k) > CATALOG_MAX_SETS:
             entries[n] = CatalogEntry(n, d, False, None, 0, 0, skipped=True)
+        elif k > m:
+            entries[n] = CatalogEntry(n, d, False, None, 0, 0)
         else:
             scanned.append(n)
     # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.

@@ -239,7 +239,7 @@ def test_readme_lists_every_ceiling_with_its_value():
     for path in Path(nutcirc.__file__).parent.glob("*.py"):
         for name in re.findall(r"^([A-Z]\w*_MAX_\w+) = ", path.read_text(), re.M):
             defined[name] = (path.stem, getattr(import_module(f"nutcirc.{path.stem}"), name))
-    assert len(defined) == 9
+    assert len(defined) == 10
     assert listed == defined
 
 
@@ -275,6 +275,19 @@ def test_family_ds_has_no_family_check(capsys):
     assert code == 0
     assert envelope["payload"]["checks"]["family"] is None
     assert envelope["payload"]["agree"] is True
+
+
+def test_agree_is_false_when_a_route_disagrees(capsys, monkeypatch):
+    # A kernel route that rejects every set disagrees on a nut set, in verify
+    # and in family --check alike.
+    rejected = circulant.NutVerdict(False, "nullity-not-one")
+    monkeypatch.setattr(circulant, "is_nut_kernel", lambda g: rejected)
+    _, envelope = run_json(capsys, "verify", "--n", "16", "--set", "1,2,4,5,6,7")
+    assert envelope["payload"]["agree"] is False
+    _, envelope = run_json(
+        capsys, "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check"
+    )
+    assert envelope["payload"]["agree"] is False
 
 
 def test_family_invalid_parameters_exit_2(capsys):

@@ -18,7 +18,6 @@ from nutcirc.polyalg import (
     SparsePoly,
     cyclotomic,
     dense_div_rem,
-    divisors,
     euler_phi,
     prime_factorization,
 )
@@ -78,11 +77,10 @@ def test_oracle_detects_roots_of_unity():
 
 
 def test_oracle_leaves_arithmetic_caches_bounded():
-    for memo in (prime_factorization, divisors, euler_phi):
-        assert memo.cache_info().maxsize == ARITH_CACHE_SIZE
-    euler_phi.cache_clear()
+    assert prime_factorization.cache_info().maxsize == ARITH_CACHE_SIZE
+    prime_factorization.cache_clear()
     cyclo_divisors_oracle(SparsePoly({300: 1, 1: 1, 0: 1}))
-    assert euler_phi.cache_info().currsize < ARITH_CACHE_SIZE
+    assert prime_factorization.cache_info().currsize < ARITH_CACHE_SIZE
 
 
 def test_cyclotomic_cache_is_bounded():

@@ -7,14 +7,21 @@ from __future__ import annotations
 
 import concurrent.futures
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
 
 from nutcirc import search
-from nutcirc.circulant import GeneratorSet, is_nut_kernel, is_nut_spectral, parity_balanced
+from nutcirc.circulant import (
+    GeneratorSet,
+    is_nut_kernel,
+    is_nut_spectral,
+    parity_balanced,
+    spectral_indices,
+)
 from nutcirc.errors import CapacityError, ParameterError
+from nutcirc.polyalg import SparsePoly, euler_phi, phi_remainder
 from nutcirc.search import CatalogEntry, catalog
 
 
@@ -257,10 +264,32 @@ def test_catalog_d12_d16_entries_unchanged():
             assert got == expected, (d, balanced_only)
 
 
+def reference_residues(n):
+    """Per offset 0 <= s < n/2, the remainders of x^s + x^(n-s) modulo each Phi_b.
+
+    Returns (table, slices): table[s] concatenates, over the divisors b >= 3
+    of n ascending, the remainder padded to phi(b) coefficients, and slices
+    lists each b's (start, stop) in it. Every binomial is divided as it is,
+    without the r <-> b - r shortcut of ``_pack_residues``, so the tests
+    below check that shortcut too.
+    """
+    indices = spectral_indices(n)
+    table = []
+    for s in range(n // 2):
+        row = []
+        for b in indices:
+            rem = phi_remainder(SparsePoly([(s, 1), (n - s, 1)]), b).coeffs
+            row += rem + (0,) * (euler_phi(b) - len(rem))
+        table.append(row)
+    bounds = list(accumulate((euler_phi(b) for b in indices), initial=0))
+    return table, list(zip(bounds, bounds[1:]))
+
+
 def test_packed_sums_unpack_to_tuple_sums():
     rng = random.Random(6)
-    for n, k in ((36, 2), (44, 4), (48, 6), (60, 8), (420, 4), (420, 12), (840, 8)):
-        table, _ = search._residue_table(n)
+    cases = ((36, 2), (44, 4), (48, 6), (60, 8), (420, 4), (420, 12), (720, 4), (840, 8))
+    for n, k in cases:
+        table, _ = reference_residues(n)
         rows, width, _ = search._pack_residues(n, k)
         cmax = max(abs(c) for row in table for c in row)
         assert cmax == (3 if n in (420, 840) else 2)
@@ -291,7 +320,7 @@ def test_packed_leaf_test_matches_tuple_slices():
     cases.append((420, 4, (rng.sample(range(1, 210), 4) for _ in range(300))))
     zero_seen = 0
     for n, k, subsets in cases:
-        table, slices = search._residue_table(n)
+        table, slices = reference_residues(n)
         rows, _, tests = search._pack_residues(n, k)
         for subset in subsets:
             sums = [sum(column) for column in zip(*(table[s] for s in subset))]
@@ -345,6 +374,26 @@ def test_catalog_order_ceiling_is_inclusive(monkeypatch):
         catalog(0, 2, 10**12)
 
 
+def test_catalog_scanned_order_ceiling_is_inclusive(monkeypatch):
+    # A ceiling of 20 scans order 20 and skips order 22 at every degree and in
+    # both modes, also where order 22 has no set of the degree (d = 22).
+    expected = {
+        (d, balanced_only): catalog(d, 20, 20, balanced_only=balanced_only)
+        for d in (0, 2, 8, 22)
+        for balanced_only in (False, True)
+    }
+    monkeypatch.setattr(search, "CATALOG_MAX_ORDER", 20)
+    for (d, balanced_only), scanned in expected.items():
+        got = catalog(d, 20, 22, balanced_only=balanced_only)
+        assert got == scanned + [CatalogEntry(22, d, False, None, 0, 0, skipped=True)]
+    # Above the ceiling the set count, here a number of over six million
+    # digits, is never formed.
+    monkeypatch.setattr(search, "comb", None)
+    assert catalog(2 * 10**6, 2 * 10**12, 2 * 10**12) == [
+        CatalogEntry(2 * 10**12, 2 * 10**6, False, None, 0, 0, skipped=True)
+    ]
+
+
 def test_catalog_validation():
     with pytest.raises(ParameterError):
         catalog(8, 20, 10)
@@ -373,3 +422,4 @@ def test_degree_constraint_sweep():
                 if is_nut_spectral(g).is_nut:
                     assert d % 4 == 0, (n, d, g.elements)
                     assert n != d + 2, (n, d, g.elements)
+
