@@ -218,8 +218,6 @@ def _cmd_cyclodiv(args) -> dict[str, Any]:
     from .polyalg import sparse_from_text
 
     poly = sparse_from_text(args.poly)
-    if poly.is_zero():
-        raise ParameterError("the zero polynomial is divisible by every cyclotomic polynomial")
     if args.engine == "oracle":
         report = cyclo_divisors_oracle(poly)
     else:

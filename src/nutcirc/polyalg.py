@@ -7,10 +7,11 @@ lacunary six-term family polynomials and circulant eigenvalue polynomials.
 Coefficients are arbitrary-precision integers everywhere; no operation in this
 module ever rounds, so divisibility verdicts are exact.
 
-Each question about Phi_b has one primitive. ``phi_remainder`` gives the
-remainder, by exact division. ``phi_divides`` decides divisibility alone,
-without forming Phi_b: it multiplies p by one binomial per prime of b modulo
-x^b - 1 and tests for zero.
+Three primitives answer every question about Phi_b. ``phi_remainder``
+gives the remainder, by exact division. ``phi_fold`` is the linear one: it
+multiplies p by one binomial per prime of b modulo x^b - 1, without forming
+Phi_b, and the product is zero iff Phi_b divides p. ``phi_divides`` is that
+zero test.
 """
 from __future__ import annotations
 
@@ -269,12 +270,13 @@ def phi_remainder(p: SparsePoly, b: int) -> DensePoly:
     return dense_div_rem(reduce_mod_xb(p, b).to_dense(), cyclotomic(b))[1]
 
 
-def phi_divides(p: SparsePoly, b: int) -> bool:
-    """True iff Phi_b divides p, for b >= 1, without forming Phi_b or dividing.
+def phi_fold(p: SparsePoly, b: int) -> dict[int, int]:
+    """p * g_b modulo x^b - 1, for b >= 1, as exponent -> nonzero coefficient.
 
-    Let g_b be the product of x^(b/q) - 1 over the distinct primes q | b
-    (g_1 = 1). The test folds p modulo x^b - 1, multiplies the fold by each
-    factor of g_b modulo x^b - 1, and reports whether the product is zero.
+    g_b is the product of x^(b/q) - 1 over the distinct primes q | b (g_1 =
+    1). The fold reduces p modulo x^b - 1 and multiplies it by each factor
+    of g_b modulo x^b - 1, so it has degree below b and is linear in p. It is
+    zero iff Phi_b divides p.
 
     Proof. Let z be a primitive b-th root of unity. The factor z^(jb/q) - 1
     vanishes iff q | j, so g_b(z^j) = 0 iff some prime of b divides j, that
@@ -297,7 +299,12 @@ def phi_divides(p: SparsePoly, b: int) -> bool:
             shifted = (e + k) % b
             product[shifted] = product.get(shifted, 0) + c
         terms = {e: c for e, c in product.items() if c}
-    return not terms
+    return terms
+
+
+def phi_divides(p: SparsePoly, b: int) -> bool:
+    """True iff Phi_b divides p, for b >= 1, without forming Phi_b or dividing."""
+    return not phi_fold(p, b)
 
 
 def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:

@@ -3,16 +3,18 @@
 The catalog decides, for every generator set of the requested degree, the
 spectral criterion of ``circulant.is_nut_spectral``: S is a nut set iff it is
 parity balanced and, for every divisor b >= 3 of n, Phi_b does not divide
-P_S(x) = sum over s in S of x^s + x^(n-s). The remainder of P_S modulo Phi_b
-is linear in S, so it is the sum of the remainders of x^s + x^(n-s), and as
+P_S(x) = sum over s in S of x^s + x^(n-s). Phi_b divides P_S iff
+``polyalg.phi_fold(P_S, b)`` is zero, and so iff the fold's lowest phi(b)
+coefficients, its residue, are all zero (proof in ``_pack_residues``). The
+fold is linear in S, so it is the sum of the folds of x^s + x^(n-s), and as
 b divides n those depend only on s mod b, the same for residues r and b - r.
-So each b takes only the b/2 + 1 remainders with r <= b/2, from
-``polyalg.phi_remainder``.
+So each b takes only the b/2 + 1 residues with r <= b/2. Nothing forms
+Phi_b or divides by it.
 
-For a walk over k-sets each remainder is packed once into one int:
+For a walk over k-sets each residue is packed once into one int:
 coefficient i, plus cmax (the largest |coefficient| of all of them), in the
 i-th of phi(b) fields of w = bit_length(2 * cmax * k) bits. Row s, one int
-per offset, ORs together every b's packed remainder for s mod b, each b in
+per offset, ORs together every b's packed residue for s mod b, each b in
 its own block of fields. A field of a sum of at most k rows then lies in
 [0, 2 * cmax * k] and fits in w bits, so adding two packed ints adds every
 field at once and never carries. A parity-balanced k-set is an odd
@@ -55,16 +57,16 @@ from typing import Optional
 
 from .circulant import GeneratorSet, spectral_indices
 from .errors import CapacityError, ParameterError
-from .polyalg import SparsePoly, euler_phi, phi_remainder
+from .polyalg import SparsePoly, euler_phi, phi_fold
 from .record import Record
 
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
 CATALOG_MAX_SETS = 10**7
-# Largest scanned order. Building an order's residues divides by each Phi_b,
-# b | n, which is slowest for b with several odd primes: catalog(4, n, n)
-# takes 1.6 s at n = 910, the slowest order up to 1 000, 4.9 s at 1 190 and
-# 47 s at 2 310.
-CATALOG_MAX_ORDER = 1000
+# Largest scanned order. The degree-4 walk, about n^2/16 leaves with one
+# test per divisor of n, sets the cost: catalog(4, n, n) takes 1.3 to 1.6 s
+# and 21 MB at n = 2 880, the slowest order up to 3 000, 1.9 s at 3 360 and
+# 2.8 s at 4 000 (fresh processes on a 2-core machine).
+CATALOG_MAX_ORDER = 3000
 # Most even orders in one catalog range: 10 000 entries build and print in
 # about 0.3 s.
 CATALOG_MAX_ORDERS = 10_000
@@ -89,23 +91,34 @@ class CatalogEntry(Record):
 
 
 def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
-    """Remainders of x^s + x^(n-s) modulo each Phi_b, b >= 3 dividing n, packed for k-sets.
+    """Fold residues of x^s + x^(n-s) for each Phi_b, b >= 3 dividing n, packed for k-sets.
 
     Returns (rows, width, tests). Each such b, ascending, has a block of
-    phi(b) fields of width bits, each holding a coefficient plus cmax (the
-    largest |coefficient| of all the remainders); rows[s], for 0 <= s < n/2,
-    holds in block b the remainder of x^r + x^(b-r), r = min(s mod b, b - s
-    mod b). A field of a sum of at most k rows lies in [0, 2*cmax*k], which
-    fits in width bits, so adding packed rows never carries. tests holds,
-    per block, (mask_b, base_b * k), where base_b has cmax in every field of
-    the block: a sum of k rows has a zero remainder modulo Phi_b exactly
-    when ``total & mask_b`` equals ``base_b * k``.
+    phi(b) fields of width bits; field i holds coefficient i of
+    ``phi_fold(x^r + x^(b-r), b)``, r = min(s mod b, b - s mod b), plus cmax
+    (the largest |coefficient| of all the packed ones), in rows[s] for
+    0 <= s < n/2. A field of a sum of at most k rows lies in [0, 2*cmax*k],
+    which fits in width bits, so adding packed rows never carries. tests
+    holds, per block, (mask_b, base_b * k), where base_b has cmax in every
+    field of the block: Phi_b divides the sum's P_S exactly when
+    ``total & mask_b`` equals ``base_b * k``.
+
+    Proof that phi(b) coefficients suffice. The fold is linear, so the fold
+    F of P_S is the sum of its rows' folds; F has degree below b and is zero
+    iff Phi_b divides P_S. Let Psi_b = (x^b - 1) / Phi_b, the product of
+    Phi_c over c | b, c < b. Each such c divides b/q for some prime q | b,
+    so Phi_c divides x^(b/q) - 1, and the distinct Phi_c are coprime: Psi_b
+    divides g_b (the fold's multiplier) as well as x^b - 1, hence F = Psi_b
+    * m with deg m < phi(b). Psi_b(0) = -1, so coefficient i of F is -m_i
+    plus a combination of m_0 .. m_(i-1): the lowest phi(b) coefficients of
+    F determine m, and they are all zero only when m, hence F, is zero.
     """
     blocks = []
     for b in spectral_indices(n):
-        rems = (phi_remainder(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
-        blocks.append((b, euler_phi(b), [rem.coeffs for rem in rems]))
-    cmax = max(abs(c) for _, _, half in blocks for rem in half for c in rem)
+        phi = euler_phi(b)
+        folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
+        blocks.append((b, phi, [{i: c for i, c in fold.items() if i < phi} for fold in folds]))
+    cmax = max(abs(c) for _, _, half in blocks for low in half for c in low.values())
     width = (2 * cmax * k).bit_length()
     ones = (1 << width) - 1  # one field of ones
     rows = [0] * (n // 2)
@@ -115,7 +128,7 @@ def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[in
         mask = (1 << (width * phi)) - 1
         base = mask // ones * cmax  # cmax in every field of the block
         packed = [
-            (base + sum(c << (width * i) for i, c in enumerate(rem))) << offset for rem in half
+            (base + sum(c << (width * i) for i, c in low.items())) << offset for low in half
         ]
         for s in range(n // 2):
             r = s % b
@@ -249,7 +262,7 @@ def catalog(
     if orders > CATALOG_MAX_ORDERS:
         raise CapacityError(
             f"{orders} even orders in [{n_min}, {n_max}] exceed "
-            f"the catalog order ceiling {CATALOG_MAX_ORDERS}"
+            f"the catalog range ceiling {CATALOG_MAX_ORDERS}"
         )
     k = d // 2
     entries: dict[int, CatalogEntry] = {}

@@ -99,7 +99,7 @@ HEAVY_SET = ",".join(map(str, [*range(1, 2001), 180180, 180181, *range(358360, 3
         ),
         (
             ["search", "--degree", "8", "--n-min", "2", "--n-max", "1000000000000"],
-            "500000000000 even orders in [2, 1000000000000] exceed the catalog order ceiling",
+            "500000000000 even orders in [2, 1000000000000] exceed the catalog range ceiling",
         ),
     ],
     ids=[
@@ -328,6 +328,14 @@ def test_cyclodiv_oracle_and_fast_agree(capsys):
 def test_cyclodiv_zero_poly_exits_2(capsys):
     code, _ = run_json(capsys, "cyclodiv", "--poly", "0")
     assert code == 2
+    # Each engine refuses the zero polynomial itself.
+    for engine in ("oracle", "fast"):
+        code, envelope = run_json(capsys, "cyclodiv", "--poly", "0", "--engine", engine)
+        assert code == 2
+        assert envelope["command"] == "cyclodiv" and envelope["status"] == "error"
+        assert envelope["payload"] == {
+            "message": "zero polynomial: every cyclotomic polynomial divides it"
+        }
 
 
 @pytest.mark.parametrize("poly", ["5:1,5:-1,3:2", "3:2,5:1", "5:1,3:2,3:1"])

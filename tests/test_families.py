@@ -6,7 +6,7 @@ import shutil
 import pytest
 from polyref import evaluate
 
-from nutcirc import circulant, families, polyalg
+from nutcirc import circulant, families, polyalg, search
 from nutcirc.circulant import is_nut_kernel, is_nut_spectral, parity_balanced
 from nutcirc.errors import CapacityError, ConfigurationError, ParameterError
 from nutcirc.families import (
@@ -197,8 +197,9 @@ def test_family_nut_check_agrees_with_both_routes_small_grid():
 
 
 def test_divisibility_checks_form_no_cyclotomic_and_divide_nothing(monkeypatch):
-    # phi_divides decides without Phi_b, so the spectral route at a large
-    # order and both family checks leave the cyclotomic memo cold.
+    # phi_fold decides without Phi_b, so the spectral route at a large order,
+    # both family checks and the catalog's residues leave the cyclotomic memo
+    # cold.
     def no_division(a, b):
         raise AssertionError("dense_div_rem called on a divisibility path")
 
@@ -207,6 +208,7 @@ def test_divisibility_checks_form_no_cyclotomic_and_divide_nothing(monkeypatch):
     assert is_nut_spectral(build_family(FamilyId("dprime", 3, 27720))).is_nut
     assert family_nut_check(FamilyId("dprime", 5, 4620)).is_nut
     assert family_nut_check(FamilyId("ddprime", 4, 2310)).is_nut
+    search._pack_residues(2310, 2)
     assert polyalg.cyclotomic.cache_info().misses == 0
 
 

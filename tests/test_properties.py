@@ -27,6 +27,7 @@ from nutcirc.polyalg import (  # noqa: E402
     divisors,
     euler_phi,
     phi_divides,
+    phi_fold,
     phi_remainder,
     totient_candidates,
 )
@@ -121,3 +122,33 @@ def test_phi_divides_matches_exact_division(case):
     p, _ = case
     for b in totient_candidates(p.degree) + [210, 2310]:
         assert phi_divides(p, b) == phi_remainder(p, b).is_zero(), b
+
+
+# Prime powers (4, 128, 243), products of distinct primes (105, 210, 385,
+# 1155) and a mixed index (12).
+FOLD_INDICES = (3, 4, 12, 105, 128, 210, 243, 385, 1155)
+
+
+@st.composite
+def polys_with_index(draw, degree_max=300, terms_max=10):
+    """An index b and a sparse polynomial, multiplied by Phi_b half the time."""
+    b = draw(st.sampled_from(FOLD_INDICES))
+    degree = draw(st.integers(min_value=0, max_value=degree_max))
+    exponents = draw(st.sets(st.integers(0, degree), min_size=1, max_size=terms_max))
+    coefficient = st.integers(min_value=-3, max_value=3).filter(bool)
+    p = SparsePoly({e: draw(coefficient) for e in exponents})
+    planted = draw(st.booleans())
+    if planted:
+        p = mul(p, cyclotomic(b)).to_sparse()
+    return p, b, planted
+
+
+@PROPERTY_SETTINGS
+@given(polys_with_index())
+def test_fold_low_coefficients_match_exact_division(case):
+    # The catalog keeps only the lowest phi(b) coefficients of each fold.
+    p, b, planted = case
+    fold = phi_fold(p, b)
+    low_zero = not any(fold.get(i, 0) for i in range(euler_phi(b)))
+    assert low_zero == phi_remainder(p, b).is_zero()
+    assert low_zero or not planted

@@ -21,7 +21,7 @@ from nutcirc.circulant import (
     spectral_indices,
 )
 from nutcirc.errors import CapacityError, ParameterError
-from nutcirc.polyalg import SparsePoly, euler_phi, phi_remainder
+from nutcirc.polyalg import SparsePoly, euler_phi, phi_fold, phi_remainder
 from nutcirc.search import CatalogEntry, catalog
 
 
@@ -270,8 +270,8 @@ def reference_residues(n):
     Returns (table, slices): table[s] concatenates, over the divisors b >= 3
     of n ascending, the remainder padded to phi(b) coefficients, and slices
     lists each b's (start, stop) in it. Every binomial is divided as it is,
-    without the r <-> b - r shortcut of ``_pack_residues``, so the tests
-    below check that shortcut too.
+    without the r <-> b - r shortcut of ``_pack_residues``, and without the
+    fold that builds its residues, so the leaf test below checks both.
     """
     indices = spectral_indices(n)
     table = []
@@ -285,14 +285,33 @@ def reference_residues(n):
     return table, list(zip(bounds, bounds[1:]))
 
 
+def reference_folds(n):
+    """Per offset 0 <= s < n/2, the lowest phi(b) coefficients of each fold of x^s + x^(n-s).
+
+    table[s] concatenates, over the divisors b >= 3 of n ascending,
+    coefficients 0 .. phi(b) - 1 of ``phi_fold(x^s + x^(n-s), b)``. Every
+    binomial is folded as it is, without the r <-> b - r shortcut of
+    ``_pack_residues``, so the test below checks that shortcut too.
+    """
+    indices = spectral_indices(n)
+    table = []
+    for s in range(n // 2):
+        row = []
+        for b in indices:
+            fold = phi_fold(SparsePoly([(s, 1), (n - s, 1)]), b)
+            row += [fold.get(i, 0) for i in range(euler_phi(b))]
+        table.append(row)
+    return table
+
+
 def test_packed_sums_unpack_to_tuple_sums():
     rng = random.Random(6)
     cases = ((36, 2), (44, 4), (48, 6), (60, 8), (420, 4), (420, 12), (720, 4), (840, 8))
     for n, k in cases:
-        table, _ = reference_residues(n)
+        table = reference_folds(n)
         rows, width, _ = search._pack_residues(n, k)
         cmax = max(abs(c) for row in table for c in row)
-        assert cmax == (3 if n in (420, 840) else 2)
+        assert cmax == 2
         ones = (1 << width) - 1
         fields = len(table[0])
         offsets = range(1, n // 2)
