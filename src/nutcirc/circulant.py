@@ -8,21 +8,20 @@ eigenvalue polynomial, and a null-space oracle on the adjacency matrix. The
 two must always agree; tests and the acceptance suite sweep them against each
 other.
 
-The null-space oracle issues a certificate. Elimination modulo the prime
-2^31 - 1, on rows packed one int per row, gives the rank mod p, and
-k = n - rank_p is an upper bound on the nullity. Back substitution mod p
-gives one kernel vector per free column; each is rational-reconstructed,
-cleared of denominators and checked exactly against A v = 0. The k verified
-vectors are independent, so the nullity is exactly k, and for k = 1 the
-primitive vector is the kernel vector. If a reconstruction or a check fails,
-fraction-free integer (Bareiss) elimination decides instead. No step uses
-floating point, and nothing here depends on the spectral side.
+The null-space oracle issues a certificate from one extended Euclid over
+F_p, p = 2^31 - 1, on the first row a(x) and x^n - 1: the monic gcd h, of
+degree k, and a Bezout factor u with u a = h (mod x^n - 1). Checked on the
+adjacency rows, the combination sum u_i row_i = h proves rank_p >= n - k,
+so the nullity is at most k; the cofactor (x^n - 1) / h, rational-
+reconstructed and checked exactly against A v = 0, is a kernel vector whose
+k cyclic shifts are independent, so the nullity is at least k. For k = 1 the
+primitive cofactor is the kernel vector. If a check fails, fraction-free
+integer (Bareiss) elimination decides instead. No step uses floating point,
+and nothing here depends on the spectral side.
 """
 from __future__ import annotations
 
-import struct
 from math import gcd, isqrt, lcm
-from operator import mul
 from typing import Optional, Union
 
 from .errors import CapacityError, ParameterError
@@ -30,15 +29,17 @@ from .polyalg import SparsePoly, divisors, phi_divides, prime_factorization
 from .record import Record
 
 # Size ceilings, each checked before any work; timings on a 2-core machine.
-# Elimination is cubic in the order: the kernel oracle takes about half a
-# second at n = 512. Listing the spectral indices factors n by trial
+# KERNEL_MAX_ORDER bounds the kernel oracle's cubic fallback, Bareiss
+# elimination: 0.6 s at n = 256 and 4 to 5 s at n = 512 (timed with the
+# certificate made to fail). The certificate itself is quadratic, about
+# 26 ms at n = 512. Listing the spectral indices factors n by trial
 # division, about 0.1 s near 10^12. The spectral work, terms times the sum
 # of 2^omega(b) over those indices, bounds the phi_divides passes: 4118
 # random offsets at n = 720 720 (work 3.0 * 10^7) take 3 to 4 s.
 KERNEL_MAX_ORDER = 512
 SPECTRAL_MAX_ORDER = 10**12
 SPECTRAL_MAX_WORK = 3 * 10**7
-_PRIME = (1 << 31) - 1  # Mersenne prime of the kernel oracle's rank bound
+_PRIME = (1 << 31) - 1  # Mersenne prime: the kernel certificate works over F_p
 
 REASON_OK = "ok"
 REASON_ODD_ORDER = "odd-order"
@@ -255,105 +256,37 @@ def _kernel_vector_from_echelon(
     return _primitive([int(v * scale) for v in x])
 
 
-def _packed_rows(g: GeneratorSet) -> list[int]:
-    """Adjacency rows of Circ(n, S), each packed into one int, one field per column.
+def _trim(f: list[int]) -> list[int]:
+    """Drop the zero leading coefficients of a residue list, constant term first."""
+    while f and not f[-1]:
+        f.pop()
+    return f
 
-    Fields are 64 bits wide and column 0 is the most significant field, so a
-    row drops its leading column with one mask.
+
+def _bezout_mod_p(g: GeneratorSet) -> tuple[list[int], list[int]]:
+    """(h, u): h the monic gcd of a(x) and x^n - 1 over F_p, and u a = h (mod x^n - 1).
+
+    a(x) = sum over s of x^s + x^(n-s) is the first adjacency row and
+    p = _PRIME. Extended Euclid on (x^n - 1, a), one leading term at a time,
+    keeps only the cofactors of a. Polynomials are lists of residues,
+    constant term first, without zero leading coefficients.
     """
-    n = g.n
-    first = bytearray(8 * n)
+    n, p = g.n, _PRIME
+    a = [0] * n
     for s in g.elements:
-        first[8 * s + 7] = first[8 * (n - s) + 7] = 1
-    first = bytes(first)
-    return [int.from_bytes(first[-8 * i :] + first[: -8 * i], "big") for i in range(n)]
-
-
-def _unpack(packed: int, count: int) -> tuple[int, ...]:
-    """The `count` lowest 64-bit fields of a packed int, most significant first."""
-    return struct.unpack(f">{count}Q", packed.to_bytes(8 * count, "big"))
-
-
-def _eliminate_mod_p(g: GeneratorSet) -> tuple[list[tuple[int, int]], list[int]]:
-    """Forward elimination of the adjacency matrix modulo the Mersenne prime _PRIME.
-
-    Rows are packed ints with one 64-bit field per column (`_packed_rows`),
-    the current column in the top field. Each pivot row is normalized to
-    lead with 1, so eliminating the column from a row r with head a is the
-    field-wise r + (p - a) * pivot, one multiply and one add on big ints.
-    An update adds less than p^2 < 2^62 to a field, so fields need folding
-    only after every third pivot: (t & LO_e) + ((t >> e) & LO_(64-e)) by
-    the Mersenne identity 2^e = 1 (mod p), where LO_w holds the w low bits
-    of every field. The fold leaves a field below 2^e + 2^(64-e) = 2^31 +
-    2^33, and three more updates keep it below 2^64. The high mask must keep
-    the whole rest of the field, 33 bits for e = 31: a 31-bit mask silently
-    drops bits. After each column every row drops its top field, so rows
-    shrink as the elimination proceeds.
-
-    Row i is x^i a(x) modulo x^n - 1, with a(x) the first row, so the rows
-    span the ideal that h = gcd(a, x^n - 1) generates in F_p[x]/(x^n - 1).
-    A nonzero element m h of it, deg m < r = n - deg h, has its lowest term
-    at the lowest term of m, since h(0) != 0; so the pivot columns are
-    exactly 0 .. r - 1, and the first free column ends the elimination,
-    with every later column free. (Were a pivot ever missed, the rank would
-    only be underestimated: k stays an upper bound, and the extra vectors
-    fail the exact check.)
-
-    Returns the pivots, as (column, normalized pivot row from that column
-    on, packed, with canonical residues), and the free columns. The rank mod
-    p is at most the rank over Q, so n minus the number of pivots is an
-    upper bound on the nullity.
-    """
-    p = _PRIME
-    e = p.bit_length()
-    n = g.n
-    ones = int.from_bytes((b"\x01" + bytes(7)) * n, "little")
-    lo = ones * ((1 << e) - 1)
-    hi = ones * ((1 << (64 - e)) - 1)
-    rows = _packed_rows(g)
-    pivots: list[tuple[int, int]] = []
-    for c in range(n):
-        top = 64 * (n - c - 1)
-        keep = (1 << top) - 1
-        i = next((i for i, r in enumerate(rows) if (r >> top) % p), None)
-        if i is None:
-            return pivots, list(range(c, n))
-        head = _unpack(rows.pop(i), n - c)
-        inv = pow(head[0] % p, -1, p)
-        piv = int.from_bytes(struct.pack(f">{n - c}Q", *[v * inv % p for v in head]), "big")
-        pivots.append((c, piv))
-        fold = len(pivots) % 3 == 0
-        for j, r in enumerate(rows):
-            if a := (r >> top) % p:
-                r += (p - a) * piv
-            if fold:
-                r = (r & lo) + ((r >> e) & hi)
-            rows[j] = r & keep
-    return pivots, []
-
-
-def _kernel_basis_mod_p(
-    pivots: list[tuple[int, int]], free: list[int], n: int
-) -> list[tuple[int, ...]]:
-    """Residues of the kernel basis vectors, one per free column, mod _PRIME.
-
-    Vector j is 1 on free column j and 0 on the other free columns. All k
-    vectors are back-substituted in one pass: each unknown x_c is one int
-    packed over the k vectors, vector 0 in the top field, with 128-bit
-    fields so that a row's whole sum of products fits before it is reduced.
-    The pass costs one big-int multiply-add per echelon entry whatever k is,
-    plus k field reductions per pivot.
-    """
-    p = _PRIME
-    k = len(free)
-    xs = [0] * n
-    for j, f in enumerate(free):
-        xs[f] = 1 << (128 * (k - 1 - j))
-    for c, piv in reversed(pivots):
-        words = _unpack(sum(map(mul, _unpack(piv, n - c)[1:], xs[c + 1 :])), 2 * k)
-        negated = (-(hi << 64 | lo) % p for hi, lo in zip(words[::2], words[1::2]))
-        xs[c] = int.from_bytes(b"".join(v.to_bytes(16, "big") for v in negated), "big")
-    return list(zip(*(_unpack(x, 2 * k)[1::2] for x in xs)))
+        a[s] = a[n - s] = 1
+    r0, r1 = [p - 1] + [0] * (n - 1) + [1], _trim(a)
+    u0, u1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            c, d = r0[-1] * inv % p, len(r0) - len(r1)
+            r0 = _trim(r0[:d] + [(x - c * y) % p for x, y in zip(r0[d:-1], r1)])
+            u0 += [0] * (d + len(u1) - len(u0))
+            u0[d : d + len(u1)] = [(x - c * y) % p for x, y in zip(u0[d:], u1)]
+        r0, r1, u0, u1 = r1, r0, u1, u0
+    inv = pow(r0[-1], -1, p)
+    return [x * inv % p for x in r0], [x * inv % p for x in u0]
 
 
 def _rational(u: int, p: int, bound: int) -> Optional[tuple[int, int]]:
@@ -372,33 +305,61 @@ def _rational(u: int, p: int, bound: int) -> Optional[tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _certified_report(g: GeneratorSet) -> Optional[KernelReport]:
-    """The kernel report from the mod-p rank bound plus verified vectors, or None.
-
-    k = n - rank_p bounds the nullity from above. Each free column's basis
-    vector is rational-reconstructed, cleared of denominators and checked
-    exactly against A v = 0. The k vectors restrict to the identity on the
-    free columns, so they are independent, and if all of them verify the
-    nullity is exactly k. None means a reconstruction or a check failed (an
-    unlucky prime, or entries beyond the reconstruction bound).
-    """
-    pivots, free = _eliminate_mod_p(g)
-    if not free:
-        return KernelReport(0, None, False)
+def _lift(residues: list[int]) -> Optional[tuple[int, ...]]:
+    """The primitive integer vector whose entries reconstruct `residues` mod _PRIME, or None."""
     p = _PRIME
     bound = isqrt((p - 1) // 2)
-    basis = _kernel_basis_mod_p(pivots, free, g.n)
-    rationals = {u: _rational(u, p, bound) for u in set().union(*basis)}
-    if None in rationals.values():
+    pairs = {r: _rational(r, p, bound) for r in set(residues)}
+    if None in pairs.values():
         return None
-    for residues in basis:
-        pairs = [rationals[u] for u in residues]
-        scale = lcm(*(b for _, b in pairs))
-        vec = _primitive([a * (scale // b) for a, b in pairs])
-        if not _is_in_kernel(g, vec):
-            return None
-    if len(free) > 1:
-        return KernelReport(len(free), None, False)
+    scale = lcm(*(b for _, b in pairs.values()))
+    return _primitive([pairs[r][0] * (scale // pairs[r][1]) for r in residues])
+
+
+def _certified_report(g: GeneratorSet) -> Optional[KernelReport]:
+    """The kernel report from one extended Euclid over F_p, checked on the rows, or None.
+
+    With h, u from `_bezout_mod_p` and k = deg h, two exact checks bound the
+    nullity from both sides:
+
+    - nullity <= k: the row combination sum u_i row_i, which is A u since A
+      is symmetric, must equal h mod p, with h(0) != 0. The rows are closed
+      under the cyclic shift, so the n - k shifts x^j h (j < n - k) lie in
+      the row space mod p; their lowest terms are distinct, so rank_p >=
+      n - k, and the rank over Q is at least rank_p.
+    - nullity >= k: the cofactor (x^n - 1) / h mod p must divide exactly; it
+      is rational-reconstructed, cleared of denominators and checked exactly
+      against A v = 0. Its top term sits at index n - k. A commutes with the
+      cyclic shift, so its k shifts are kernel vectors too, with distinct
+      top terms, hence independent: one verified vector stands for k.
+
+    For k = 1 the primitive vector is the kernel vector. None means a check
+    failed (an unlucky prime raises deg h above the nullity, or entries
+    exceed the reconstruction bound); the caller then falls back to Bareiss.
+    """
+    n, p = g.n, _PRIME
+    h, u = _bezout_mod_p(g)
+    k = len(h) - 1
+    folded = (h + [0] * n)[:n]  # h mod x^n - 1; only the empty set has k = n
+    folded[0] = (folded[0] + sum(h[n:])) % p
+    if not h[0] or [v % p for v in _row_sums(g, (u + [0] * n)[:n])] != folded:
+        return None
+    if k == 0:
+        return KernelReport(0, None, False)
+    # Divide x^n - 1 by the monic h from the top down, in place: the
+    # quotient's coefficient of x^i stays at index i + k, the remainder
+    # ends in the first k entries.
+    rem = [p - 1] + [0] * (n - 1) + [1]
+    for i in range(n - k, -1, -1):
+        if c := rem[i + k]:
+            rem[i : i + k] = [(x - c * y) % p for x, y in zip(rem[i : i + k], h)]
+    if any(rem[:k]):
+        return None
+    vec = _lift(rem[k:])
+    if vec is None or not vec[-1] or not _is_in_kernel(g, vec + (0,) * (k - 1)):
+        return None
+    if k > 1:
+        return KernelReport(k, None, False)
     return KernelReport(1, vec, all(vec))
 
 
@@ -415,12 +376,13 @@ def _bareiss_report(g: GeneratorSet) -> KernelReport:
 def kernel_oracle(g: GeneratorSet) -> KernelReport:
     """Exact nullity of the adjacency matrix, plus the kernel vector if unique.
 
-    The report is a certificate: the rank modulo a 31-bit prime bounds the
-    nullity from above, and as many exactly verified independent kernel
-    vectors bound it from below (`_certified_report`). When the certificate
-    cannot be completed, fraction-free integer elimination decides instead.
-    Elimination is cubic, so an order above KERNEL_MAX_ORDER raises
-    CapacityError first.
+    The report is a certificate (`_certified_report`): with h the gcd of the
+    first row and x^n - 1 over F_p, a Bezout combination of the rows equal
+    to h bounds the nullity from above by k = deg h, and the exactly
+    verified kernel vector (x^n - 1) / h, with its k independent cyclic
+    shifts, bounds it from below. When the certificate cannot be completed,
+    fraction-free integer elimination decides instead. That fallback is
+    cubic, so an order above KERNEL_MAX_ORDER raises CapacityError first.
     """
     if g.n > KERNEL_MAX_ORDER:
         raise CapacityError(f"order {g.n} exceeds the kernel oracle ceiling {KERNEL_MAX_ORDER}")
@@ -430,14 +392,14 @@ def kernel_oracle(g: GeneratorSet) -> KernelReport:
     return report
 
 
-def _is_in_kernel(g: GeneratorSet, vec: tuple[int, ...]) -> bool:
-    """Exactly whether A v = 0, with all n rows checked in a few big-int additions.
+def _row_sums(g: GeneratorSet, vec: Union[list[int], tuple[int, ...]]) -> list[int]:
+    """A v exactly, all n rows in a few big-int additions.
 
     Row i of A v is the sum over offsets o of v[(i + o) mod n]. The entries,
     shifted by a bias to be nonnegative, are packed into fields wide enough
     that no row sum carries into the next field; each offset is one rotation
-    of the packed bytes. A v = 0 iff every field of the sum holds exactly
-    (number of offsets) * bias.
+    of the packed bytes, and each field of the total, less (number of
+    offsets) * bias, is one row sum.
     """
     n = g.n
     offsets = [*g.elements, *(n - s for s in g.elements)]
@@ -446,9 +408,14 @@ def _is_in_kernel(g: GeneratorSet, vec: tuple[int, ...]) -> bool:
     packed = b"".join((v + bias).to_bytes(width, "little") for v in vec)
     total = sum(
         int.from_bytes(packed[width * o :] + packed[: width * o], "little") for o in offsets
-    )
-    unit = int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
-    return total == len(offsets) * bias * unit
+    ).to_bytes(width * n, "little")
+    shift = len(offsets) * bias
+    return [int.from_bytes(total[width * i : width * (i + 1)], "little") - shift for i in range(n)]
+
+
+def _is_in_kernel(g: GeneratorSet, vec: tuple[int, ...]) -> bool:
+    """Exactly whether A v = 0 (`_row_sums`)."""
+    return not any(_row_sums(g, vec))
 
 
 def is_nut_kernel(g: GeneratorSet) -> NutVerdict:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from polyref import evaluate
@@ -262,20 +263,20 @@ def test_certificate_matches_bareiss_on_family_members():
 
 
 def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
-    # Modulo 7, ranks drop and reconstructions (bound 1) fail often; every
-    # report must still be the exact one.
+    # Modulo 7, gcds gain factors and reconstructions (bound 1) fail often;
+    # every report must still be the exact one.
     monkeypatch.setattr(circulant, "_PRIME", 7)
-    unlucky_rank = failed_certificate = 0
+    unlucky_gcd = failed_certificate = 0
     for g in _random_circulants(seed=3, count=600, n_max=40):
         reference = circulant._bareiss_report(g)
         assert kernel_oracle(g) == reference, g
-        _, free = circulant._eliminate_mod_p(g)
-        assert len(free) >= reference.nullity, g
-        if len(free) > reference.nullity:
-            unlucky_rank += 1
+        h, _ = circulant._bezout_mod_p(g)
+        assert len(h) - 1 >= reference.nullity, g
+        if len(h) - 1 > reference.nullity:
+            unlucky_gcd += 1
         elif circulant._certified_report(g) is None:
             failed_certificate += 1
-    assert unlucky_rank > 0 and failed_certificate > 0
+    assert unlucky_gcd > 0 and failed_certificate > 0
 
 
 def test_rejected_vectors_fall_back_to_bareiss(monkeypatch):
@@ -290,7 +291,7 @@ def test_rejected_vectors_fall_back_to_bareiss(monkeypatch):
 
 
 def _pivot_columns_mod(rows, p):
-    # Plain Gauss-Jordan elimination mod p over every column, no early stop.
+    # Plain Gauss-Jordan elimination mod p over every column.
     rows = [[v % p for v in row] for row in rows]
     columns = []
     for c in range(len(rows[0])):
@@ -304,19 +305,90 @@ def _pivot_columns_mod(rows, p):
     return columns
 
 
-def test_pivot_columns_lead_so_the_first_free_column_ends_elimination():
-    # The rows span the ideal of gcd(a, x^n - 1), so over any field the pivot
-    # columns are 0 .. rank - 1; _eliminate_mod_p stops at the first free one.
-    for g in _random_circulants(seed=41, count=80, n_max=40):
-        rows = adjacency_matrix(g)
-        _, over_q = circulant._bareiss_echelon([row[:] for row in rows])
-        assert over_q == list(range(len(over_q))), g
-        for p in (2, 3, 7):
-            columns = _pivot_columns_mod(rows, p)
-            assert columns == list(range(len(columns))), (g, p)
-        pivots, free = circulant._eliminate_mod_p(g)
-        assert [c for c, _ in pivots] == over_q, g
-        assert free == list(range(len(over_q), g.n)), g
+def test_gcd_degree_is_the_corank_mod_p(monkeypatch):
+    # The rows span the ideal of h = gcd(a, x^n - 1) in F_p[x]/(x^n - 1), so
+    # over any prime field deg h = n - rank_p, and u combines the rows into h.
+    for p in (2, 3, 7, circulant._PRIME):
+        monkeypatch.setattr(circulant, "_PRIME", p)
+        for g in _random_circulants(seed=41, count=60, n_max=40):
+            rows = adjacency_matrix(g)
+            h, u = circulant._bezout_mod_p(g)
+            assert h[-1] == 1 and len(h) - 1 == g.n - len(_pivot_columns_mod(rows, p)), (g, p)
+            u = (u + [0] * g.n)[: g.n]
+            combined = [sum(c * row[j] for c, row in zip(u, rows)) % p for j in range(g.n)]
+            assert [v % p for v in circulant._row_sums(g, u)] == combined, (g, p)
+            if g.elements:
+                assert combined == h + [0] * (g.n - len(h)), (g, p)
+
+
+_P = circulant._PRIME
+FORGERIES = {
+    "wrong-bezout-factor": ("_bezout_mod_p", lambda hu: (hu[0], [(hu[1][0] + 1) % _P] + hu[1][1:])),
+    "gcd-degree-too-high": (
+        "_bezout_mod_p",
+        lambda hu: ([(b - a) % _P for a, b in zip(hu[0] + [0], [0] + hu[0])], hu[1]),
+    ),
+    "gcd-degree-too-low": ("_bezout_mod_p", lambda hu: ([1], hu[1])),
+    "nudged-kernel-vector": ("_lift", lambda vec: (vec[0] + 1,) + vec[1:]),
+}
+
+
+@pytest.mark.parametrize("name, forge", FORGERIES.values(), ids=list(FORGERIES))
+def test_forged_certificates_fall_back_to_bareiss(monkeypatch, name, forge):
+    # Each forgery (u + e_0, h (x - 1), h = 1, one entry + 1) breaks either
+    # the Bezout row check or the exact kernel check; every case has a
+    # nonzero nullity, and the first three have nullity one.
+    cases = [NUT_12REG, GeneratorSet(10, (3, 4)), build_family(FamilyId("ddprime", 3, 46))]
+    cases += [GeneratorSet(6, (1, 2)), GeneratorSet(32, (4, 12))]
+    references = [circulant._bareiss_report(g) for g in cases]
+    original = getattr(circulant, name)
+    monkeypatch.setattr(circulant, name, lambda *args: forge(original(*args)))
+    for g, reference in zip(cases, references):
+        assert reference.nullity > 0
+        assert circulant._certified_report(g) is None, g
+        assert kernel_oracle(g) == reference, g
+
+
+@pytest.mark.parametrize("elements", [(16, 48, 80, 112), (32, 96)])
+def test_certificate_allocates_under_half_of_bareiss(elements):
+    # One verified vector stands for the whole kernel, whatever the nullity.
+    g = GeneratorSet(256, elements)
+    reports, peaks = [], []
+    for report in (circulant._certified_report, circulant._bareiss_report):
+        tracemalloc.start()
+        try:
+            reports.append(report(g))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0] == reports[1]
+    assert 2 * peaks[0] < peaks[1], peaks
+
+
+def test_spectral_and_kernel_agree_up_to_the_kernel_ceiling():
+    # Parity-balanced degree-8 sets at orders up to 512; a set of multiples
+    # of 3 at an order divisible by 3 is disconnected, so it is never nut.
+    rng = random.Random(52)
+    cases = []
+    for _ in range(12):
+        m = rng.choice((1, 3))
+        k = rng.randrange(20, 512 // m + 1, 2)
+        offsets = rng.sample(range(1, k // 2, 2), 2) + rng.sample(range(2, k // 2, 2), 2)
+        cases.append(GeneratorSet(m * k, tuple(sorted(m * s for s in offsets))))
+    for t in range(1, 6):
+        for kind, top in (("dprime", 512), ("ddprime", 510)) if t % 2 else (("ddprime", 510),):
+            cases += [build_family(FamilyId(kind, t, n)) for n in (top, top - 4 * rng.randrange(1, 100))]
+    verdicts = set()
+    for g in cases:
+        kernel = is_nut_kernel(g)
+        assert is_nut_spectral(g).is_nut == kernel.is_nut, g
+        verdicts.add(kernel.is_nut)
+    assert verdicts == {True, False}
+
+
+def test_certificate_matches_bareiss_up_to_order_128():
+    for g in _random_circulants(seed=53, count=24, n_max=128):
+        assert kernel_oracle(g) == circulant._bareiss_report(g), g
 
 
 @pytest.mark.parametrize("elements, nullity", [((16, 48, 80, 112), 224), ((32, 96), 192)])
