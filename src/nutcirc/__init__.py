@@ -31,6 +31,7 @@ _EXPORTS = {
             "cyclo_divisors_accelerated",
             "cyclo_divisors_oracle",
             "filaseta_step",
+            "totient_candidates",
         ),
         "errors": ("CapacityError", "ConfigurationError", "NutcircError", "ParameterError"),
         "families": (
@@ -54,7 +55,6 @@ _EXPORTS = {
             "euler_phi",
             "phi_divides",
             "reduce_mod_xb",
-            "totient_candidates",
         ),
         "search": ("CatalogEntry", "catalog"),
     }.items()

@@ -14,9 +14,10 @@ preconditions). With --json, usage errors that argparse detects also leave
 through the envelope; without it they keep argparse's usage text on stderr.
 
 Each subcommand imports only the layers it calls, when argparse reaches it:
-a cyclodiv request never compiles circulant, families or search. So
-elapsed_ms, timed from the start of main, includes the import of the
-subcommand's layers.
+a cyclodiv request never compiles circulant, families or search, a search
+request never circulant, and only non-JSON output or a CSV file compiles
+``render``. So elapsed_ms, timed from the start of main, includes the import
+of the subcommand's layers.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ def entry_to_json(entry: CatalogEntry) -> dict[str, Any]:
     return {
         "n": entry.n,
         "exists": entry.exists,
-        "witness": list(entry.witness.elements) if entry.witness else None,
+        "witness": list(entry.witness) if entry.witness else None,
         "sets_enumerated": entry.sets_enumerated,
         "sets_passing": entry.sets_passing,
         "skipped": entry.skipped,
@@ -176,10 +177,14 @@ def _search_arguments(parser: argparse.ArgumentParser) -> None:
         help="count only balanced sets in sets_enumerated (the walk always skips the others)",
     )
     parser.add_argument("--out", help="write the result document to this path")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="format of the --out file"
+    )
 
 
 def _cmd_search(args) -> dict[str, Any]:
+    if args.format == "csv" and not args.out:
+        raise ParameterError("--format csv needs --out, the file the CSV document is written to")
     from .search import catalog
 
     entries = catalog(
@@ -195,7 +200,9 @@ def _cmd_search(args) -> dict[str, Any]:
     }
     if args.out:
         if args.format == "csv":
-            document = _search_csv(payload)
+            from .render import search_csv
+
+            document = search_csv(payload)
         else:
             import json
 
@@ -227,79 +234,6 @@ def _cmd_cyclodiv(args) -> dict[str, Any]:
         "degree": poly.degree,
         "engine": args.engine,
     }
-
-
-# --- human rendering ----------------------------------------------------------
-
-
-def _render_verdict(name: str, data: dict[str, Any]) -> str:
-    tail = ""
-    witness = data["witness"]
-    if witness and "divisor" in witness:
-        tail = f" (failing divisor b={witness['divisor']})"
-    return f"{name}: {'NUT' if data['is_nut'] else 'not a nut'} [{data['reason']}]{tail}"
-
-
-def _search_csv(payload: dict[str, Any]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "exists", "witness", "sets_enumerated", "sets_passing", "skipped"])
-    for e in payload["entries"]:
-        witness = " ".join(str(s) for s in e["witness"]) if e["witness"] else ""
-        writer.writerow(
-            [e["n"], e["exists"], witness, e["sets_enumerated"], e["sets_passing"], e["skipped"]]
-        )
-    return buf.getvalue()
-
-
-def _render_human(command: str, payload: dict[str, Any]) -> str:
-    lines: list[str] = []
-    if command == "verify":
-        lines.append(f"Circ({payload['n']}, {payload['set']})  degree {payload['degree']}")
-        for name, data in payload["results"].items():
-            lines.append("  " + _render_verdict(name, data))
-        if "agree" in payload:
-            lines.append(f"  methods agree: {payload['agree']}")
-    elif command == "family":
-        lines.append(
-            f"{payload['variant']} t={payload['t']} n={payload['n']}: "
-            f"S = {payload['set']} (degree {payload['degree']})"
-        )
-        for name, data in payload.get("checks", {}).items():
-            if data is None:
-                lines.append(f"  {name}: not applicable")
-            else:
-                lines.append("  " + _render_verdict(name, data))
-        if "agree" in payload:
-            lines.append(f"  checks agree: {payload['agree']}")
-    elif command == "tables":
-        if payload["format"] == "md":
-            lines.append("| residue | reduced | remainder |")
-            lines.append("|---|---|---|")
-            for row in payload["rows"]:
-                lines.append(f"| {row['residue']} | {row['reduced']} | {row['remainder']} |")
-        else:
-            lines.append("residue,reduced,remainder")
-            for row in payload["rows"]:
-                lines.append(f"{row['residue']},\"{row['reduced']}\",\"{row['remainder']}\"")
-    elif command == "search":
-        lines.append(f"degree {payload['degree']}")
-        for e in payload["entries"]:
-            mark = "skipped" if e["skipped"] else ("exists" if e["exists"] else "none")
-            witness = f"  witness {e['witness']}" if e["witness"] else ""
-            lines.append(
-                f"  n={e['n']}: {mark}{witness}  "
-                f"(enumerated {e['sets_enumerated']}, passing {e['sets_passing']})"
-            )
-    elif command == "cyclodiv":
-        lines.append(
-            f"degree {payload['degree']}, engine {payload['engine']}, "
-            f"divisors {payload['divisors']}"
-        )
-    return "\n".join(lines)
 
 
 # --- parser and dispatch -------------------------------------------------------
@@ -369,7 +303,9 @@ def _emit(envelope: dict[str, Any], as_json: bool) -> None:
 
         print(json.dumps(envelope, sort_keys=True))
     elif envelope["status"] == "ok":
-        print(_render_human(envelope["command"], envelope["payload"]))
+        from .render import human
+
+        print(human(envelope["command"], envelope["payload"]))
     else:
         print(f"error: {envelope['payload']['message']}")
 

@@ -6,7 +6,8 @@ ground truth everything else is measured against. The accelerated engine
 first drops the indices that the index-reduction theorem for lacunary
 polynomials rules out (removing a large prime power from b must leave
 another valid index, ``filaseta_step``), then decides the rest with the
-division-free ``phi_divides``.
+division-free ``phi_divides``. Both examine only the indices b with
+euler_phi(b) <= deg p, which ``totient_candidates`` lists.
 
 Each engine refuses an input above its ceilings with CapacityError before
 it lists a candidate. Measured on a 2-core machine (Python 3.11): the
@@ -19,14 +20,10 @@ just under the work ceiling.
 """
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import CapacityError, ParameterError
-from .polyalg import (
-    SparsePoly,
-    phi_divides,
-    phi_remainder,
-    prime_factorization,
-    totient_candidates,
-)
+from .polyalg import SparsePoly, phi_divides, phi_remainder, prime_factorization
 from .record import Record
 
 ORACLE_MAX_DEGREE = 1000
@@ -41,6 +38,37 @@ class CycloDivisorReport(Record):
     divisors: tuple[int, ...]
     search_bound: int  # largest index examined (0 for a constant polynomial)
     method: str  # "oracle" or "accelerated"
+
+
+def totient_candidates(d: int) -> list[int]:
+    """Every b >= 1 with euler_phi(b) <= d, ascending.
+
+    Each prime power p^k in b multiplies euler_phi(b) by (p - 1) * p^(k-1),
+    so only primes p <= d + 1 (from a sieve) occur; b is built up by a
+    depth-first walk over prime powers that stops once the totient exceeds d.
+    """
+    if d < 1:
+        return []
+    sieve = bytearray([1]) * (d + 2)
+    for p in range(2, isqrt(d + 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    primes = [p for p in range(2, d + 2) if sieve[p]]
+    found = [1]
+
+    def extend(b: int, phi: int, start: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pb, pphi = b * p, phi * (p - 1)
+            if pphi > d:
+                break  # primes ascend, so every later p overshoots too
+            while pphi <= d:
+                found.append(pb)
+                extend(pb, pphi, i + 1)
+                pb, pphi = pb * p, pphi * p
+
+    extend(1, 1, 0)
+    return sorted(found)
 
 
 def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:

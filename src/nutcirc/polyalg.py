@@ -15,9 +15,9 @@ zero test.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from math import isqrt
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from .errors import ParameterError
 
@@ -192,37 +192,6 @@ def euler_phi(b: int) -> int:
     for p, _ in prime_factorization(b):
         result -= result // p
     return result
-
-
-def totient_candidates(d: int) -> list[int]:
-    """Every b >= 1 with euler_phi(b) <= d, ascending.
-
-    Each prime power p^k in b multiplies euler_phi(b) by (p - 1) * p^(k-1),
-    so only primes p <= d + 1 (from a sieve) occur; b is built up by a
-    depth-first walk over prime powers that stops once the totient exceeds d.
-    """
-    if d < 1:
-        return []
-    sieve = bytearray([1]) * (d + 2)
-    for p in range(2, isqrt(d + 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
-    primes = [p for p in range(2, d + 2) if sieve[p]]
-    found = [1]
-
-    def extend(b: int, phi: int, start: int) -> None:
-        for i in range(start, len(primes)):
-            p = primes[i]
-            pb, pphi = b * p, phi * (p - 1)
-            if pphi > d:
-                break  # primes ascend, so every later p overshoots too
-            while pphi <= d:
-                found.append(pb)
-                extend(pb, pphi, i + 1)
-                pb, pphi = pb * p, pphi * p
-
-    extend(1, 1, 0)
-    return sorted(found)
 
 
 @lru_cache(maxsize=ARITH_CACHE_SIZE)

@@ -44,8 +44,9 @@ truncated.
 The case the paper leaves open, degree 4t with t even at an order n
 divisible by four, is ``catalog(4 * t, n, n)``, whose witness is the least
 4t-regular nut set of order n. Orders n = 2 (mod 4) are covered by the
-ddprime family, which ``families.family_nut_check`` verifies; this module
-depends on ``circulant`` and ``polyalg`` only.
+ddprime family, which ``families.family_nut_check`` verifies. This module
+builds on ``polyalg`` alone: a witness is its offsets tuple, so a catalog
+request never compiles ``circulant``.
 """
 from __future__ import annotations
 
@@ -55,9 +56,8 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .circulant import GeneratorSet, spectral_indices
 from .errors import CapacityError, ParameterError
-from .polyalg import SparsePoly, euler_phi, phi_fold
+from .polyalg import SparsePoly, divisors, euler_phi, phi_fold
 from .record import Record
 
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
@@ -84,7 +84,7 @@ class CatalogEntry(Record):
     n: int
     d: int
     exists: bool
-    witness: Optional[GeneratorSet]
+    witness: Optional[tuple[int, ...]]  # offsets of the least nut set of order n
     sets_enumerated: int
     sets_passing: int
     skipped: bool
@@ -114,7 +114,9 @@ def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[in
     F determine m, and they are all zero only when m, hence F, is zero.
     """
     blocks = []
-    for b in spectral_indices(n):
+    for b in divisors(n):
+        if b < 3:
+            continue  # b = 1 and 2 are the parity condition: the walk visits balanced sets only
         phi = euler_phi(b)
         folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
         blocks.append((b, phi, [{i: c for i, c in fold.items() if i < phi} for fold in folds]))
@@ -289,6 +291,5 @@ def catalog(
     for n, (passing, witness) in found.items():
         m = n // 2 - 1
         enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)
-        g = GeneratorSet(n, witness) if witness else None
-        entries[n] = CatalogEntry(n, d, g is not None, g, enumerated, passing)
+        entries[n] = CatalogEntry(n, d, witness is not None, witness, enumerated, passing)
     return [entries[n] for n in sorted(entries)]

@@ -117,7 +117,7 @@ def test_criterion_5_degree_eight_catalog():
         for e in entries:
             assert not e.skipped
             if e.exists:
-                assert is_nut_kernel(e.witness).is_nut, e
+                assert is_nut_kernel(GeneratorSet(e.n, e.witness)).is_nut, e
             else:
                 assert e.witness is None and e.sets_passing == 0
         assert catalog(8, 10, 28, jobs=2) == entries

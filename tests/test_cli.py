@@ -1,6 +1,7 @@
 """CLI surface tests: envelopes, exit codes, payload determinism, round-trips."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -249,6 +250,40 @@ def test_no_module_reads_the_environment():
         assert not re.search(r"environ|getenv", path.read_text()), path.name
 
 
+def _module_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level when imported (not under an if or try)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def test_every_relative_import_names_what_its_module_defines():
+    # A lazy import, inside a function, fails only when its code path runs,
+    # so every `from .mod import name` in the package is resolved here.
+    package = Path(nutcirc.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    defined = {stem: _module_names(tree) for stem, tree in trees.items()}
+    checked = set()
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    assert alias.name in trees, (stem, alias.name)
+                else:
+                    assert alias.name in defined[node.module], (stem, node.module, alias.name)
+                checked.add((node.module, alias.name))
+    assert {("render", "human"), ("render", "search_csv"), ("search", "catalog")} <= checked
+
+
 def test_readme_library_sketch_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
@@ -426,6 +461,18 @@ def test_search_csv_out(capsys, tmp_path):
     assert lines[1].startswith("14,True,")
 
 
+def test_search_csv_without_out_is_usage_error(capsys):
+    argv = ("search", "--degree", "8", "--n-min", "14", "--n-max", "14", "--format", "csv")
+    code, envelope = run_json(capsys, *argv)
+    assert code == 2
+    assert envelope["status"] == "error"
+    assert envelope["command"] == "search"
+    assert "--out" in envelope["payload"]["message"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.startswith("error: --format csv needs --out")
+
+
 def test_search_unwritable_out_is_domain_error(capsys, tmp_path):
     out_path = tmp_path / "missing" / "x.json"
     code, envelope = run_json(
@@ -472,7 +519,7 @@ def test_console_script_is_installed():
     assert envelope["payload"]["divisors"] == []
 
 
-LAYERS = frozenset({"polyalg", "record", "cyclotomy", "circulant", "families", "search"})
+LAYERS = frozenset({"polyalg", "record", "cyclotomy", "circulant", "families", "search", "render"})
 
 
 def _modules_added(code: str, *argv: str) -> set[str]:
@@ -505,41 +552,58 @@ def _modules_added(code: str, *argv: str) -> set[str]:
     "argv, used, unused",
     [
         ([], set(), LAYERS),
-        (["cyclodiv", "--poly", "2:1,0:1"], {"cyclotomy"}, {"circulant", "families", "search"}),
         (
-            ["search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
-            {"search", "circulant"},
-            {"families", "cyclotomy"},
+            ["--json", "cyclodiv", "--poly", "2:1,0:1"],
+            {"cyclotomy"},
+            {"circulant", "families", "search", "render"},
+        ),
+        (
+            ["--json", "search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
+            {"search", "polyalg"},
+            {"circulant", "families", "cyclotomy", "render"},
+        ),
+        (
+            ["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"],
+            {"circulant"},
+            {"families", "search", "cyclotomy", "render"},
+        ),
+        (
+            ["--json", "tables", "--kind", "q", "--modulus", "3"],
+            {"families"},
+            {"circulant", "search", "cyclotomy", "render"},
         ),
         (
             ["verify", "--n", "16", "--set", "1,2,4,5,6,7"],
-            {"circulant"},
+            {"circulant", "render"},
             {"families", "search", "cyclotomy"},
         ),
         (
-            ["tables", "--kind", "q", "--modulus", "3"],
-            {"families"},
-            {"circulant", "search", "cyclotomy"},
+            ["search", "--degree", "8", "--n-min", "14", "--n-max", "14"]
+            + ["--out", "{tmp}/catalog.csv", "--format", "csv"],
+            {"search", "render"},
+            {"circulant", "families", "cyclotomy"},
         ),
     ],
-    ids=["import", "cyclodiv", "search", "verify", "tables"],
+    ids=["import", "cyclodiv", "search", "verify", "tables", "verify-human", "search-csv"],
 )
-def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(argv, used, unused):
+def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(argv, used, unused, tmp_path):
     """A CLI request loads the layers its subcommand calls, no others, and no dataclasses.
 
     Every request is one process, and where no .pyc can be written each
     module it loads is compiled again: `import nutcirc.cli` plus
     `build_parser()` stops at `nutcirc.errors`, and a subcommand adds only its
-    own layers. The records are built without dataclasses, which generate
-    their methods with exec at import time and pull in inspect.
+    own layers. A search builds on polyalg alone, and the renderer is loaded
+    only for human output or a CSV file, never for a JSON envelope. The
+    records are built without dataclasses, which generate their methods with
+    exec at import time and pull in inspect.
     """
     code = (
         "from nutcirc.cli import build_parser, main\n"
         "build_parser()\n"
         "if sys.argv[1:]:\n"
-        "    assert main(['--json', *sys.argv[1:]]) == 0"
+        "    assert main(sys.argv[1:]) == 0"
     )
-    added = _modules_added(code, *argv)
+    added = _modules_added(code, *(arg.format(tmp=tmp_path) for arg in argv))
     assert not {"dataclasses", "inspect"} & added
     layers = {name.split(".", 1)[1] for name in added if name.startswith("nutcirc.")}
     assert used <= layers

@@ -10,6 +10,7 @@ from nutcirc.cyclotomy import (
     cyclo_divisors_accelerated,
     cyclo_divisors_oracle,
     filaseta_step,
+    totient_candidates,
 )
 from nutcirc.errors import ParameterError
 from nutcirc.families import FamilyPolyId, family_poly
@@ -97,6 +98,23 @@ def test_cyclotomic_cache_is_bounded():
 def test_all_six_blocked_polynomials_have_empty_divisor_sets():
     for poly in (Z1, Z2, Z3, Z4, ZP, ZPP):
         assert cyclo_divisors_oracle(poly).divisors == ()
+
+
+def test_totient_candidates_match_exhaustive_scan():
+    # phi(b) >= sqrt(b/2), so every b with phi(b) <= d lies in 1 .. 2d^2.
+    top = 120
+    phi = [0] + [euler_phi(b) for b in range(1, 2 * top * top + 1)]
+    for d in range(0, top + 1):
+        assert totient_candidates(d) == [
+            b for b in range(1, 2 * d * d + 1) if phi[b] <= d
+        ], d
+
+
+def test_totient_candidates_examples():
+    assert totient_candidates(0) == []
+    assert totient_candidates(1) == [1, 2]
+    assert totient_candidates(2) == [1, 2, 3, 4, 6]
+    assert totient_candidates(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
 
 
 def test_filaseta_step_examples():

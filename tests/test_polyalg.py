@@ -7,6 +7,7 @@ import random
 import pytest
 from polyref import add, compose_xpow, evaluate, mul, sub, x_pow_minus_one
 
+from nutcirc.cyclotomy import totient_candidates
 from nutcirc.errors import ParameterError
 from nutcirc.polyalg import (
     DensePoly,
@@ -22,7 +23,6 @@ from nutcirc.polyalg import (
     reduce_mod_xb,
     sparse_from_text,
     sparse_to_text,
-    totient_candidates,
 )
 
 Q3 = SparsePoly({5: 2, 4: 1, 3: -1, 2: 1, 1: -1, 0: -2})
@@ -142,23 +142,6 @@ def test_euler_phi_examples():
 def test_euler_phi_matches_unit_count():
     for b in range(1, 301):
         assert euler_phi(b) == sum(1 for k in range(1, b + 1) if math.gcd(k, b) == 1)
-
-
-def test_totient_candidates_match_exhaustive_scan():
-    # phi(b) >= sqrt(b/2), so every b with phi(b) <= d lies in 1 .. 2d^2.
-    top = 120
-    phi = [0] + [euler_phi(b) for b in range(1, 2 * top * top + 1)]
-    for d in range(0, top + 1):
-        assert totient_candidates(d) == [
-            b for b in range(1, 2 * d * d + 1) if phi[b] <= d
-        ], d
-
-
-def test_totient_candidates_examples():
-    assert totient_candidates(0) == []
-    assert totient_candidates(1) == [1, 2]
-    assert totient_candidates(2) == [1, 2, 3, 4, 6]
-    assert totient_candidates(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
 
 
 def test_phi_divides_matches_dense_division():

@@ -19,7 +19,11 @@ from nutcirc.circulant import (  # noqa: E402
     is_nut_spectral,
     kernel_oracle,
 )
-from nutcirc.cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle  # noqa: E402
+from nutcirc.cyclotomy import (  # noqa: E402
+    cyclo_divisors_accelerated,
+    cyclo_divisors_oracle,
+    totient_candidates,
+)
 from nutcirc.families import FamilyId, build_family, family_nut_check  # noqa: E402
 from nutcirc.polyalg import (  # noqa: E402
     SparsePoly,
@@ -29,7 +33,6 @@ from nutcirc.polyalg import (  # noqa: E402
     phi_divides,
     phi_fold,
     phi_remainder,
-    totient_candidates,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -58,8 +58,8 @@ RECORDS = [
     ),
     (
         CatalogEntry,
-        (14, 8, True, GeneratorSet(14, (1, 2, 3, 5)), 10, 2, False),
-        "CatalogEntry(n=14, d=8, exists=True, witness=GeneratorSet(n=14, elements=(1, 2, 3, 5)), "
+        (14, 8, True, (1, 2, 3, 5), 10, 2, False),
+        "CatalogEntry(n=14, d=8, exists=True, witness=(1, 2, 3, 5), "
         "sets_enumerated=10, sets_passing=2, skipped=False)",
     ),
 ]

@@ -56,7 +56,7 @@ def reference_catalog(d, n_min, n_max, balanced_only):
             enumerated += 1
             if is_nut_spectral(g).is_nut:
                 passing += 1
-                witness = witness or g
+                witness = witness or g.elements
         entries.append(CatalogEntry(n, d, witness is not None, witness, enumerated, passing))
     return entries
 
@@ -99,7 +99,7 @@ def test_catalog_witnesses_are_lexicographically_least_and_valid():
     for entry in catalog(8, 14, 20) + catalog(12, 16, 24):
         if not entry.exists:
             continue
-        witness = entry.witness
+        witness = GeneratorSet(entry.n, entry.witness)
         assert is_nut_spectral(witness).is_nut
         assert is_nut_kernel(witness).is_nut
         for g in enumerate_sets(entry.n, entry.d):
@@ -257,11 +257,20 @@ def test_catalog_d12_d16_entries_unchanged():
     for (d, n_min, n_max), rows in PINNED_CATALOGS.items():
         for balanced_only, jobs in ((False, 1), (True, 2)):
             expected = [
-                CatalogEntry(n, d, True, GeneratorSet(n, w), bal if balanced_only else full, passing)
+                CatalogEntry(n, d, True, w, bal if balanced_only else full, passing)
                 for n, full, bal, passing, w in rows
             ]
             got = catalog(d, n_min, n_max, jobs=jobs, balanced_only=balanced_only)
             assert got == expected, (d, balanced_only)
+
+
+def test_pinned_witnesses_are_nut_sets_by_both_routes():
+    # The catalog returns bare offsets; wrapping them validates the set.
+    for (d, _, _), rows in PINNED_CATALOGS.items():
+        for n, _, _, _, w in rows:
+            g = GeneratorSet(n, w)
+            assert g.degree == d
+            assert is_nut_spectral(g).is_nut and is_nut_kernel(g).is_nut, (n, w)
 
 
 def reference_residues(n):
