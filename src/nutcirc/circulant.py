@@ -9,7 +9,7 @@ two must always agree; tests and the acceptance suite sweep them against each
 other.
 
 The null-space oracle issues a certificate from one extended Euclid over
-F_p, p = 2^31 - 1, on the first row a(x) and x^n - 1: the monic gcd h, of
+F_p, p = 2^30 - 35, on the first row a(x) and x^n - 1: the monic gcd h, of
 degree k, and a Bezout factor u with u a = h (mod x^n - 1). Checked on the
 adjacency rows, the combination sum u_i row_i = h proves rank_p >= n - k,
 so the nullity is at most k; the cofactor (x^n - 1) / h, rational-
@@ -39,7 +39,10 @@ from .record import Record
 KERNEL_MAX_ORDER = 512
 SPECTRAL_MAX_ORDER = 10**12
 SPECTRAL_MAX_WORK = 3 * 10**7
-_PRIME = (1 << 31) - 1  # Mersenne prime: the kernel certificate works over F_p
+# The kernel certificate works over F_p. Below 2^30 every residue is one
+# 30-bit CPython digit, which the interpreter multiplies and reduces on its
+# single-digit paths.
+_PRIME = (1 << 30) - 35
 
 REASON_OK = "ok"
 REASON_ODD_ORDER = "odd-order"

@@ -12,23 +12,32 @@ completed command), 1 for domain errors (capacity, missing data, an unwritable
 --out file), 2 for usage errors (bad flags or arguments violating
 preconditions). With --json, usage errors that argparse detects also leave
 through the envelope; without it they keep argparse's usage text on stderr.
+A closed stdout (``| head``) ends the request quietly with exit code 1.
 
-Each subcommand imports only the layers it calls, when argparse reaches it:
-a cyclodiv request never compiles circulant, families or search, a search
-request never circulant, and only non-JSON output or a CSV file compiles
-``render``. So elapsed_ms, timed from the start of main, includes the import
-of the subcommand's layers.
+Each subcommand's options are declared once, as data, in ``_COMMANDS``. A
+plain request (``[--json] <subcommand>``, full flag names, one value token
+each) is read from that table directly; any other argv, and
+``build_parser()``, import argparse through ``nutcirc.argparser``, which
+builds the parser from the same table, so help, abbreviations and every
+usage message stay argparse's. Each subcommand imports only the layers it
+calls: a cyclodiv request never compiles circulant, families or search, a
+search request never circulant, and only non-JSON output or a CSV file
+compiles ``render``. So elapsed_ms, timed from the start of main, includes
+the import of the subcommand's layers.
 """
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import CapacityError, ConfigurationError, ParameterError
 
 if TYPE_CHECKING:
+    import argparse
+
     from .circulant import NutVerdict
     from .search import CatalogEntry
 
@@ -63,12 +72,6 @@ def entry_to_json(entry: CatalogEntry) -> dict[str, Any]:
 
 
 # --- subcommand implementations ----------------------------------------------
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--set", required=True, help="comma-separated generator elements")
-    parser.add_argument("--method", choices=("spectral", "kernel", "both"), default="both")
 
 
 def _run_checks(g, method: str = "both", **later) -> tuple[dict[str, Any], bool]:
@@ -108,15 +111,6 @@ def _cmd_verify(args) -> dict[str, Any]:
     return payload
 
 
-def _family_arguments(parser: argparse.ArgumentParser) -> None:
-    from .families import VARIANTS
-
-    parser.add_argument("--variant", choices=VARIANTS, required=True)
-    parser.add_argument("--t", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--check", action="store_true", help="run all nut checks")
-
-
 def _cmd_family(args) -> dict[str, Any]:
     from functools import partial
 
@@ -138,14 +132,6 @@ def _cmd_family(args) -> dict[str, Any]:
     return payload
 
 
-def _tables_arguments(parser: argparse.ArgumentParser) -> None:
-    from .families import POLY_KINDS
-
-    parser.add_argument("--kind", choices=POLY_KINDS, required=True)
-    parser.add_argument("--modulus", type=int, required=True)
-    parser.add_argument("--format", choices=("csv", "md"), default="csv")
-
-
 def _cmd_tables(args) -> dict[str, Any]:
     from .families import generate_table
     from .polyalg import sparse_to_text
@@ -164,22 +150,6 @@ def _cmd_tables(args) -> dict[str, Any]:
             for row in rows
         ],
     }
-
-
-def _search_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--degree", type=int, required=True)
-    parser.add_argument("--n-min", type=int, required=True)
-    parser.add_argument("--n-max", type=int, required=True)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--balanced",
-        action="store_true",
-        help="count only balanced sets in sets_enumerated (the walk always skips the others)",
-    )
-    parser.add_argument("--out", help="write the result document to this path")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="format of the --out file"
-    )
 
 
 def _cmd_search(args) -> dict[str, Any]:
@@ -215,11 +185,6 @@ def _cmd_search(args) -> dict[str, Any]:
     return payload
 
 
-def _cyclodiv_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--poly", required=True, help="sparse form, e.g. 5:2,4:1,0:-2")
-    parser.add_argument("--engine", choices=("oracle", "fast"), default="oracle")
-
-
 def _cmd_cyclodiv(args) -> dict[str, Any]:
     from .cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle
     from .polyalg import sparse_from_text
@@ -236,108 +201,166 @@ def _cmd_cyclodiv(args) -> dict[str, Any]:
     }
 
 
-# --- parser and dispatch -------------------------------------------------------
+# --- option table, parser and dispatch --------------------------------------
 
 
-class _UsageError(Exception):
-    """An argparse error, raised instead of exiting so main can choose the output."""
+def _variants() -> tuple[str, ...]:
+    from .families import VARIANTS
 
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        super().__init__(message)
-        self.parser = parser
-        self.message = message
+    return VARIANTS
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError on a usage error; adds its arguments on its first parse.
+def _poly_kinds() -> tuple[str, ...]:
+    from .families import POLY_KINDS
 
-    A subcommand's arguments are added by ``arguments(parser)`` only when
-    argparse parses that subcommand, because some take their choices from
-    the subcommand's layer (``families.VARIANTS``), which other subcommands
-    never load.
-    """
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            arguments, self._arguments = self._arguments, None
-            arguments(self)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message):
-        raise _UsageError(self, message)
+    return POLY_KINDS
 
 
-# subcommand -> (help, function adding its arguments, handler)
+# subcommand -> (help, handler, options). Each option maps its flag to the
+# keyword arguments of argparse's add_argument, except that choices taken
+# from a layer are a function returning them, so that only the subcommands
+# using them import that layer.
 _COMMANDS = {
-    "verify": ("decide nut-ness of Circ(n, S)", _verify_arguments, _cmd_verify),
-    "family": ("build a family generator set", _family_arguments, _cmd_family),
-    "tables": ("regenerate a residue table", _tables_arguments, _cmd_tables),
-    "search": ("catalog nut existence by order", _search_arguments, _cmd_search),
+    "verify": (
+        "decide nut-ness of Circ(n, S)",
+        _cmd_verify,
+        {
+            "--n": {"type": int, "required": True},
+            "--set": {"required": True, "help": "comma-separated generator elements"},
+            "--method": {"choices": ("spectral", "kernel", "both"), "default": "both"},
+        },
+    ),
+    "family": (
+        "build a family generator set",
+        _cmd_family,
+        {
+            "--variant": {"choices": _variants, "required": True},
+            "--t": {"type": int, "required": True},
+            "--n": {"type": int, "required": True},
+            "--check": {"action": "store_true", "help": "run all nut checks"},
+        },
+    ),
+    "tables": (
+        "regenerate a residue table",
+        _cmd_tables,
+        {
+            "--kind": {"choices": _poly_kinds, "required": True},
+            "--modulus": {"type": int, "required": True},
+            "--format": {"choices": ("csv", "md"), "default": "csv"},
+        },
+    ),
+    "search": (
+        "catalog nut existence by order",
+        _cmd_search,
+        {
+            "--degree": {"type": int, "required": True},
+            "--n-min": {"type": int, "required": True},
+            "--n-max": {"type": int, "required": True},
+            "--jobs": {"type": int, "default": 1},
+            "--balanced": {
+                "action": "store_true",
+                "help": "count only balanced sets in sets_enumerated "
+                "(the walk always skips the others)",
+            },
+            "--out": {"help": "write the result document to this path"},
+            "--format": {
+                "choices": ("json", "csv"),
+                "default": "json",
+                "help": "format of the --out file",
+            },
+        },
+    ),
     "cyclodiv": (
         "cyclotomic divisor set of a sparse polynomial",
-        _cyclodiv_arguments,
         _cmd_cyclodiv,
+        {
+            "--poly": {"required": True, "help": "sparse form, e.g. 5:2,4:1,0:-2"},
+            "--engine": {"choices": ("oracle", "fast"), "default": "oracle"},
+        },
     ),
 }
 
 
+def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a plain request, equal to argparse's, or None for any other argv.
+
+    A plain request is ``[--json] <subcommand>`` followed by full flag names
+    of the subcommand, each given at most once. Each value is one token that
+    does not start with "-", converts to the option's type and is one of its
+    choices. Anything else (help, an abbreviation, ``--n=16``, a negative
+    number, a missing flag, a bad value) returns None: argparse then parses
+    it and writes every message.
+    """
+    start = 1 if argv[:1] == ["--json"] else 0
+    if len(argv) <= start or argv[start] not in _COMMANDS:
+        return None
+    command = argv[start]
+    options = _COMMANDS[command][2]
+    given: dict[str, Any] = {}
+    tokens = iter(argv[start + 1 :])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        choices = spec.get("choices")
+        if choices is not None and value not in (choices() if callable(choices) else choices):
+            return None
+        given[flag] = value
+    args = SimpleNamespace(json=bool(start), command=command)
+    for flag, spec in options.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nutcirc",
-        description="Exact certification and search tools for circulant nut graphs.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit the JSON envelope")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, arguments=arguments)
-    return parser
+    """The argparse parser of the CLI, built from the option table (``nutcirc.argparser``)."""
+    from .argparser import build_parser
+
+    return build_parser(_COMMANDS)
 
 
 def _emit(envelope: dict[str, Any], as_json: bool) -> None:
     if as_json:
         import json
 
-        print(json.dumps(envelope, sort_keys=True))
+        text = json.dumps(envelope, sort_keys=True)
     elif envelope["status"] == "ok":
         from .render import human
 
-        print(human(envelope["command"], envelope["payload"]))
+        text = human(envelope["command"], envelope["payload"])
     else:
-        print(f"error: {envelope['payload']['message']}")
-
-
-def _usage_error(args: argparse.Namespace, exc: _UsageError, started: float) -> int:
-    """Report an argparse error: an error envelope under --json, else argparse's text.
-
-    argparse fills ``args`` in order, so ``json`` and ``command`` hold what it
-    parsed before the error: ``--json`` counts only ahead of the subcommand,
-    and ``command`` stays None until a valid subcommand name is read.
-    """
-    if not args.json:
-        argparse.ArgumentParser.error(exc.parser, exc.message)
-    envelope = {
-        "command": args.command,
-        "status": "error",
-        "payload": {"message": exc.message},
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    _emit(envelope, True)
-    return EXIT_USAGE
+        text = f"error: {envelope['payload']['message']}"
+    print(text, flush=True)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
-    args = argparse.Namespace()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
     try:
-        build_parser().parse_args(argv, args)
-    except _UsageError as exc:
-        return _usage_error(args, exc, started)
-    try:
-        payload = _COMMANDS[args.command][2](args)
+        if args is None:
+            from .argparser import parse_args
+
+            args = SimpleNamespace()
+            parse_args(_COMMANDS, argv, args)
+        payload = _COMMANDS[args.command][1](args)
         status, exit_code = "ok", EXIT_OK
     except ParameterError as exc:
         payload = {"message": str(exc)}
@@ -351,7 +374,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         "payload": payload,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    _emit(envelope, args.json)
+    try:
+        _emit(envelope, args.json)
+    except BrokenPipeError:
+        # The reader has closed stdout (``| head``). Point stdout at devnull
+        # so that the flush at exit does not fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     return exit_code
 
 

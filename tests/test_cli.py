@@ -16,7 +16,7 @@ import pytest
 
 import nutcirc
 from nutcirc import circulant, cyclotomy
-from nutcirc.cli import build_parser, main
+from nutcirc.cli import _plain_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -215,15 +215,100 @@ def test_subcommand_help_lists_choices_from_its_layer(capsys, command, choices):
     assert choices in capsys.readouterr().out
 
 
-def test_readme_cli_examples_parse():
+def _readme_cli_examples() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [line for line in block.splitlines() if line.startswith("nutcirc ")]
+    return [line for line in block.splitlines() if line.startswith("nutcirc ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_cli_examples()
     assert len(commands) == 5
     parser = build_parser()
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command in line
+
+
+# The bench's request shape of each subcommand: required options, then each
+# optional option as one unit.
+BENCH_SHAPES = {
+    "verify": (["--n", "130", "--set", "1,4,9,12"], [["--method", "spectral"]]),
+    "family": (["--variant", "ddprime", "--t", "3", "--n", "174"], [["--check"]]),
+    "tables": (["--kind", "w", "--modulus", "30"], [["--format", "md"]]),
+    "search": (
+        ["--degree", "12", "--n-min", "30", "--n-max", "36"],
+        [["--jobs", "2"], ["--balanced"], ["--out", "catalog.csv"], ["--format", "csv"]],
+    ),
+    "cyclodiv": (["--poly", "300:1,151:-3,0:2"], [["--engine", "fast"]]),
+}
+
+
+def _bench_argvs():
+    """Each bench shape with every subset of its optional options, in three orders."""
+    for command, (required, optional) in BENCH_SHAPES.items():
+        units = [required[i : i + 2] for i in range(0, len(required), 2)]
+        for mask in range(1 << len(optional)):
+            chosen = units + [unit for i, unit in enumerate(optional) if mask >> i & 1]
+            for order in (chosen, chosen[::-1], sorted(chosen)):
+                tail = [token for unit in order for token in unit]
+                yield [command, *tail]
+                yield ["--json", command, *tail]
+
+
+# Each of these argvs is for argparse alone: it reports an error, prints
+# help, or reads an abbreviation, a "--flag=value", a negative number, a
+# "--" or a repeated flag.
+DECLINED = [
+    ["--js", "verify", "--n", "16", "--set", "1,2"],
+    ["--json", "cyclodiv", "--po", "2:1,0:1"],
+    ["--json", "verify", "--n=16", "--set", "1,2"],
+    ["--json", "verify", "--n", "-4", "--set", "1,2"],
+    ["--json", "search", "--degree", "8", "--n-min", "-4", "--n-max", "4"],
+    ["--json", "verify", "--n", "16", "--n", "18", "--set", "1,2"],
+    ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check", "--check"],
+    ["--json", "--json", "verify", "--n", "16", "--set", "1,2"],
+    ["--json", "verify", "--", "--n", "16", "--set", "1,2"],
+    ["--json", "verify", "--n", "16", "--set", "1,2", "--"],
+    ["-h"],
+    ["--json", "--help"],
+    ["verify", "-h"],
+    ["--json", "cyclodiv", "--poly", "2:1,0:1", "--help"],
+    ["--json", "verify", "--n", "16"],
+    ["search", "--degree", "8", "--n-max", "12"],
+    ["--json", "verify", "--n", "1x", "--set", "1,2"],
+    ["--json", "verify", "--n", "", "--set", "1,2"],
+    ["--json", "tables", "--kind", "z", "--modulus", "3"],
+    ["--json", "family", "--variant", "bogus", "--t", "3", "--n", "16"],
+    ["--json", "cyclodiv", "--poly", "2:1,0:1", "--engine", "slow"],
+    ["--json", "frobnicate"],
+    [],
+    ["--json"],
+    ["verify", "--json", "--n", "16", "--set", "1,2"],
+    ["--json", "verify", "--n", "16", "--set"],
+    ["--json", "verify", "--n", "16", "--set", "1,2", "extra"],
+    ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check=1"],
+]
+
+# Plain requests at the edge: argparse reads these values the same way.
+EDGE_PLAIN = [
+    ["--json", "verify", "--n", " 16 ", "--set", ""],
+    ["--json", "search", "--degree", "8", "--n-min", "1_0", "--n-max", "+12"],
+    ["--json", "cyclodiv", "--poly", "5:2,4:1,0:-2"],
+]
+
+
+def test_plain_parser_agrees_with_argparse():
+    # The plain parser either declines an argv or gives argparse's arguments.
+    examples = [shlex.split(line)[1:] for line in _readme_cli_examples()]
+    plain = [*examples, *_bench_argvs(), *EDGE_PLAIN]
+    assert len(plain) == 5 + 2 * 3 * (2 + 2 + 2 + 16 + 2) + 3
+    for argv in plain:
+        args = _plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+    for argv in DECLINED:
+        assert _plain_args(argv) is None, argv
 
 
 def test_readme_lists_every_ceiling_with_its_value():
@@ -504,19 +589,43 @@ def test_human_output_renders(capsys):
     assert labels == ["spectral", "kernel", "family", "checks agree"]
 
 
-def test_console_script_is_installed():
-    # The child imports the same package as this test, installed or not.
+def _child_env() -> dict[str, str]:
+    """This environment, with the package this test imports first on the path, installed or not."""
     package_root = str(Path(nutcirc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_script_is_installed():
     result = subprocess.run(
         [sys.executable, "-m", "nutcirc.cli", "--json", "cyclodiv", "--poly", "2:2,1:1,0:2"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert result.returncode == 0
     envelope = json.loads(result.stdout)
     assert envelope["payload"]["divisors"] == []
+
+
+def test_closed_stdout_exits_1_quietly():
+    # `nutcirc --json search ... | head -c 20`: the reader is gone before the
+    # envelope is written, which must end neither in a traceback nor in
+    # "Exception ignored" at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nutcirc.cli", "--json", "search"]
+            + ["--degree", "8", "--n-min", "10", "--n-max", "28"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 1
 
 
 LAYERS = frozenset({"polyalg", "record", "cyclotomy", "circulant", "families", "search", "render"})
@@ -530,8 +639,6 @@ def _modules_added(code: str, *argv: str) -> set[str]:
     only what code adds leaves out what the interpreter's own start-up loads
     (site, .pth files).
     """
-    package_root = str(Path(nutcirc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -539,59 +646,110 @@ def _modules_added(code: str, *argv: str) -> set[str]:
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env()
     )
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
+# Loaded only by build_parser(), --help, an abbreviation or a usage error:
+# argparse, the gettext it imports and the CLI's argparse side.
+ARGPARSE = frozenset({"argparse", "gettext", "argparser"})
+
+
 @pytest.mark.parametrize(
-    "argv, used, unused",
+    "argv, exit_code, used, unused",
     [
-        ([], set(), LAYERS),
+        ([], None, ARGPARSE, LAYERS),
         (
             ["--json", "cyclodiv", "--poly", "2:1,0:1"],
+            0,
             {"cyclotomy"},
-            {"circulant", "families", "search", "render"},
+            {"circulant", "families", "search", "render"} | ARGPARSE,
         ),
         (
             ["--json", "search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
+            0,
             {"search", "polyalg"},
-            {"circulant", "families", "cyclotomy", "render"},
+            {"circulant", "families", "cyclotomy", "render"} | ARGPARSE,
         ),
         (
             ["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"],
+            0,
             {"circulant"},
-            {"families", "search", "cyclotomy", "render"},
+            {"families", "search", "cyclotomy", "render"} | ARGPARSE,
         ),
         (
             ["--json", "tables", "--kind", "q", "--modulus", "3"],
+            0,
             {"families"},
-            {"circulant", "search", "cyclotomy", "render"},
+            {"circulant", "search", "cyclotomy", "render"} | ARGPARSE,
+        ),
+        (
+            ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check"],
+            0,
+            {"families", "circulant"},
+            {"search", "cyclotomy", "render"} | ARGPARSE,
         ),
         (
             ["verify", "--n", "16", "--set", "1,2,4,5,6,7"],
+            0,
             {"circulant", "render"},
-            {"families", "search", "cyclotomy"},
+            {"families", "search", "cyclotomy"} | ARGPARSE,
         ),
         (
             ["search", "--degree", "8", "--n-min", "14", "--n-max", "14"]
             + ["--out", "{tmp}/catalog.csv", "--format", "csv"],
+            0,
             {"search", "render"},
-            {"circulant", "families", "cyclotomy"},
+            {"circulant", "families", "cyclotomy"} | ARGPARSE,
+        ),
+        (["--help"], 0, ARGPARSE, LAYERS),
+        (
+            ["--json", "family", "-h"],
+            0,
+            ARGPARSE | {"families"},
+            {"circulant", "search", "cyclotomy", "render"},
+        ),
+        (["--json", "verify", "--n", "1x", "--set", "3,4"], 2, ARGPARSE, LAYERS),
+        (
+            ["--js", "cyclodiv", "--poly", "2:1,0:1"],
+            0,
+            ARGPARSE | {"cyclotomy"},
+            {"circulant", "families", "search", "render"},
+        ),
+        (
+            ["tables", "--kind", "z", "--modulus", "3"],
+            2,
+            ARGPARSE | {"families"},
+            {"circulant", "search", "cyclotomy", "render"},
         ),
     ],
-    ids=["import", "cyclodiv", "search", "verify", "tables", "verify-human", "search-csv"],
+    ids=[
+        "import",
+        "cyclodiv",
+        "search",
+        "verify",
+        "tables",
+        "family",
+        "verify-human",
+        "search-csv",
+        "help",
+        "subcommand-help",
+        "usage-error",
+        "abbreviation",
+        "usage-error-text",
+    ],
 )
-def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(argv, used, unused, tmp_path):
+def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(
+    argv, exit_code, used, unused, tmp_path
+):
     """A CLI request loads the layers its subcommand calls, no others, and no dataclasses.
 
     Every request is one process, and where no .pyc can be written each
-    module it loads is compiled again: `import nutcirc.cli` plus
-    `build_parser()` stops at `nutcirc.errors`, and a subcommand adds only its
+    module it loads is compiled again. A plain request loads neither argparse
+    nor gettext: only `build_parser()`, --help, an abbreviation and a usage
+    error do, and `build_parser()` loads no layer. A subcommand adds only its
     own layers. A search builds on polyalg alone, and the renderer is loaded
     only for human output or a CSV file, never for a JSON envelope. The
     records are built without dataclasses, which generate their methods with
@@ -599,15 +757,20 @@ def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(argv, used, unu
     """
     code = (
         "from nutcirc.cli import build_parser, main\n"
-        "build_parser()\n"
         "if sys.argv[1:]:\n"
-        "    assert main(sys.argv[1:]) == 0"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"    assert code == {exit_code}, code\n"
+        "else:\n"
+        "    build_parser()"
     )
     added = _modules_added(code, *(arg.format(tmp=tmp_path) for arg in argv))
     assert not {"dataclasses", "inspect"} & added
-    layers = {name.split(".", 1)[1] for name in added if name.startswith("nutcirc.")}
-    assert used <= layers
-    assert not unused & layers
+    names = {name.removeprefix("nutcirc.") for name in added}
+    assert used <= names
+    assert not unused & names
 
 
 def test_package_exports_load_on_first_use():
@@ -624,4 +787,4 @@ def test_package_exports_load_on_first_use():
         getattr(nutcirc, "no_such_name")
     added = _modules_added("import nutcirc")
     assert "nutcirc" in added
-    assert not {f"nutcirc.{name}" for name in LAYERS | {"cli", "errors"}} & added
+    assert not {f"nutcirc.{name}" for name in LAYERS | {"argparser", "cli", "errors"}} & added
