@@ -48,12 +48,11 @@ _EXPORTS = {
             "unique_remainder_exists",
         ),
         "polyalg": (
-            "DensePoly",
             "SparsePoly",
             "cyclotomic",
-            "dense_div_rem",
             "euler_phi",
             "phi_divides",
+            "phi_remainder",
             "reduce_mod_xb",
         ),
         "search": ("CatalogEntry", "catalog"),

@@ -1,8 +1,9 @@
 """Command-line entry point: verify, family, tables, search, cyclodiv.
 
 Every invocation emits an envelope {command, status, payload, elapsed_ms};
-with --json the envelope is printed as JSON with sorted keys, otherwise a
-human-readable rendering of the payload is shown. Payloads contain no
+with --json the envelope is printed as JSON with sorted keys on stdout,
+otherwise a human-readable rendering of the payload is shown there, and an
+error prints ``error: <message>`` on stderr. Payloads contain no
 timestamps, so identical invocations produce identical payload bytes.
 Polynomial coefficients and kernel-vector entries are serialized as decimal
 strings because they can exceed 64-bit range.
@@ -145,7 +146,7 @@ def _cmd_tables(args) -> dict[str, Any]:
             {
                 "residue": row.residue,
                 "reduced": sparse_to_text(row.reduced),
-                "remainder": sparse_to_text(row.remainder.to_sparse()),
+                "remainder": sparse_to_text(row.remainder),
             }
             for row in rows
         ],
@@ -336,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(envelope: dict[str, Any], as_json: bool) -> None:
+    stream = sys.stdout
     if as_json:
         import json
 
@@ -346,7 +348,8 @@ def _emit(envelope: dict[str, Any], as_json: bool) -> None:
         text = human(envelope["command"], envelope["payload"])
     else:
         text = f"error: {envelope['payload']['message']}"
-    print(text, flush=True)
+        stream = sys.stderr
+    print(text, file=stream, flush=True)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -10,13 +10,14 @@ division-free ``phi_divides``. Both examine only the indices b with
 euler_phi(b) <= deg p, which ``totient_candidates`` lists.
 
 Each engine refuses an input above its ceilings with CapacityError before
-it lists a candidate. Measured on a 2-core machine (Python 3.11): the
-oracle takes 0.7 s on a trinomial, 2.1 s on ten terms and 9.0 s on 400
-terms at its degree ceiling of 1000. The accelerated engine takes 0.2 s on
-a trinomial or ten terms of degree 10 000 (under 20 MB). Its cost grows
-with terms times degree, so it also bounds that product: 1.1 s on a dense
-polynomial of degree 999 and 2.3 s on 100 terms of degree 10 000, both
-just under the work ceiling.
+it lists a candidate. Measured together on a 2-core machine (Python 3.11,
+a fresh process per run, two or three runs): at its degree ceiling of 1000
+the oracle takes 0.8 to 1.0 s on a trinomial, 1.3 to 1.5 s on ten terms,
+6.5 to 6.6 s on 400 terms and 7.8 s on a dense polynomial. The
+accelerated engine takes 0.1 to 0.2 s on a trinomial or ten terms of
+degree 10 000 (under 20 MB). Its cost grows with terms times degree, so it
+also bounds that product: 2.5 to 3.1 s on a dense polynomial of degree 999
+and 3.5 to 3.8 s on 100 terms of degree 10 000, both at the work ceiling.
 """
 from __future__ import annotations
 
@@ -76,8 +77,8 @@ def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
 
     Phi_b has degree euler_phi(b), so only indices with euler_phi(b) <= deg p
     can divide p; each of them is tested by phi_remainder. The cost does not
-    follow terms times degree (0.7 s for a trinomial, 11 s dense, both at
-    degree 1000), so only the degree is bounded.
+    follow terms times degree (about 1 s for a trinomial, 8 s dense, both
+    at degree 1000), so only the degree is bounded.
     """
     _check_degree(p, ORACLE_MAX_DEGREE, "oracle")
     candidates = totient_candidates(p.degree)

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Union
 
 from .errors import CapacityError, ConfigurationError, ParameterError
 from .polyalg import (
-    DensePoly,
     SparsePoly,
     is_prime,
     phi_divides,
@@ -226,7 +225,7 @@ class TableRow(Record):
     modulus: int
     residue: int
     reduced: SparsePoly
-    remainder: DensePoly
+    remainder: SparsePoly
 
 
 class GoldenMismatch(Record):
@@ -314,7 +313,7 @@ def appendix_golden_check(data_dir: Union[Path, str, None] = None) -> GoldenRepo
                         GoldenMismatch(kind, modulus, row.residue, "row", "<present>", "<missing>")
                     )
                     continue
-                actual = (sparse_to_text(row.reduced), sparse_to_text(row.remainder.to_sparse()))
+                actual = (sparse_to_text(row.reduced), sparse_to_text(row.remainder))
                 for field, expected, got in zip(("reduced", "remainder"), golden, actual):
                     if got != expected:
                         mismatches.append(

@@ -1,11 +1,10 @@
 """Exact integer polynomial arithmetic.
 
-Two representations are used throughout the package: a dense ascending
-coefficient vector (``DensePoly``) for cyclotomic polynomials, quotients and
-remainders, and a sparse exponent-to-coefficient map (``SparsePoly``) for the
-lacunary six-term family polynomials and circulant eigenvalue polynomials.
-Coefficients are arbitrary-precision integers everywhere; no operation in this
-module ever rounds, so divisibility verdicts are exact.
+One representation is used throughout the package: ``SparsePoly``, a map
+from exponent to nonzero coefficient, for the lacunary six-term family
+polynomials, circulant eigenvalue polynomials, cyclotomic polynomials and
+remainders alike. Coefficients are arbitrary-precision integers everywhere;
+no operation in this module ever rounds, so divisibility verdicts are exact.
 
 Three primitives answer every question about Phi_b. ``phi_remainder``
 gives the remainder, by exact division. ``phi_fold`` is the linear one: it
@@ -22,44 +21,6 @@ from typing import Union
 from .errors import ParameterError
 
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-
-
-class DensePoly:
-    """Integer polynomial as a coefficient tuple, ascending from x^0.
-
-    Trailing zeros are trimmed on construction, so the last coefficient is
-    nonzero unless the polynomial is zero (empty tuple). The zero polynomial
-    has degree -1. Polynomials compare by value and are unhashable.
-    """
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def to_sparse(self) -> "SparsePoly":
-        return SparsePoly((i, c) for i, c in enumerate(self.coeffs) if c != 0)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"DensePoly({dense_to_text(self)!r})"
 
 
 class SparsePoly:
@@ -93,14 +54,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def to_dense(self) -> DensePoly:
-        if not self.terms:
-            return DensePoly()
-        out = [0] * (self.degree + 1)
-        for e, c in self.terms.items():
-            out[e] = c
-        return DensePoly(out)
-
     def items_descending(self) -> Iterator[tuple[int, int]]:
         for e in sorted(self.terms, reverse=True):
             yield e, self.terms[e]
@@ -116,39 +69,8 @@ class SparsePoly:
         return f"SparsePoly({sparse_to_text(self)!r})"
 
 
-def dense_div_rem(a: DensePoly, b: DensePoly) -> tuple[DensePoly, DensePoly]:
-    """Exact long division: a = q*b + r with deg r < deg b.
-
-    The divisor must be nonzero and each elimination step must stay integral,
-    which holds for every monic divisor. A non-monic divisor that would force
-    a fractional quotient coefficient raises ParameterError.
-    """
-    if b.is_zero():
-        raise ParameterError("division by the zero polynomial")
-    ra = list(a.coeffs)
-    bc = b.coeffs
-    m = len(bc)
-    if len(ra) < m:
-        return DensePoly(), a
-    lead = bc[-1]
-    q = [0] * (len(ra) - m + 1)
-    for i in range(len(ra) - m, -1, -1):
-        c = ra[i + m - 1]
-        if c == 0:
-            continue
-        t, frac = divmod(c, lead)
-        if frac != 0:
-            raise ParameterError(
-                f"non-integral quotient step ({c} / {lead}); divisor must be monic"
-            )
-        q[i] = t
-        for j in range(m):
-            ra[i + j] -= t * bc[j]
-    return DensePoly(q), DensePoly(ra[: m - 1])
-
-
-# Bound on the factorization and cyclotomic memos: scans revisit an index
-# only shortly after first use, so a modest window keeps the hits and caps memory.
+# Bound on the factorization memo: scans revisit an index only shortly after
+# first use, so a modest window keeps the hits and caps memory.
 ARITH_CACHE_SIZE = 4096
 
 
@@ -194,16 +116,16 @@ def euler_phi(b: int) -> int:
     return result
 
 
-@lru_cache(maxsize=ARITH_CACHE_SIZE)
-def cyclotomic(b: int) -> DensePoly:
+def cyclotomic(b: int) -> SparsePoly:
     """The b-th cyclotomic polynomial: monic, integer, degree euler_phi(b).
 
     Built without division as the power series of the Moebius product of
     (1 - x^(b/e))^mu(e) over squarefree e | b: mu(e) = +1 is a stride-(b/e)
     difference, mu(e) = -1 a stride-(b/e) prefix sum. For b >= 2 the signs
     cancel and Phi_b is palindromic, so the series is cut after
-    x^(euler_phi(b) // 2) and mirrored. Memoized process-wide, bounded
-    like the factorization memo.
+    x^(euler_phi(b) // 2) and mirrored. Not memoized: a build costs about a
+    third of one phi_remainder by Phi_b, and a memo would hold every Phi_b
+    the oracle tries, about 1.8 MB at degree 300.
     """
     if b < 1:
         raise ParameterError(f"cyclotomic needs b >= 1, got {b}")
@@ -226,17 +148,30 @@ def cyclotomic(b: int) -> DensePoly:
                 for i in range(k, half):
                     coeffs[i] += coeffs[i - k]
         coeffs += reversed(coeffs[: phi + 1 - half])
-    return DensePoly(coeffs)
+    return SparsePoly(enumerate(coeffs))
 
 
-def phi_remainder(p: SparsePoly, b: int) -> DensePoly:
+def phi_remainder(p: SparsePoly, b: int) -> SparsePoly:
     """Remainder of p modulo Phi_b, for b >= 1, by exact division.
 
-    Phi_b divides x^b - 1, so p is first folded modulo x^b - 1 into a
-    polynomial of degree below b, and only that is divided by Phi_b. The
-    remainder is linear in p.
+    Phi_b divides x^b - 1, so p is first folded modulo x^b - 1 into a list
+    of b coefficients, and only that is divided by Phi_b, in place. Phi_b is
+    monic, so each step's quotient term is the leading coefficient, and the
+    step subtracts it times Phi_b's other nonzero terms. The remainder is
+    linear in p.
     """
-    return dense_div_rem(reduce_mod_xb(p, b).to_dense(), cyclotomic(b))[1]
+    cyclo = cyclotomic(b)
+    phi = cyclo.degree
+    lower = [(e - phi, c) for e, c in cyclo.terms.items() if e != phi]
+    coeffs = [0] * b
+    for e, c in p.terms.items():
+        coeffs[e % b] += c
+    for i in range(b - 1, phi - 1, -1):
+        q = coeffs[i]
+        if q:
+            for k, c in lower:
+                coeffs[i + k] -= q * c
+    return SparsePoly(enumerate(coeffs[:phi]))
 
 
 def phi_fold(p: SparsePoly, b: int) -> dict[int, int]:
@@ -291,7 +226,6 @@ def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:
 #
 # Sparse form: `exp:coeff` pairs joined by commas, exponents strictly
 # descending (the zero polynomial is the literal "0").
-# Dense form: comma-separated coefficients ascending from x^0.
 
 
 def sparse_to_text(p: SparsePoly) -> str:
@@ -314,9 +248,3 @@ def sparse_from_text(text: str) -> SparsePoly:
     if any(e <= e_next for (e, _), (e_next, _) in zip(pairs, pairs[1:])):
         raise ParameterError(f"sparse polynomial exponents must be strictly descending: {body!r}")
     return SparsePoly(pairs)
-
-
-def dense_to_text(p: DensePoly) -> str:
-    if p.is_zero():
-        return "0"
-    return ",".join(str(c) for c in p.coeffs)

@@ -553,9 +553,10 @@ def test_search_csv_without_out_is_usage_error(capsys):
     assert envelope["status"] == "error"
     assert envelope["command"] == "search"
     assert "--out" in envelope["payload"]["message"]
-    code, out = run_cli(capsys, *argv)
-    assert code == 2
-    assert out.startswith("error: --format csv needs --out")
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --format csv needs --out")
 
 
 def test_search_unwritable_out_is_domain_error(capsys, tmp_path):
@@ -568,6 +569,25 @@ def test_search_unwritable_out_is_domain_error(capsys, tmp_path):
     assert envelope["command"] == "search"
     assert str(out_path) in envelope["payload"]["message"]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, fragment",
+    [
+        (["search", "--degree", "8", "--n-min", "14", "--n-max", "14", "--out"], 1, "--out"),
+        (["verify", "--n", "16", "--set", "9"], 2, "n/2"),
+    ],
+    ids=["unwritable-out", "bad-set"],
+)
+def test_errors_without_json_go_to_stderr(capsys, tmp_path, argv, exit_code, fragment):
+    # `nutcirc verify --n 16 --set 9 > out.txt` must leave out.txt empty.
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "missing" / "x.json")]
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+    assert fragment in captured.err
 
 
 def test_search_order_below_two_is_usage_error(capsys):

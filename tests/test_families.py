@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import shutil
+import sys
 
 import pytest
 from polyref import evaluate
 
-from nutcirc import circulant, families, polyalg, search
+from nutcirc import circulant, families, search
 from nutcirc.circulant import is_nut_kernel, is_nut_spectral, parity_balanced
+from nutcirc.cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle
 from nutcirc.errors import CapacityError, ConfigurationError, ParameterError
 from nutcirc.families import (
     FamilyId,
@@ -196,20 +198,39 @@ def test_family_nut_check_agrees_with_both_routes_small_grid():
         assert is_nut_kernel(g).is_nut
 
 
+def _forbid(monkeypatch, name: str) -> None:
+    """Make the polyalg function name raise, in polyalg and wherever it was imported by name."""
+
+    def forbidden(*args):
+        raise AssertionError(f"{name} called")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "nutcirc" and hasattr(module, name):
+            monkeypatch.setattr(module, name, forbidden)
+
+
 def test_divisibility_checks_form_no_cyclotomic_and_divide_nothing(monkeypatch):
     # phi_fold decides without Phi_b, so the spectral route at a large order,
-    # both family checks and the catalog's residues leave the cyclotomic memo
-    # cold.
-    def no_division(a, b):
-        raise AssertionError("dense_div_rem called on a divisibility path")
-
-    monkeypatch.setattr(polyalg, "dense_div_rem", no_division)
-    polyalg.cyclotomic.cache_clear()
+    # both family checks and the catalog's residues never form Phi_b or
+    # reach the one division, phi_remainder.
+    _forbid(monkeypatch, "cyclotomic")
+    _forbid(monkeypatch, "phi_remainder")
     assert is_nut_spectral(build_family(FamilyId("dprime", 3, 27720))).is_nut
     assert family_nut_check(FamilyId("dprime", 5, 4620)).is_nut
     assert family_nut_check(FamilyId("ddprime", 4, 2310)).is_nut
     search._pack_residues(2310, 2)
-    assert polyalg.cyclotomic.cache_info().misses == 0
+
+
+def test_oracle_decides_by_division_alone(monkeypatch):
+    # The converse guard: the oracle divides by Phi_b and never folds, so it
+    # finds the same divisors of the acceptance polynomials with phi_fold
+    # (and with it phi_divides) unavailable.
+    polys = [family_poly(FamilyPolyId(kind, t)) for t in range(3, 16, 2) for kind in ("q", "r")]
+    polys += [family_poly(FamilyPolyId(kind, t)) for t in range(2, 11) for kind in ("u", "w")]
+    polys += [SparsePoly({k * 2: 2, k: sign, 0: 2}) for k in (5, 3, 1) for sign in (1, -1)]
+    expected = [cyclo_divisors_accelerated(p).divisors for p in polys]
+    _forbid(monkeypatch, "phi_fold")
+    assert [cyclo_divisors_oracle(p).divisors for p in polys] == expected
 
 
 def test_family_ceilings_are_inclusive(monkeypatch):
@@ -237,18 +258,18 @@ def test_family_ceilings_refuse_before_building_or_factoring():
 def test_generate_table_known_rows():
     q3 = {row.residue: row for row in generate_table("q", 3)}
     assert q3[0].reduced == SparsePoly({2: 3, 0: -3})
-    assert q3[0].remainder.coeffs == (-6, -3)
+    assert q3[0].remainder == SparsePoly({0: -6, 1: -3})
 
     r5 = {row.residue: row for row in generate_table("r", 5)}
     assert r5[2].reduced == SparsePoly({0: -1, 1: 3, 2: -3, 3: 1})
-    assert r5[2].remainder.coeffs == (-1, 3, -3, 1)
+    assert r5[2].remainder == SparsePoly({0: -1, 1: 3, 2: -3, 3: 1})
 
     u6 = {row.residue: row for row in generate_table("u", 6)}
     assert u6[1].reduced == SparsePoly({0: 1, 4: -1})
-    assert u6[1].remainder.coeffs == (1, 1)
+    assert u6[1].remainder == SparsePoly({0: 1, 1: 1})
 
     w30 = {row.residue: row for row in generate_table("w", 30)}
-    assert w30[29].remainder.coeffs == (3, -2, 0, -1, -2, -2, 1, -1)
+    assert w30[29].remainder == SparsePoly(enumerate((3, -2, 0, -1, -2, -2, 1, -1)))
 
 
 def test_generate_table_validation():

@@ -5,16 +5,13 @@ import math
 import random
 
 import pytest
-from polyref import add, compose_xpow, evaluate, mul, sub, x_pow_minus_one
+from polyref import add, compose_xpow, div_rem, evaluate, mul, sub, x_pow_minus_one
 
 from nutcirc.cyclotomy import totient_candidates
 from nutcirc.errors import ParameterError
 from nutcirc.polyalg import (
-    DensePoly,
     SparsePoly,
     cyclotomic,
-    dense_div_rem,
-    dense_to_text,
     divisors,
     euler_phi,
     phi_divides,
@@ -29,80 +26,71 @@ Q3 = SparsePoly({5: 2, 4: 1, 3: -1, 2: 1, 1: -1, 0: -2})
 U2 = SparsePoly({8: 1, 7: 2, 5: -2, 3: 2, 1: -2, 0: -1})
 
 
-def test_dense_trims_trailing_zeros():
-    p = DensePoly([1, 2, 0, 0])
-    assert p.coeffs == (1, 2)
-    assert p.degree == 1
-    assert DensePoly([0, 0]).is_zero()
-    assert DensePoly().degree == -1
+def test_phi_remainder_x2_minus_1_by_phi1():
+    # x^2 - 1 = (x + 1)(x - 1).
+    a = SparsePoly({2: 1, 0: -1})
+    assert phi_remainder(a, 1).is_zero()
+    assert div_rem(a, cyclotomic(1)) == (SparsePoly({1: 1, 0: 1}), SparsePoly())
 
 
-def test_dense_div_rem_factorization():
-    q, r = dense_div_rem(DensePoly([-1, 0, 1]), DensePoly([-1, 1]))
-    assert q == DensePoly([1, 1])
-    assert r.is_zero()
-
-
-def test_dense_div_rem_q3_reduction_remainder():
+def test_phi_remainder_q3_reduction():
     # (-3 + 3x^2) divided by Phi_3 leaves -6 - 3x.
-    q, r = dense_div_rem(DensePoly([-3, 0, 3]), cyclotomic(3))
-    assert q == DensePoly([3])
-    assert r == DensePoly([-6, -3])
+    a = SparsePoly({2: 3, 0: -3})
+    assert phi_remainder(a, 3) == SparsePoly({1: -3, 0: -6})
+    assert div_rem(a, cyclotomic(3)) == (SparsePoly({0: 3}), SparsePoly({1: -3, 0: -6}))
 
 
-def test_dense_div_rem_ten_five_binomial_by_phi4():
-    # Schoolbook long division oracle, worked by hand: x^2 = -1 at the roots,
-    # so 2x^10 + x^5 + 2 = (x^2+1)*q + x; the remainder is exactly x.
-    a = DensePoly([2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2])
-    q, r = dense_div_rem(a, cyclotomic(4))
-    assert r == DensePoly([0, 1])
+def test_phi_remainder_ten_five_binomial_by_phi4():
+    # Schoolbook long division, worked by hand: x^2 = -1 at the roots, so
+    # 2x^10 + x^5 + 2 = (x^2+1)*q + x; the remainder is exactly x.
+    a = SparsePoly({10: 2, 5: 1, 0: 2})
+    r = phi_remainder(a, 4)
+    assert r == SparsePoly({1: 1})
     assert not r.is_zero()
+    q, reference = div_rem(a, cyclotomic(4))
+    assert reference == r
     assert add(mul(q, cyclotomic(4)), r) == a
 
 
-def test_dense_div_rem_rejects_zero_divisor():
-    with pytest.raises(ParameterError):
-        dense_div_rem(DensePoly([1, 1]), DensePoly())
+def test_phi_remainder_rejects_index_below_one():
+    for b in (0, -3):
+        with pytest.raises(ParameterError):
+            phi_remainder(Q3, b)
 
 
-def test_dense_div_rem_rejects_fractional_step():
-    with pytest.raises(ParameterError):
-        dense_div_rem(DensePoly([1, 0, 1]), DensePoly([1, 2]))
-
-
-def test_dense_div_rem_round_trip_random_monic():
+def test_reference_long_division_round_trip_random_monic():
     rng = random.Random(20240811)
     for _ in range(200):
-        a = DensePoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))])
+        a = SparsePoly(enumerate(rng.randint(-9, 9) for _ in range(rng.randint(0, 12))))
         b_coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [1]
-        b = DensePoly(b_coeffs)
-        q, r = dense_div_rem(a, b)
+        b = SparsePoly(enumerate(b_coeffs))
+        q, r = div_rem(a, b)
         assert add(mul(q, b), r) == a
         assert r.degree < b.degree
 
 
 def test_cyclotomic_small_values():
-    assert cyclotomic(1) == DensePoly([-1, 1])
-    assert cyclotomic(2) == DensePoly([1, 1])
-    assert cyclotomic(6) == DensePoly([1, -1, 1])
+    assert cyclotomic(1) == SparsePoly({1: 1, 0: -1})
+    assert cyclotomic(2) == SparsePoly({1: 1, 0: 1})
+    assert cyclotomic(6) == SparsePoly({2: 1, 1: -1, 0: 1})
     # Derived by dividing x^12 - 1 by Phi_1 Phi_2 Phi_3 Phi_4 Phi_6.
-    assert cyclotomic(12) == DensePoly([1, 0, -1, 0, 1])
+    assert cyclotomic(12) == SparsePoly({4: 1, 2: -1, 0: 1})
 
 
-def _cyclotomic_by_division(b: int, memo: dict[int, DensePoly]) -> DensePoly:
+def _cyclotomic_by_division(b: int, memo: dict[int, SparsePoly]) -> SparsePoly:
     # Reference construction: divide x^b - 1 by every lower Phi_d, d | b
     # (largest first, which keeps the intermediate quotients short).
     if b not in memo:
         quo = x_pow_minus_one(b)
         for d in reversed(divisors(b)[:-1]):
-            quo, rem = dense_div_rem(quo, _cyclotomic_by_division(d, memo))
+            quo, rem = div_rem(quo, _cyclotomic_by_division(d, memo))
             assert rem.is_zero()
         memo[b] = quo
     return memo[b]
 
 
 def test_cyclotomic_matches_division_construction():
-    memo: dict[int, DensePoly] = {}
+    memo: dict[int, SparsePoly] = {}
     for b in [*range(1, 501), 2310, 4620]:
         assert cyclotomic(b) == _cyclotomic_by_division(b, memo), b
 
@@ -119,7 +107,7 @@ def test_cyclotomic_degree_is_totient():
 
 def test_cyclotomic_product_over_divisors():
     for b in range(1, 61):
-        product = DensePoly([1])
+        product = SparsePoly({0: 1})
         for d in divisors(b):
             product = mul(product, cyclotomic(d))
         assert product == x_pow_minus_one(b)
@@ -161,14 +149,44 @@ def test_phi_divides_matches_dense_division():
                 (rng.randint(0, max(0, 150 - euler_phi(planted))), rng.choice((-1, 1, 2)))
                 for _ in range(rng.randint(1, 10))
             )
-            poly = mul(cofactor, cyclotomic(planted)).to_sparse()
+            poly = mul(cofactor, cyclotomic(planted))
             if not cofactor.is_zero():
                 assert phi_divides(poly, planted)
-        dense = poly.to_dense()
         for b in sorted(set(totient_candidates(min(poly.degree, 150))) | set(large)):
-            remainder = dense_div_rem(dense, cyclotomic(b))[1]
+            remainder = div_rem(poly, cyclotomic(b))[1]
             assert phi_remainder(poly, b) == remainder, (sparse_to_text(poly), b)
             assert phi_divides(poly, b) == remainder.is_zero(), (sparse_to_text(poly), b)
+
+
+def test_cyclotomic_and_remainder_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def from_sympy(poly) -> SparsePoly:
+        return SparsePoly((e, int(c)) for (e,), c in sympy.Poly(poly, x).as_dict().items())
+
+    def to_sympy(p: SparsePoly):
+        return sympy.Poly.from_dict({(e,): c for e, c in p.terms.items()}, x)
+
+    for b in range(1, 301):
+        assert cyclotomic(b) == from_sympy(sympy.cyclotomic_poly(b, x)), b
+    rng = random.Random(20261019)
+    indices = totient_candidates(150)
+    for i in range(50):
+        b = rng.choice(indices)
+        phi_b = sympy.Poly(sympy.cyclotomic_poly(b, x), x)
+        degree = 150 - euler_phi(b) if i % 2 else 150
+        poly = to_sympy(
+            SparsePoly(
+                (rng.randint(0, degree), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(1, 10))
+            )
+        )
+        if i % 2:
+            poly *= phi_b
+        expected = from_sympy(sympy.rem(poly, phi_b))
+        assert phi_remainder(from_sympy(poly), b) == expected, (b, i)
+        assert expected.is_zero() or not i % 2
 
 
 def test_phi_divides_edge_cases():
@@ -180,7 +198,7 @@ def test_phi_divides_edge_cases():
     assert phi_divides(SparsePoly(), 5)
     # Folding x^7 - x^2 modulo x^5 - 1 cancels it; Phi_4 leaves x^3 + 1 as -x + 1.
     assert phi_remainder(SparsePoly({7: 1, 2: -1}), 5).is_zero()
-    assert phi_remainder(SparsePoly({3: 1, 0: 1}), 4) == DensePoly([1, -1])
+    assert phi_remainder(SparsePoly({3: 1, 0: 1}), 4) == SparsePoly({1: -1, 0: 1})
     with pytest.raises(ParameterError):
         phi_divides(Q3, 0)
 
@@ -205,7 +223,7 @@ def test_reduce_mod_xb_difference_divisible():
             (rng.randint(0, 90), rng.randint(-5, 5)) for _ in range(rng.randint(0, 8))
         )
         diff = sub(p, reduce_mod_xb(p, b))
-        assert dense_div_rem(diff, x_pow_minus_one(b))[1].is_zero()
+        assert div_rem(diff, x_pow_minus_one(b))[1].is_zero()
 
 
 def test_sparse_collision_and_zero_handling():
@@ -225,13 +243,8 @@ def test_sparse_text_round_trip():
             sparse_from_text(text)
 
 
-def test_dense_text_round_trip():
-    p = DensePoly([-2, -1, 1, -1, 1, 2])
-    assert dense_to_text(p) == "-2,-1,1,-1,1,2"
-    assert dense_to_text(DensePoly()) == "0"
-
-
 def test_evaluate_both_representations():
     assert evaluate(Q3, 1) == 0
     assert evaluate(Q3, -1) == 0
-    assert evaluate(Q3.to_dense(), 2) == evaluate(Q3, 2)
+    # A map and a list of pairs build the same polynomial.
+    assert evaluate(SparsePoly(sorted(Q3.terms.items())), 2) == evaluate(Q3, 2) == 72

@@ -103,7 +103,7 @@ def lacunary_polys(draw, degree_max=200, terms_max=10):
     coefficient = st.integers(min_value=-3, max_value=3).filter(bool)
     p = SparsePoly({e: draw(coefficient) for e in exponents | {degree}})
     if planted:
-        p = mul(p, cyclotomic(planted)).to_sparse()
+        p = mul(p, cyclotomic(planted))
     return p, planted
 
 
@@ -142,7 +142,7 @@ def polys_with_index(draw, degree_max=300, terms_max=10):
     p = SparsePoly({e: draw(coefficient) for e in exponents})
     planted = draw(st.booleans())
     if planted:
-        p = mul(p, cyclotomic(b)).to_sparse()
+        p = mul(p, cyclotomic(b))
     return p, b, planted
 
 

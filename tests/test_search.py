@@ -287,8 +287,8 @@ def reference_residues(n):
     for s in range(n // 2):
         row = []
         for b in indices:
-            rem = phi_remainder(SparsePoly([(s, 1), (n - s, 1)]), b).coeffs
-            row += rem + (0,) * (euler_phi(b) - len(rem))
+            rem = phi_remainder(SparsePoly([(s, 1), (n - s, 1)]), b).terms
+            row += [rem.get(i, 0) for i in range(euler_phi(b))]
         table.append(row)
     bounds = list(accumulate((euler_phi(b) for b in indices), initial=0))
     return table, list(zip(bounds, bounds[1:]))
