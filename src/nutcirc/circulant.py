@@ -9,19 +9,19 @@ two must always agree; tests and the acceptance suite sweep them against each
 other.
 
 The null-space oracle issues a certificate from one extended Euclid over
-F_p, p = 2^30 - 35, on the first row a(x) and x^n - 1: the monic gcd h, of
-degree k, and a Bezout factor u with u a = h (mod x^n - 1). Checked on the
-adjacency rows, the combination sum u_i row_i = h proves rank_p >= n - k,
-so the nullity is at most k; the cofactor (x^n - 1) / h, rational-
-reconstructed and checked exactly against A v = 0, is a kernel vector whose
-k cyclic shifts are independent, so the nullity is at least k. For k = 1 the
-primitive cofactor is the kernel vector. If a check fails, fraction-free
-integer (Bareiss) elimination decides instead. No step uses floating point,
-and nothing here depends on the spectral side.
+F_p on the first row a(x) and x^n - 1: the monic gcd h, of degree k, and a
+Bezout factor u with u a = h (mod x^n - 1). Checked on the adjacency rows,
+the combination sum u_i row_i = h proves rank_p >= n - k, so the nullity is
+at most k; the cofactor (x^n - 1) / h, lifted to the integers and checked
+exactly against A v = 0, is a kernel vector whose k cyclic shifts are
+independent, so the nullity is at least k. For k = 1 the primitive cofactor
+is the kernel vector. The certificate is tried at two fixed primes in turn;
+if both fail, the oracle refuses rather than answer unchecked. No step uses
+floating point, and nothing here depends on the spectral side.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import gcd
 from typing import Optional, Union
 
 from .errors import CapacityError, ParameterError
@@ -29,20 +29,21 @@ from .polyalg import SparsePoly, divisors, phi_divides, prime_factorization
 from .record import Record
 
 # Size ceilings, each checked before any work; timings on a 2-core machine.
-# KERNEL_MAX_ORDER bounds the kernel oracle's cubic fallback, Bareiss
-# elimination: 0.6 s at n = 256 and 4 to 5 s at n = 512 (timed with the
-# certificate made to fail). The certificate itself is quadratic, about
-# 26 ms at n = 512. Listing the spectral indices factors n by trial
-# division, about 0.1 s near 10^12. The spectral work, terms times the sum
-# of 2^omega(b) over those indices, bounds the phi_divides passes: 4118
-# random offsets at n = 720 720 (work 3.0 * 10^7) take 3 to 4 s.
-KERNEL_MAX_ORDER = 512
+# KERNEL_MAX_ORDER bounds the kernel certificate, which is quadratic: at
+# n = 2048 it takes 0.9 to 1.2 s on random degree-8 sets, 1.3 to 1.6 s on
+# 50 to 1000 random offsets and 0.2 to 0.4 s on the dprime and ddprime
+# members with t <= 5 (22 ms for dprime t = 3 at n = 512). Listing the
+# spectral indices factors n by trial division, about 0.1 s near 10^12.
+# The spectral work, terms times the sum of 2^omega(b) over those indices,
+# bounds the phi_divides passes: 4118 random offsets at n = 720 720 (work
+# 3.0 * 10^7) take 3 to 4 s.
+KERNEL_MAX_ORDER = 2048
 SPECTRAL_MAX_ORDER = 10**12
 SPECTRAL_MAX_WORK = 3 * 10**7
-# The kernel certificate works over F_p. Below 2^30 every residue is one
-# 30-bit CPython digit, which the interpreter multiplies and reduces on its
-# single-digit paths.
-_PRIME = (1 << 30) - 35
+# The kernel certificate works over F_p for each of these primes in turn.
+# Below 2^30 every residue is one 30-bit CPython digit, which the
+# interpreter multiplies and reduces on its single-digit paths.
+_PRIMES = ((1 << 30) - 35, (1 << 30) - 41)
 
 REASON_OK = "ok"
 REASON_ODD_ORDER = "odd-order"
@@ -178,56 +179,6 @@ def spectral_indices(n: int) -> list[int]:
     return [b for b in divisors(n) if b >= 3]
 
 
-def adjacency_matrix(g: GeneratorSet) -> list[list[int]]:
-    """Dense 0/1 circulant adjacency matrix of Circ(n, S)."""
-    n = g.n
-    offsets = set()
-    for s in g.elements:
-        offsets.add(s)
-        offsets.add(n - s)
-    first = [1 if j in offsets else 0 for j in range(n)]
-    return [first[-i:] + first[:-i] for i in range(n)]
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon; returns (matrix, pivot columns).
-
-    One-step Bareiss: each update divides exactly by the previous pivot, so
-    every intermediate entry stays an integer (a minor of the original
-    matrix).
-    """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    piv_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, n_rows):
-            row_i = rows[i]
-            ric = row_i[c]
-            if ric:
-                tail = [
-                    (piv * a - ric * b) // prev
-                    for a, b in zip(row_i[c + 1 :], row_r[c + 1 :])
-                ]
-            else:
-                tail = [(piv * a) // prev for a in row_i[c + 1 :]]
-            rows[i] = row_i[: c] + [0] + tail
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, piv_cols
-
-
 def _primitive(vec: list[int]) -> tuple[int, ...]:
     """Divide out the content and make the first nonzero entry positive."""
     content = gcd(*vec)
@@ -238,27 +189,6 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _kernel_vector_from_echelon(
-    rows: list[list[int]], piv_cols: list[int], n_cols: int
-) -> tuple[int, ...]:
-    """Exact kernel vector for the single free column (nullity must be 1)."""
-    # Imported here: only this fallback needs fractions, and importing it
-    # (with decimal) costs every CLI start a few milliseconds.
-    from fractions import Fraction
-
-    pivot_set = set(piv_cols)
-    free = next(c for c in range(n_cols) if c not in pivot_set)
-    x: list[Fraction] = [Fraction(0)] * n_cols
-    x[free] = Fraction(1)
-    for r in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[r]
-        row = rows[r]
-        acc = sum((row[j] * x[j] for j in range(c + 1, n_cols) if row[j]), Fraction(0))
-        x[c] = -acc / row[c]
-    scale = lcm(*(v.denominator for v in x))
-    return _primitive([int(v * scale) for v in x])
-
-
 def _trim(f: list[int]) -> list[int]:
     """Drop the zero leading coefficients of a residue list, constant term first."""
     while f and not f[-1]:
@@ -266,15 +196,15 @@ def _trim(f: list[int]) -> list[int]:
     return f
 
 
-def _bezout_mod_p(g: GeneratorSet) -> tuple[list[int], list[int]]:
+def _bezout_mod_p(g: GeneratorSet, p: int) -> tuple[list[int], list[int]]:
     """(h, u): h the monic gcd of a(x) and x^n - 1 over F_p, and u a = h (mod x^n - 1).
 
-    a(x) = sum over s of x^s + x^(n-s) is the first adjacency row and
-    p = _PRIME. Extended Euclid on (x^n - 1, a), one leading term at a time,
-    keeps only the cofactors of a. Polynomials are lists of residues,
-    constant term first, without zero leading coefficients.
+    a(x) = sum over s of x^s + x^(n-s) is the first adjacency row. Extended
+    Euclid on (x^n - 1, a), one leading term at a time, keeps only the
+    cofactors of a. Polynomials are lists of residues, constant term first,
+    without zero leading coefficients.
     """
-    n, p = g.n, _PRIME
+    n = g.n
     a = [0] * n
     for s in g.elements:
         a[s] = a[n - s] = 1
@@ -292,34 +222,7 @@ def _bezout_mod_p(g: GeneratorSet) -> tuple[list[int], list[int]]:
     return [x * inv % p for x in r0], [x * inv % p for x in u0]
 
 
-def _rational(u: int, p: int, bound: int) -> Optional[tuple[int, int]]:
-    """The fraction a/b with |a| <= bound, 0 < b <= bound and a = u b (mod p), if any.
-
-    Extended Euclid on (p, u), stopped at the first remainder <= bound.
-    With 2 bound^2 < p the fraction is unique when it exists.
-    """
-    r0, r1, t0, t1 = p, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _lift(residues: list[int]) -> Optional[tuple[int, ...]]:
-    """The primitive integer vector whose entries reconstruct `residues` mod _PRIME, or None."""
-    p = _PRIME
-    bound = isqrt((p - 1) // 2)
-    pairs = {r: _rational(r, p, bound) for r in set(residues)}
-    if None in pairs.values():
-        return None
-    scale = lcm(*(b for _, b in pairs.values()))
-    return _primitive([pairs[r][0] * (scale // pairs[r][1]) for r in residues])
-
-
-def _certified_report(g: GeneratorSet) -> Optional[KernelReport]:
+def _certified_report(g: GeneratorSet, p: int) -> Optional[KernelReport]:
     """The kernel report from one extended Euclid over F_p, checked on the rows, or None.
 
     With h, u from `_bezout_mod_p` and k = deg h, two exact checks bound the
@@ -331,17 +234,21 @@ def _certified_report(g: GeneratorSet) -> Optional[KernelReport]:
       the row space mod p; their lowest terms are distinct, so rank_p >=
       n - k, and the rank over Q is at least rank_p.
     - nullity >= k: the cofactor (x^n - 1) / h mod p must divide exactly; it
-      is rational-reconstructed, cleared of denominators and checked exactly
-      against A v = 0. Its top term sits at index n - k. A commutes with the
-      cyclic shift, so its k shifts are kernel vectors too, with distinct
-      top terms, hence independent: one verified vector stands for k.
+      is lifted to the integers symmetrically (residues above p/2 become
+      negative), made primitive and checked exactly against A v = 0. Its
+      top term sits at index n - k. A commutes with the cyclic shift, so its
+      k shifts are kernel vectors too, with distinct top terms, hence
+      independent: one verified vector stands for k.
 
-    For k = 1 the primitive vector is the kernel vector. None means a check
-    failed (an unlucky prime raises deg h above the nullity, or entries
-    exceed the reconstruction bound); the caller then falls back to Bareiss.
+    The lift is exact whenever p is lucky: the gcd over Q is a monic divisor
+    of x^n - 1, so by Gauss's lemma its cofactor has integer coefficients,
+    and they are recovered while their height stays below p/2. For k = 1 the
+    primitive vector is the kernel vector. None means a check failed (an
+    unlucky prime raises deg h above the nullity, or the cofactor is taller
+    than p/2).
     """
-    n, p = g.n, _PRIME
-    h, u = _bezout_mod_p(g)
+    n = g.n
+    h, u = _bezout_mod_p(g, p)
     k = len(h) - 1
     folded = (h + [0] * n)[:n]  # h mod x^n - 1; only the empty set has k = n
     folded[0] = (folded[0] + sum(h[n:])) % p
@@ -358,22 +265,12 @@ def _certified_report(g: GeneratorSet) -> Optional[KernelReport]:
             rem[i : i + k] = [(x - c * y) % p for x, y in zip(rem[i : i + k], h)]
     if any(rem[:k]):
         return None
-    vec = _lift(rem[k:])
-    if vec is None or not vec[-1] or not _is_in_kernel(g, vec + (0,) * (k - 1)):
+    vec = _primitive([r - p if 2 * r > p else r for r in rem[k:]])
+    if not vec[-1] or not _is_in_kernel(g, vec + (0,) * (k - 1)):
         return None
     if k > 1:
         return KernelReport(k, None, False)
     return KernelReport(1, vec, all(vec))
-
-
-def _bareiss_report(g: GeneratorSet) -> KernelReport:
-    """The kernel report by fraction-free elimination over the integers."""
-    echelon, piv_cols = _bareiss_echelon(adjacency_matrix(g))
-    nullity = g.n - len(piv_cols)
-    if nullity != 1:
-        return KernelReport(nullity, None, False)
-    vec = _kernel_vector_from_echelon(echelon, piv_cols, g.n)
-    return KernelReport(1, vec, all(v != 0 for v in vec))
 
 
 def kernel_oracle(g: GeneratorSet) -> KernelReport:
@@ -383,16 +280,21 @@ def kernel_oracle(g: GeneratorSet) -> KernelReport:
     first row and x^n - 1 over F_p, a Bezout combination of the rows equal
     to h bounds the nullity from above by k = deg h, and the exactly
     verified kernel vector (x^n - 1) / h, with its k independent cyclic
-    shifts, bounds it from below. When the certificate cannot be completed,
-    fraction-free integer elimination decides instead. That fallback is
-    cubic, so an order above KERNEL_MAX_ORDER raises CapacityError first.
+    shifts, bounds it from below. The first prime of _PRIMES whose
+    certificate completes gives the report. If none does, CapacityError is
+    raised: no report is ever returned unchecked. The certificate is
+    quadratic in n, and an order above KERNEL_MAX_ORDER raises
+    CapacityError first.
     """
     if g.n > KERNEL_MAX_ORDER:
         raise CapacityError(f"order {g.n} exceeds the kernel oracle ceiling {KERNEL_MAX_ORDER}")
-    report = _certified_report(g)
-    if report is None:
-        report = _bareiss_report(g)
-    return report
+    for p in _PRIMES:
+        report = _certified_report(g, p)
+        if report is not None:
+            return report
+    raise CapacityError(
+        f"the kernel certificate for order {g.n} failed at all {len(_PRIMES)} primes"
+    )
 
 
 def _row_sums(g: GeneratorSet, vec: Union[list[int], tuple[int, ...]]) -> list[int]:

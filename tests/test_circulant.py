@@ -5,12 +5,12 @@ import random
 import tracemalloc
 
 import pytest
+from kernelref import adjacency_matrix, bareiss_report
 from polyref import div_rem, evaluate
 
 from nutcirc import circulant
 from nutcirc.circulant import (
     GeneratorSet,
-    adjacency_matrix,
     eigen_poly,
     is_nut_kernel,
     is_nut_spectral,
@@ -217,8 +217,13 @@ def test_kernel_nullity_matches_sympy():
         if not pool:
             continue
         g = GeneratorSet(n, tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))))
-        expected = len(sympy.Matrix(adjacency_matrix(g)).nullspace())
-        assert kernel_oracle(g).nullity == expected
+        basis = sympy.Matrix(adjacency_matrix(g)).nullspace()
+        reference = bareiss_report(g)
+        assert kernel_oracle(g).nullity == reference.nullity == len(basis)
+        if len(basis) == 1:
+            # The reference vector spans the same line as sympy's.
+            pair = sympy.Matrix.hstack(basis[0], sympy.Matrix(reference.kernel_vector))
+            assert pair.rank() == 1, g
 
 
 # --- the certified kernel oracle against the Bareiss reference ---------------
@@ -244,10 +249,16 @@ def _family_members(t_max, n_max):
 def test_certificate_matches_bareiss_on_random_circulants():
     nullities = set()
     for g in _random_circulants(seed=31, count=250, n_max=64):
-        reference = circulant._bareiss_report(g)
-        assert circulant._certified_report(g) == reference, g
+        reference = bareiss_report(g)
+        for p in circulant._PRIMES:
+            assert circulant._certified_report(g, p) == reference, (g, p)
         assert kernel_oracle(g) == reference, g
         nullities.add(min(reference.nullity, 2))
+        if reference.nullity == 1:
+            # Only a real root of unity can be a simple zero of the real a(x)
+            # (a non-real one brings its conjugate), and a(1) = 2|S| != 0,
+            # so the kernel is spanned by the powers of -1.
+            assert reference.kernel_vector == tuple((-1) ** i for i in range(g.n)), g
     assert nullities == {0, 1, 2}
 
 
@@ -255,37 +266,47 @@ def test_certificate_matches_bareiss_on_family_members():
     members = list(_family_members(t_max=5, n_max=72))
     assert len(members) > 40
     for g in members:
-        reference = circulant._bareiss_report(g)
+        reference = bareiss_report(g)
         assert reference.nullity == 1 and reference.full_support, g
-        assert circulant._certified_report(g) == reference, g
+        for p in circulant._PRIMES:
+            assert circulant._certified_report(g, p) == reference, (g, p)
 
 
 def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
-    # Modulo 7, gcds gain factors and reconstructions (bound 1) fail often;
-    # every report must still be the exact one.
-    monkeypatch.setattr(circulant, "_PRIME", 7)
-    unlucky_gcd = failed_certificate = 0
+    # Modulo 3 and 5, gcds gain factors and lifts (entries up to 1 and 2)
+    # fail often. The oracle tries the next prime and, when every prime
+    # fails, refuses: a report it returns is always the exact one.
+    monkeypatch.setattr(circulant, "_PRIMES", (3, 5))
+    outcomes = {"first": 0, "second": 0, "refused": 0}
     for g in _random_circulants(seed=3, count=600, n_max=40):
-        reference = circulant._bareiss_report(g)
-        assert kernel_oracle(g) == reference, g
-        h, _ = circulant._bezout_mod_p(g)
-        assert len(h) - 1 >= reference.nullity, g
-        if len(h) - 1 > reference.nullity:
-            unlucky_gcd += 1
-        elif circulant._certified_report(g) is None:
-            failed_certificate += 1
-    assert unlucky_gcd > 0 and failed_certificate > 0
+        reference = bareiss_report(g)
+        for p in (3, 5):
+            h, _ = circulant._bezout_mod_p(g, p)
+            assert len(h) - 1 >= reference.nullity, (g, p)
+        try:
+            assert kernel_oracle(g) == reference, g
+        except CapacityError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["first" if circulant._certified_report(g, 3) else "second"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_rejected_vectors_fall_back_to_bareiss(monkeypatch):
+    # With every kernel vector rejected, a nonzero nullity cannot be
+    # certified and is refused; nullity zero needs no vector.
     monkeypatch.setattr(circulant, "_is_in_kernel", lambda g, vec: False)
     cases = [NUT_12REG, GeneratorSet(4, (1,)), GeneratorSet(6, (1, 2)), GeneratorSet(10, (3, 4))]
     cases += list(_random_circulants(seed=5, count=60, n_max=30))
     for g in cases:
-        reference = circulant._bareiss_report(g)
-        if reference.nullity:
-            assert circulant._certified_report(g) is None, g
-        assert kernel_oracle(g) == reference, g
+        reference = bareiss_report(g)
+        if not reference.nullity:
+            assert kernel_oracle(g) == reference, g
+            continue
+        for p in circulant._PRIMES:
+            assert circulant._certified_report(g, p) is None, (g, p)
+        with pytest.raises(CapacityError, match=f"kernel certificate for order {g.n} failed at all 2 primes"):
+            kernel_oracle(g)
 
 
 def _pivot_columns_mod(rows, p):
@@ -303,14 +324,13 @@ def _pivot_columns_mod(rows, p):
     return columns
 
 
-def test_gcd_degree_is_the_corank_mod_p(monkeypatch):
+def test_gcd_degree_is_the_corank_mod_p():
     # The rows span the ideal of h = gcd(a, x^n - 1) in F_p[x]/(x^n - 1), so
     # over any prime field deg h = n - rank_p, and u combines the rows into h.
-    for p in (2, 3, 7, circulant._PRIME):
-        monkeypatch.setattr(circulant, "_PRIME", p)
+    for p in (2, 3, 7, *circulant._PRIMES):
         for g in _random_circulants(seed=41, count=60, n_max=40):
             rows = adjacency_matrix(g)
-            h, u = circulant._bezout_mod_p(g)
+            h, u = circulant._bezout_mod_p(g, p)
             assert h[-1] == 1 and len(h) - 1 == g.n - len(_pivot_columns_mod(rows, p)), (g, p)
             u = (u + [0] * g.n)[: g.n]
             combined = [sum(c * row[j] for c, row in zip(u, rows)) % p for j in range(g.n)]
@@ -319,32 +339,36 @@ def test_gcd_degree_is_the_corank_mod_p(monkeypatch):
                 assert combined == h + [0] * (g.n - len(h)), (g, p)
 
 
-_P = circulant._PRIME
+# Each forgery receives the forged function's result and, for
+# _bezout_mod_p(g, p), the prime.
 FORGERIES = {
-    "wrong-bezout-factor": ("_bezout_mod_p", lambda hu: (hu[0], [(hu[1][0] + 1) % _P] + hu[1][1:])),
+    "wrong-bezout-factor": ("_bezout_mod_p", lambda hu, p: (hu[0], [(hu[1][0] + 1) % p] + hu[1][1:])),
     "gcd-degree-too-high": (
         "_bezout_mod_p",
-        lambda hu: ([(b - a) % _P for a, b in zip(hu[0] + [0], [0] + hu[0])], hu[1]),
+        lambda hu, p: ([(b - a) % p for a, b in zip(hu[0] + [0], [0] + hu[0])], hu[1]),
     ),
-    "gcd-degree-too-low": ("_bezout_mod_p", lambda hu: ([1], hu[1])),
-    "nudged-kernel-vector": ("_lift", lambda vec: (vec[0] + 1,) + vec[1:]),
+    "gcd-degree-too-low": ("_bezout_mod_p", lambda hu, p: ([1], hu[1])),
+    "nudged-kernel-vector": ("_primitive", lambda vec: (vec[0] + 1,) + vec[1:]),
 }
 
 
 @pytest.mark.parametrize("name, forge", FORGERIES.values(), ids=list(FORGERIES))
-def test_forged_certificates_fall_back_to_bareiss(monkeypatch, name, forge):
+def test_forged_certificates_are_refused(monkeypatch, name, forge):
     # Each forgery (u + e_0, h (x - 1), h = 1, one entry + 1) breaks either
-    # the Bezout row check or the exact kernel check; every case has a
-    # nonzero nullity, and the first three have nullity one.
+    # the Bezout row check or the exact kernel check at every prime, so the
+    # oracle refuses; every case has a nonzero nullity, and the first three
+    # have nullity one.
     cases = [NUT_12REG, GeneratorSet(10, (3, 4)), build_family(FamilyId("ddprime", 3, 46))]
     cases += [GeneratorSet(6, (1, 2)), GeneratorSet(32, (4, 12))]
-    references = [circulant._bareiss_report(g) for g in cases]
+    references = [bareiss_report(g) for g in cases]
     original = getattr(circulant, name)
-    monkeypatch.setattr(circulant, name, lambda *args: forge(original(*args)))
+    monkeypatch.setattr(circulant, name, lambda *args: forge(original(*args), *args[1:]))
     for g, reference in zip(cases, references):
         assert reference.nullity > 0
-        assert circulant._certified_report(g) is None, g
-        assert kernel_oracle(g) == reference, g
+        for p in circulant._PRIMES:
+            assert circulant._certified_report(g, p) is None, (g, p)
+        with pytest.raises(CapacityError, match="kernel certificate"):
+            kernel_oracle(g)
 
 
 @pytest.mark.parametrize("elements", [(16, 48, 80, 112), (32, 96)])
@@ -352,7 +376,7 @@ def test_certificate_allocates_under_half_of_bareiss(elements):
     # One verified vector stands for the whole kernel, whatever the nullity.
     g = GeneratorSet(256, elements)
     reports, peaks = [], []
-    for report in (circulant._certified_report, circulant._bareiss_report):
+    for report in (kernel_oracle, bareiss_report):
         tracemalloc.start()
         try:
             reports.append(report(g))
@@ -376,6 +400,13 @@ def test_spectral_and_kernel_agree_up_to_the_kernel_ceiling():
     for t in range(1, 6):
         for kind, top in (("dprime", 512), ("ddprime", 510)) if t % 2 else (("ddprime", 510),):
             cases += [build_family(FamilyId(kind, t, n)) for n in (top, top - 4 * rng.randrange(1, 100))]
+    # Above the old ceiling of 512: the t = 3 members at the top, and four
+    # parity-balanced degree-8 sets.
+    cases += [build_family(FamilyId("dprime", 3, 2048)), build_family(FamilyId("ddprime", 3, 2046))]
+    for _ in range(4):
+        n = rng.randrange(514, 2049, 2)
+        offsets = rng.sample(range(1, n // 2, 2), 2) + rng.sample(range(2, n // 2, 2), 2)
+        cases.append(GeneratorSet(n, tuple(sorted(offsets))))
     verdicts = set()
     for g in cases:
         kernel = is_nut_kernel(g)
@@ -386,7 +417,7 @@ def test_spectral_and_kernel_agree_up_to_the_kernel_ceiling():
 
 def test_certificate_matches_bareiss_up_to_order_128():
     for g in _random_circulants(seed=53, count=24, n_max=128):
-        assert kernel_oracle(g) == circulant._bareiss_report(g), g
+        assert kernel_oracle(g) == bareiss_report(g), g
 
 
 @pytest.mark.parametrize("elements, nullity", [((16, 48, 80, 112), 224), ((32, 96), 192)])
@@ -394,7 +425,7 @@ def test_high_nullity_at_order_256(elements, nullity):
     g = GeneratorSet(256, elements)
     report = kernel_oracle(g)
     assert report == circulant.KernelReport(nullity, None, False)
-    assert report == circulant._bareiss_report(g)
+    assert report == bareiss_report(g)
 
 
 def test_is_in_kernel_matches_row_sums():
@@ -416,7 +447,7 @@ def test_is_in_kernel_matches_row_sums():
             assert not circulant._is_in_kernel(g, nudged)
 
 
-def test_default_oracle_limit_is_512():
-    assert circulant.KERNEL_MAX_ORDER == 512
-    with pytest.raises(CapacityError):
-        kernel_oracle(GeneratorSet(513, (1, 2)))
+def test_default_oracle_limit_is_2048():
+    assert circulant.KERNEL_MAX_ORDER == 2048
+    with pytest.raises(CapacityError, match="order 2049 exceeds the kernel oracle ceiling 2048"):
+        kernel_oracle(GeneratorSet(2049, (1, 2)))

@@ -67,6 +67,17 @@ def test_verify_capacity_is_domain_error(capsys, monkeypatch):
     assert envelope["status"] == "error"
 
 
+def test_failed_kernel_certificate_is_domain_error(capsys, monkeypatch):
+    # A kernel vector rejected at every prime is refused, never reported.
+    monkeypatch.setattr(circulant, "_is_in_kernel", lambda g, vec: False)
+    code, envelope = run_json(
+        capsys, "verify", "--n", "16", "--set", "1,2,4,5,6,7", "--method", "kernel"
+    )
+    assert code == 1
+    assert envelope["status"] == "error"
+    assert envelope["payload"]["message"] == "the kernel certificate for order 16 failed at all 2 primes"
+
+
 HUGE_ORDER = "2000000000000000006"  # trial division takes over a minute to factor it
 # The dprime member with t = 2001 at order 720 720, near the spectral work
 # ceiling: its spectral check alone takes about 1 s.
@@ -92,11 +103,11 @@ HEAVY_SET = ",".join(map(str, [*range(1, 2001), 180180, 180181, *range(358360, 3
         # The kernel ceiling refuses before the slow spectral check runs.
         (
             ["verify", "--n", "720720", "--set", HEAVY_SET, "--method", "both"],
-            "order 720720 exceeds the kernel oracle ceiling 512",
+            "order 720720 exceeds the kernel oracle ceiling 2048",
         ),
         (
             ["family", "--variant", "dprime", "--t", "2001", "--n", "720720", "--check"],
-            "order 720720 exceeds the kernel oracle ceiling 512",
+            "order 720720 exceeds the kernel oracle ceiling 2048",
         ),
         (
             ["search", "--degree", "8", "--n-min", "2", "--n-max", "1000000000000"],
