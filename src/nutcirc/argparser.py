@@ -21,25 +21,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError on a usage error; adds its options on its first parse.
-
-    A subcommand's options are added only when argparse parses that
-    subcommand, because some take their choices from the subcommand's layer
-    (``families.VARIANTS``), which other subcommands never load.
-    """
-
-    def __init__(self, *args, options=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._options = options
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._options is not None:
-            options, self._options = self._options, None
-            for flag, spec in options.items():
-                if callable(spec.get("choices")):
-                    spec = dict(spec, choices=spec["choices"]())
-                self.add_argument(flag, **spec)
-        return super().parse_known_args(args, namespace)
+    """Raises _UsageError on a usage error."""
 
     def error(self, message):
         raise _UsageError(self, message)
@@ -54,7 +36,9 @@ def build_parser(commands: dict) -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit the JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, options) in commands.items():
-        sub.add_parser(name, help=help_text, options=options)
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            command.add_argument(flag, **spec)
     return parser
 
 

@@ -15,13 +15,15 @@ preconditions). With --json, usage errors that argparse detects also leave
 through the envelope; without it they keep argparse's usage text on stderr.
 A closed stdout (``| head``) ends the request quietly with exit code 1.
 
-Each subcommand's options are declared once, as data, in ``_COMMANDS``. A
-plain request (``[--json] <subcommand>``, full flag names, one value token
-each) is read from that table directly; any other argv, and
-``build_parser()``, import argparse through ``nutcirc.argparser``, which
-builds the parser from the same table, so help, abbreviations and every
-usage message stay argparse's. Each subcommand imports only the layers it
-calls: a cyclodiv request never compiles circulant, families or search, a
+Each subcommand's options are declared once in ``_COMMANDS``, each as the
+keyword arguments of argparse's add_argument; the --variant and --kind
+choices mirror ``families.VARIANTS`` and ``families.POLY_KINDS``, and a test
+pins them to those. A plain request (``[--json] <subcommand>``, full flag
+names, one value token each) is read from that table directly; any other
+argv, and ``build_parser()``, import argparse through ``nutcirc.argparser``,
+which builds the parser from the same table, so help, abbreviations and
+every usage message stay argparse's. Each subcommand imports only the layers
+it calls: a cyclodiv request never compiles circulant, families or search, a
 search request never circulant, and only non-JSON output or a CSV file
 compiles ``render``. So elapsed_ms, timed from the start of main, includes
 the import of the subcommand's layers.
@@ -205,22 +207,11 @@ def _cmd_cyclodiv(args) -> dict[str, Any]:
 # --- option table, parser and dispatch --------------------------------------
 
 
-def _variants() -> tuple[str, ...]:
-    from .families import VARIANTS
-
-    return VARIANTS
-
-
-def _poly_kinds() -> tuple[str, ...]:
-    from .families import POLY_KINDS
-
-    return POLY_KINDS
-
-
 # subcommand -> (help, handler, options). Each option maps its flag to the
-# keyword arguments of argparse's add_argument, except that choices taken
-# from a layer are a function returning them, so that only the subcommands
-# using them import that layer.
+# keyword arguments of argparse's add_argument, as plain data. The --variant
+# and --kind choices mirror families.VARIANTS and families.POLY_KINDS, written
+# out so that parsing imports no layer; test_option_table_is_plain_data pins
+# them to families.
 _COMMANDS = {
     "verify": (
         "decide nut-ness of Circ(n, S)",
@@ -235,7 +226,7 @@ _COMMANDS = {
         "build a family generator set",
         _cmd_family,
         {
-            "--variant": {"choices": _variants, "required": True},
+            "--variant": {"choices": ("dprime", "ddprime", "ds"), "required": True},
             "--t": {"type": int, "required": True},
             "--n": {"type": int, "required": True},
             "--check": {"action": "store_true", "help": "run all nut checks"},
@@ -245,7 +236,7 @@ _COMMANDS = {
         "regenerate a residue table",
         _cmd_tables,
         {
-            "--kind": {"choices": _poly_kinds, "required": True},
+            "--kind": {"choices": ("q", "r", "u", "w"), "required": True},
             "--modulus": {"type": int, "required": True},
             "--format": {"choices": ("csv", "md"), "default": "csv"},
         },
@@ -313,8 +304,7 @@ def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
             value = spec.get("type", str)(value)
         except ValueError:
             return None
-        choices = spec.get("choices")
-        if choices is not None and value not in (choices() if callable(choices) else choices):
+        if "choices" in spec and value not in spec["choices"]:
             return None
         given[flag] = value
     args = SimpleNamespace(json=bool(start), command=command)

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import nutcirc
-from nutcirc import circulant, cyclotomy
-from nutcirc.cli import _plain_args, build_parser, main
+from nutcirc import circulant, cyclotomy, families
+from nutcirc.cli import _COMMANDS, _plain_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -217,13 +217,21 @@ def test_usage_error_without_json_keeps_argparse_text(capsys):
 @pytest.mark.parametrize(
     "command, choices", [("family", "{dprime,ddprime,ds}"), ("tables", "{q,r,u,w}")]
 )
-def test_subcommand_help_lists_choices_from_its_layer(capsys, command, choices):
-    # The choices come from families, whose import waits until argparse
-    # reaches the subcommand.
+def test_subcommand_help_lists_its_choices(capsys, command, choices):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     assert choices in capsys.readouterr().out
+
+
+def test_option_table_is_plain_data():
+    # Each option spec holds add_argument's keywords; only type is callable.
+    for _, _, options in _COMMANDS.values():
+        for spec in options.values():
+            for key, value in spec.items():
+                assert key == "type" or not callable(value), (key, value)
+    assert _COMMANDS["family"][2]["--variant"]["choices"] == families.VARIANTS
+    assert _COMMANDS["tables"][2]["--kind"]["choices"] == families.POLY_KINDS
 
 
 def _readme_cli_examples() -> list[str]:
@@ -736,12 +744,7 @@ ARGPARSE = frozenset({"argparse", "gettext", "argparser"})
             {"circulant", "families", "cyclotomy"} | ARGPARSE,
         ),
         (["--help"], 0, ARGPARSE, LAYERS),
-        (
-            ["--json", "family", "-h"],
-            0,
-            ARGPARSE | {"families"},
-            {"circulant", "search", "cyclotomy", "render"},
-        ),
+        (["--json", "family", "-h"], 0, ARGPARSE, LAYERS),
         (["--json", "verify", "--n", "1x", "--set", "3,4"], 2, ARGPARSE, LAYERS),
         (
             ["--js", "cyclodiv", "--poly", "2:1,0:1"],
@@ -749,12 +752,7 @@ ARGPARSE = frozenset({"argparse", "gettext", "argparser"})
             ARGPARSE | {"cyclotomy"},
             {"circulant", "families", "search", "render"},
         ),
-        (
-            ["tables", "--kind", "z", "--modulus", "3"],
-            2,
-            ARGPARSE | {"families"},
-            {"circulant", "search", "cyclotomy", "render"},
-        ),
+        (["tables", "--kind", "z", "--modulus", "3"], 2, ARGPARSE, LAYERS),
     ],
     ids=[
         "import",
@@ -780,11 +778,11 @@ def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(
     Every request is one process, and where no .pyc can be written each
     module it loads is compiled again. A plain request loads neither argparse
     nor gettext: only `build_parser()`, --help, an abbreviation and a usage
-    error do, and `build_parser()` loads no layer. A subcommand adds only its
-    own layers. A search builds on polyalg alone, and the renderer is loaded
-    only for human output or a CSV file, never for a JSON envelope. The
-    records are built without dataclasses, which generate their methods with
-    exec at import time and pull in inspect.
+    error do, and `build_parser()`, help and usage errors load no layer. A
+    subcommand adds only its own layers. A search builds on polyalg alone,
+    and the renderer is loaded only for human output or a CSV file, never
+    for a JSON envelope. The records are built without dataclasses, which
+    generate their methods with exec at import time and pull in inspect.
     """
     code = (
         "from nutcirc.cli import build_parser, main\n"
