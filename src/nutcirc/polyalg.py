@@ -10,7 +10,8 @@ Three primitives answer every question about Phi_b. ``phi_remainder``
 gives the remainder, by exact division. ``phi_fold`` is the linear one: it
 multiplies p by one binomial per prime of b modulo x^b - 1, without forming
 Phi_b, and the product is zero iff Phi_b divides p. ``phi_divides`` is that
-zero test.
+zero test. ``cyclotomic_value`` gives the integer Phi_b(m), which the
+oracle uses to skip divisions that cannot come out exact.
 """
 from __future__ import annotations
 
@@ -116,6 +117,17 @@ def euler_phi(b: int) -> int:
     return result
 
 
+def _moebius_factors(b: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for every squarefree e | b, for b >= 1, starting with (1, 1).
+
+    Phi_b(x) is the product of (x^(b/e) - 1)^mu(e) over these e.
+    """
+    factors = [(1, 1)]
+    for p, _ in prime_factorization(b):
+        factors += [(e * p, -mu) for e, mu in factors]
+    return factors
+
+
 def cyclotomic(b: int) -> SparsePoly:
     """The b-th cyclotomic polynomial: monic, integer, degree euler_phi(b).
 
@@ -124,14 +136,12 @@ def cyclotomic(b: int) -> SparsePoly:
     difference, mu(e) = -1 a stride-(b/e) prefix sum. For b >= 2 the signs
     cancel and Phi_b is palindromic, so the series is cut after
     x^(euler_phi(b) // 2) and mirrored. Not memoized: a build costs about a
-    third of one phi_remainder by Phi_b, and a memo would hold every Phi_b
-    the oracle tries, about 1.8 MB at degree 300.
+    third of one phi_remainder by Phi_b, and the oracle builds only the
+    Phi_b that pass its integer test.
     """
     if b < 1:
         raise ParameterError(f"cyclotomic needs b >= 1, got {b}")
-    factors = [(1, 1)]  # (squarefree e, mu(e))
-    for p, _ in prime_factorization(b):
-        factors += [(e * p, -mu) for e, mu in factors]
+    factors = _moebius_factors(b)
     if b == 1:
         coeffs = [-1, 1]
     else:
@@ -149,6 +159,22 @@ def cyclotomic(b: int) -> SparsePoly:
                     coeffs[i] += coeffs[i - k]
         coeffs += reversed(coeffs[: phi + 1 - half])
     return SparsePoly(enumerate(coeffs))
+
+
+def cyclotomic_value(b: int, m: int) -> int:
+    """Phi_b(m), for b >= 1 and an integer m >= 2, without forming Phi_b.
+
+    The Moebius product of (m^(b/e) - 1)^mu(e) over squarefree e | b: the
+    mu(e) = +1 factors and the mu(e) = -1 factors are multiplied separately
+    and the first product is divided exactly by the second. Every factor is
+    at least m - 1 >= 1; at m = 1 every factor would be zero.
+    """
+    if b < 1 or m < 2:
+        raise ParameterError(f"cyclotomic_value needs b >= 1 and m >= 2, got b={b}, m={m}")
+    products = {1: 1, -1: 1}
+    for e, mu in _moebius_factors(b):
+        products[mu] *= m ** (b // e) - 1
+    return products[1] // products[-1]
 
 
 def phi_remainder(p: SparsePoly, b: int) -> SparsePoly:

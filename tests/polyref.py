@@ -1,9 +1,10 @@
 """Schoolbook polynomial arithmetic for the tests.
 
-The package never adds, multiplies, substitutes into or evaluates
-polynomials; the tests use these helpers to state identities about what it
-computes (x^b - 1 as a product of cyclotomic polynomials, Phi_b(x) =
-Phi_(b/p)(x^p), values at +-1). ``div_rem``, schoolbook long division of the
+The package never adds, multiplies or substitutes into polynomials, and
+evaluates one only in the divisor oracle's integer test; the tests use
+these helpers to state identities about what it computes (x^b - 1 as a
+product of cyclotomic polynomials, Phi_b(x) = Phi_(b/p)(x^p), values at
++-1 and at the oracle's m). ``div_rem``, schoolbook long division of the
 unfolded polynomial, is their reference for every remainder the package
 computes.
 """

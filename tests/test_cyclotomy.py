@@ -5,8 +5,9 @@ import random
 import tracemalloc
 
 import pytest
-from polyref import div_rem, mul
+from polyref import add, div_rem, evaluate, mul
 
+from nutcirc import cyclotomy
 from nutcirc.cyclotomy import (
     cyclo_divisors_accelerated,
     cyclo_divisors_oracle,
@@ -19,7 +20,10 @@ from nutcirc.polyalg import (
     ARITH_CACHE_SIZE,
     SparsePoly,
     cyclotomic,
+    cyclotomic_value,
+    divisors,
     euler_phi,
+    phi_remainder,
     prime_factorization,
 )
 
@@ -84,8 +88,9 @@ def test_oracle_leaves_arithmetic_caches_bounded():
 
 
 def test_cyclotomic_cache_is_bounded():
-    # Phi_b is not memoized, so the oracle keeps none of the 588 it forms at
-    # degree 300; a memo of them held about 1.8 MB.
+    # Phi_b is not memoized, so the oracle keeps none of the Phi_b it forms
+    # for the candidates that pass its integer test; a memo of all 588
+    # candidates at degree 300 would hold about 1.8 MB.
     assert not hasattr(cyclotomic, "cache_info")
     tracemalloc.start()
     try:
@@ -198,3 +203,73 @@ def test_filaseta_consistency_on_divisor_chains():
         reduced = filaseta_step(poly.term_count(), b)
         assert reduced
         assert any(r in found for r in reduced)
+
+
+# --- the oracle's integer test ---------------------------------------------
+#
+# Phi_b | p in Z[x] gives Phi_b(m) | p(m), so the oracle divides only where
+# Phi_b(m) divides p(m), at the least m >= 2 with p(m) != 0.
+
+X_MINUS_2 = SparsePoly({1: 1, 0: -2})
+ROOT_AT_2 = mul(X_MINUS_2, SparsePoly({299: 1, 1: 1, 0: 1}))
+
+
+def _divided_by_every_candidate(p: SparsePoly) -> tuple[int, ...]:
+    candidates = totient_candidates(p.degree)
+    return tuple(b for b in candidates if div_rem(p, cyclotomic(b))[1].is_zero())
+
+
+def test_oracle_integer_test_edge_cases():
+    roots_at_2_and_3 = mul(mul(X_MINUS_2, SparsePoly({1: 1, 0: -3})), cyclotomic(12))
+    # Phi_7(2) = 127 = p(2), so 7 passes the integer test, but Phi_7 does
+    # not divide (x - 2) * x^5.
+    chance_pass = add(cyclotomic(7), mul(X_MINUS_2, SparsePoly({5: 1})))
+    assert evaluate(chance_pass, 2) == cyclotomic_value(7, 2) == 127
+    cases = [(ROOT_AT_2, (3,)), (roots_at_2_and_3, (12,)), (chance_pass, ())]
+    for poly, expected in cases:
+        assert cyclo_divisors_oracle(poly).divisors == expected
+        assert _divided_by_every_candidate(poly) == expected
+        assert cyclo_divisors_accelerated(poly).divisors == expected
+
+
+def test_oracle_divides_only_where_the_integer_test_passes(monkeypatch):
+    # p(2) = 0 here, so the test runs at m = 3 and leaves few divisions.
+    divided = []
+
+    def counting(p, b):
+        divided.append(b)
+        return phi_remainder(p, b)
+
+    monkeypatch.setattr(cyclotomy, "phi_remainder", counting)
+    report = cyclo_divisors_oracle(ROOT_AT_2)
+    assert report.divisors == (3,)
+    assert len(totient_candidates(ROOT_AT_2.degree)) == 588
+    assert 3 in divided and len(divided) < 20, divided
+
+
+def test_engines_agree_on_large_lacunary_polynomials():
+    # Seeded lacunary polynomials of degree 300 to 1000, two in three times
+    # with planted cyclotomic factors: x^k - 1 (so Phi_d for every d | k)
+    # or two small Phi_b. Both engines must find every planted index and
+    # agree on the whole set.
+    rng = random.Random(20261019)
+    small = totient_candidates(24)
+    for i in range(12):
+        planted: set[int] = set()
+        factor = SparsePoly({0: 1})
+        if i % 3 == 1:
+            k = rng.randint(2, 60)
+            factor = SparsePoly({k: 1, 0: -1})
+            planted = set(divisors(k))
+        elif i % 3 == 2:
+            for b in rng.sample(small, 2):
+                factor = mul(factor, cyclotomic(b))
+                planted.add(b)
+        degree = rng.randint(300, 1000) - factor.degree
+        terms = {degree: 1, 0: rng.choice((-2, -1, 1, 2))}
+        for _ in range(rng.randint(1, 6)):
+            terms[rng.randrange(1, degree)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        poly = mul(SparsePoly(terms), factor)
+        oracle = cyclo_divisors_oracle(poly).divisors
+        assert planted <= set(oracle), (i, sorted(planted), oracle)
+        assert cyclo_divisors_accelerated(poly).divisors == oracle, i

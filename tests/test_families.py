@@ -222,9 +222,10 @@ def test_divisibility_checks_form_no_cyclotomic_and_divide_nothing(monkeypatch):
 
 
 def test_oracle_decides_by_division_alone(monkeypatch):
-    # The converse guard: the oracle divides by Phi_b and never folds, so it
-    # finds the same divisors of the acceptance polynomials with phi_fold
-    # (and with it phi_divides) unavailable.
+    # The converse guard: the oracle never folds. An integer test drops most
+    # candidates and a division by Phi_b decides the rest, so it finds the
+    # same divisors of the acceptance polynomials with phi_fold (and with it
+    # phi_divides) unavailable.
     polys = [family_poly(FamilyPolyId(kind, t)) for t in range(3, 16, 2) for kind in ("q", "r")]
     polys += [family_poly(FamilyPolyId(kind, t)) for t in range(2, 11) for kind in ("u", "w")]
     polys += [SparsePoly({k * 2: 2, k: sign, 0: 2}) for k in (5, 3, 1) for sign in (1, -1)]

@@ -12,6 +12,7 @@ from nutcirc.errors import ParameterError
 from nutcirc.polyalg import (
     SparsePoly,
     cyclotomic,
+    cyclotomic_value,
     divisors,
     euler_phi,
     phi_divides,
@@ -187,6 +188,23 @@ def test_cyclotomic_and_remainder_match_sympy():
         expected = from_sympy(sympy.rem(poly, phi_b))
         assert phi_remainder(from_sympy(poly), b) == expected, (b, i)
         assert expected.is_zero() or not i % 2
+
+
+def test_cyclotomic_value_matches_evaluation_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for b in range(1, 301):
+        phi_b = sympy.cyclotomic_poly(b, x, polys=True)
+        for m in (2, 3, 10):
+            value = cyclotomic_value(b, m)
+            assert value == evaluate(cyclotomic(b), m) == int(phi_b.eval(m)), (b, m)
+
+
+def test_cyclotomic_value_rejects_small_arguments():
+    # Phi_1(1) = 0: at m = 1 the Moebius product would divide by zero.
+    for b, m in ((0, 2), (-3, 2), (1, 1), (5, 0), (4, -2)):
+        with pytest.raises(ParameterError):
+            cyclotomic_value(b, m)
 
 
 def test_phi_divides_edge_cases():
