@@ -9,14 +9,15 @@ two must always agree; tests and the acceptance suite sweep them against each
 other.
 
 The null-space oracle issues a certificate from one extended Euclid over
-F_p on the first row a(x) and x^n - 1: the monic gcd h, of degree k, and a
-Bezout factor u with u a = h (mod x^n - 1). Checked on the adjacency rows,
-the combination sum u_i row_i = h proves rank_p >= n - k, so the nullity is
-at most k; the cofactor (x^n - 1) / h, lifted to the integers and checked
-exactly against A v = 0, is a kernel vector whose k cyclic shifts are
-independent, so the nullity is at least k. For k = 1 the primitive cofactor
-is the kernel vector. The certificate is tried at two fixed primes in turn;
-if both fail, the oracle refuses rather than answer unchecked. No step uses
+F_p on the first row a(x) and x^n - 1: the monic gcd h, of degree k, a
+Bezout factor u with u a = h (mod x^n - 1), and the monic cofactor
+v = (x^n - 1) / h the Euclid ends with. Checked on the adjacency rows, the
+combination sum u_i row_i = h proves rank_p >= n - k, so the nullity is at
+most k; v, of degree n - k, lifted to the integers and checked exactly
+against A v = 0, is a kernel vector whose k cyclic shifts are independent,
+so the nullity is at least k. For k = 1 the primitive cofactor is the
+kernel vector. The certificate is tried at two fixed primes in turn; if
+both fail, the oracle refuses rather than answer unchecked. No step uses
 floating point, and nothing here depends on the spectral side.
 """
 from __future__ import annotations
@@ -196,13 +197,13 @@ def _trim(f: list[int]) -> list[int]:
     return f
 
 
-def _bezout_mod_p(g: GeneratorSet, p: int) -> tuple[list[int], list[int]]:
-    """(h, u): h the monic gcd of a(x) and x^n - 1 over F_p, and u a = h (mod x^n - 1).
+def _bezout_mod_p(g: GeneratorSet, p: int) -> tuple[list[int], list[int], list[int]]:
+    """(h, u, v) over F_p: h = gcd(a, x^n - 1) monic, u a = h (mod x^n - 1), h v = x^n - 1.
 
     a(x) = sum over s of x^s + x^(n-s) is the first adjacency row. Extended
     Euclid on (x^n - 1, a), one leading term at a time, keeps only the
-    cofactors of a. Polynomials are lists of residues, constant term first,
-    without zero leading coefficients.
+    cofactors of a; the last, beside the zero remainder, is c v for a unit
+    c. Polynomials are residue lists, constant term first, trimmed (`_trim`).
     """
     n = g.n
     a = [0] * n
@@ -218,55 +219,47 @@ def _bezout_mod_p(g: GeneratorSet, p: int) -> tuple[list[int], list[int]]:
             u0 += [0] * (d + len(u1) - len(u0))
             u0[d : d + len(u1)] = [(x - c * y) % p for x, y in zip(u0[d:], u1)]
         r0, r1, u0, u1 = r1, r0, u1, u0
-    inv = pow(r0[-1], -1, p)
-    return [x * inv % p for x in r0], [x * inv % p for x in u0]
+    v = _trim(u1)
+    inv, inv_v = pow(r0[-1], -1, p), pow(v[-1], -1, p)
+    return [x * inv % p for x in r0], [x * inv % p for x in u0], [x * inv_v % p for x in v]
 
 
 def _certified_report(g: GeneratorSet, p: int) -> Optional[KernelReport]:
     """The kernel report from one extended Euclid over F_p, checked on the rows, or None.
 
-    With h, u from `_bezout_mod_p` and k = deg h, two exact checks bound the
-    nullity from both sides:
+    With h, u, v from `_bezout_mod_p` and k = deg h, two exact checks bound
+    the nullity from both sides:
 
     - nullity <= k: the row combination sum u_i row_i, which is A u since A
       is symmetric, must equal h mod p, with h(0) != 0. The rows are closed
       under the cyclic shift, so the n - k shifts x^j h (j < n - k) lie in
       the row space mod p; their lowest terms are distinct, so rank_p >=
       n - k, and the rank over Q is at least rank_p.
-    - nullity >= k: the cofactor (x^n - 1) / h mod p must divide exactly; it
-      is lifted to the integers symmetrically (residues above p/2 become
-      negative), made primitive and checked exactly against A v = 0. Its
-      top term sits at index n - k. A commutes with the cyclic shift, so its
-      k shifts are kernel vectors too, with distinct top terms, hence
-      independent: one verified vector stands for k.
+    - nullity >= k: the cofactor v, of degree exactly n - k, is lifted to
+      the integers symmetrically (residues above p/2 become negative), made
+      primitive and checked exactly against A v = 0. A commutes with the
+      cyclic shift, so its k shifts are kernel vectors too, with distinct
+      top terms at n - k .. n - 1, hence independent: one verified vector
+      stands for k.
 
-    The lift is exact whenever p is lucky: the gcd over Q is a monic divisor
-    of x^n - 1, so by Gauss's lemma its cofactor has integer coefficients,
-    and they are recovered while their height stays below p/2. For k = 1 the
-    primitive vector is the kernel vector. None means a check failed (an
-    unlucky prime raises deg h above the nullity, or the cofactor is taller
-    than p/2).
+    Neither check trusts the Euclid. The lift is exact whenever p is lucky:
+    the gcd over Q is a monic divisor of x^n - 1, so by Gauss's lemma its
+    cofactor has integer coefficients, and they are recovered while their
+    height stays below p/2. For k = 1 the primitive vector is the kernel
+    vector. None means a check failed (an unlucky prime raises deg h above
+    the nullity, or the cofactor is taller than p/2).
     """
     n = g.n
-    h, u = _bezout_mod_p(g, p)
+    h, u, v = _bezout_mod_p(g, p)
     k = len(h) - 1
     folded = (h + [0] * n)[:n]  # h mod x^n - 1; only the empty set has k = n
     folded[0] = (folded[0] + sum(h[n:])) % p
-    if not h[0] or [v % p for v in _row_sums(g, (u + [0] * n)[:n])] != folded:
+    if not h[0] or [r % p for r in _row_sums(g, (u + [0] * n)[:n])] != folded:
         return None
     if k == 0:
         return KernelReport(0, None, False)
-    # Divide x^n - 1 by the monic h from the top down, in place: the
-    # quotient's coefficient of x^i stays at index i + k, the remainder
-    # ends in the first k entries.
-    rem = [p - 1] + [0] * (n - 1) + [1]
-    for i in range(n - k, -1, -1):
-        if c := rem[i + k]:
-            rem[i : i + k] = [(x - c * y) % p for x, y in zip(rem[i : i + k], h)]
-    if any(rem[:k]):
-        return None
-    vec = _primitive([r - p if 2 * r > p else r for r in rem[k:]])
-    if not vec[-1] or not _is_in_kernel(g, vec + (0,) * (k - 1)):
+    vec = _primitive([r - p if 2 * r > p else r for r in v])
+    if len(vec) != n - k + 1 or not _is_in_kernel(g, vec + (0,) * (k - 1)):
         return None
     if k > 1:
         return KernelReport(k, None, False)
@@ -276,15 +269,15 @@ def _certified_report(g: GeneratorSet, p: int) -> Optional[KernelReport]:
 def kernel_oracle(g: GeneratorSet) -> KernelReport:
     """Exact nullity of the adjacency matrix, plus the kernel vector if unique.
 
-    The report is a certificate (`_certified_report`): with h the gcd of the
-    first row and x^n - 1 over F_p, a Bezout combination of the rows equal
-    to h bounds the nullity from above by k = deg h, and the exactly
-    verified kernel vector (x^n - 1) / h, with its k independent cyclic
-    shifts, bounds it from below. The first prime of _PRIMES whose
-    certificate completes gives the report. If none does, CapacityError is
-    raised: no report is ever returned unchecked. The certificate is
-    quadratic in n, and an order above KERNEL_MAX_ORDER raises
-    CapacityError first.
+    The report is a certificate (`_certified_report`) from one extended
+    Euclid over F_p: with h the gcd of the first row and x^n - 1, a Bezout
+    combination of the rows equal to h bounds the nullity from above by
+    k = deg h, and the Euclid's cofactor (x^n - 1) / h, verified exactly as
+    a kernel vector with k independent cyclic shifts, bounds it from below.
+    The first prime of _PRIMES whose certificate completes gives the
+    report. If none does, CapacityError is raised: no report is ever
+    returned unchecked. The certificate is quadratic in n, and an order
+    above KERNEL_MAX_ORDER raises CapacityError first.
     """
     if g.n > KERNEL_MAX_ORDER:
         raise CapacityError(f"order {g.n} exceeds the kernel oracle ceiling {KERNEL_MAX_ORDER}")

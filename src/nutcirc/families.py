@@ -166,25 +166,21 @@ def unique_remainder_exists(pid: FamilyPolyId, p: int) -> bool:
 def family_nut_check(fid: FamilyId) -> NutVerdict:
     """Decide nut-ness of a family member from the divisor classification alone.
 
-    The eigenvalue polynomial is never formed. For the 4|n family, a divisor
-    b >= 3 of n can only kill the spectrum if Phi_b divides the q-polynomial
-    (when b | n/4) or the r-polynomial (when b | n/2 but not n/4); divisors of
-    n that do not divide n/2 can never fail. For the n = 2 (mod 4) family the
-    same classification runs at the half-exponent level: odd divisors of n
-    check the u-polynomial, even ones the w-polynomial. t = 1 members reduce
-    to a closed-form binomial divisibility in both families. The returned
-    witness is the smallest failing divisor index in the respective scheme.
+    Neither the member, parity balanced by construction, nor its eigenvalue
+    polynomial is formed. For the 4|n family, a divisor b >= 3 of n can only
+    kill the spectrum if Phi_b divides the q-polynomial (when b | n/4) or
+    the r-polynomial (when b | n/2 but not n/4); divisors of n that do not
+    divide n/2 can never fail. For the n = 2 (mod 4) family the same
+    classification runs at the half-exponent level: odd divisors of n check
+    the u-polynomial, even ones the w-polynomial. t = 1 members reduce to a
+    closed-form binomial divisibility in both families. The returned witness
+    is the smallest failing divisor index in the respective scheme.
     Listing the divisors factors n, so an order above
     ``circulant.SPECTRAL_MAX_ORDER`` raises CapacityError first; with six
-    terms per polynomial, that ceiling also bounds the divisibility tests.
+    terms per polynomial, that one ceiling bounds the divisibility tests
+    too, whatever t is (FAMILY_MAX_T bounds only ``build_family``).
     """
-    from .circulant import (
-        REASON_OK,
-        REASON_SPECTRAL,
-        NutVerdict,
-        parity_balanced,
-        spectral_indices,
-    )
+    from .circulant import REASON_OK, REASON_SPECTRAL, NutVerdict, spectral_indices
 
     if fid.variant == VARIANT_DS_PRIOR:
         raise ParameterError(
@@ -193,9 +189,6 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
         )
     t, n = fid.t, fid.n
     indices = spectral_indices(n)
-    g = build_family(fid)
-    if not parity_balanced(g):  # structurally impossible; kept as a guard
-        raise AssertionError("family construction lost parity balance")
     dprime = fid.variant == VARIANT_DPRIME
     # Each divisor b >= 3 of n is tested against the polynomial of the first
     # (m, polynomial) rule with b | m; a b matching no rule cannot fail.

@@ -281,7 +281,7 @@ def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
     for g in _random_circulants(seed=3, count=600, n_max=40):
         reference = bareiss_report(g)
         for p in (3, 5):
-            h, _ = circulant._bezout_mod_p(g, p)
+            h = circulant._bezout_mod_p(g, p)[0]
             assert len(h) - 1 >= reference.nullity, (g, p)
         try:
             assert kernel_oracle(g) == reference, g
@@ -326,15 +326,22 @@ def _pivot_columns_mod(rows, p):
 
 def test_gcd_degree_is_the_corank_mod_p():
     # The rows span the ideal of h = gcd(a, x^n - 1) in F_p[x]/(x^n - 1), so
-    # over any prime field deg h = n - rank_p, and u combines the rows into h.
+    # over any prime field deg h = n - rank_p, u combines the rows into h,
+    # and the monic v of degree n - deg h is the cofactor (x^n - 1) / h.
     for p in (2, 3, 7, *circulant._PRIMES):
         for g in _random_circulants(seed=41, count=60, n_max=40):
             rows = adjacency_matrix(g)
-            h, u = circulant._bezout_mod_p(g, p)
+            h, u, v = circulant._bezout_mod_p(g, p)
             assert h[-1] == 1 and len(h) - 1 == g.n - len(_pivot_columns_mod(rows, p)), (g, p)
+            assert v[-1] == 1 and len(v) - 1 == g.n - (len(h) - 1), (g, p)
+            product = [0] * (g.n + 1)
+            for i, x in enumerate(h):
+                for j, y in enumerate(v):
+                    product[i + j] = (product[i + j] + x * y) % p
+            assert product == [p - 1] + [0] * (g.n - 1) + [1], (g, p)
             u = (u + [0] * g.n)[: g.n]
             combined = [sum(c * row[j] for c, row in zip(u, rows)) % p for j in range(g.n)]
-            assert [v % p for v in circulant._row_sums(g, u)] == combined, (g, p)
+            assert [r % p for r in circulant._row_sums(g, u)] == combined, (g, p)
             if g.elements:
                 assert combined == h + [0] * (g.n - len(h)), (g, p)
 
@@ -342,22 +349,27 @@ def test_gcd_degree_is_the_corank_mod_p():
 # Each forgery receives the forged function's result and, for
 # _bezout_mod_p(g, p), the prime.
 FORGERIES = {
-    "wrong-bezout-factor": ("_bezout_mod_p", lambda hu, p: (hu[0], [(hu[1][0] + 1) % p] + hu[1][1:])),
+    "wrong-bezout-factor": (
+        "_bezout_mod_p",
+        lambda huv, p: (huv[0], [(huv[1][0] + 1) % p] + huv[1][1:], huv[2]),
+    ),
     "gcd-degree-too-high": (
         "_bezout_mod_p",
-        lambda hu, p: ([(b - a) % p for a, b in zip(hu[0] + [0], [0] + hu[0])], hu[1]),
+        lambda huv, p: ([(b - a) % p for a, b in zip(huv[0] + [0], [0] + huv[0])], *huv[1:]),
     ),
-    "gcd-degree-too-low": ("_bezout_mod_p", lambda hu, p: ([1], hu[1])),
+    "gcd-degree-too-low": ("_bezout_mod_p", lambda huv, p: ([1], *huv[1:])),
+    "shifted-kernel-vector": ("_bezout_mod_p", lambda huv, p: (*huv[:2], [0] + huv[2])),
     "nudged-kernel-vector": ("_primitive", lambda vec: (vec[0] + 1,) + vec[1:]),
 }
 
 
 @pytest.mark.parametrize("name, forge", FORGERIES.values(), ids=list(FORGERIES))
 def test_forged_certificates_are_refused(monkeypatch, name, forge):
-    # Each forgery (u + e_0, h (x - 1), h = 1, one entry + 1) breaks either
-    # the Bezout row check or the exact kernel check at every prime, so the
-    # oracle refuses; every case has a nonzero nullity, and the first three
-    # have nullity one.
+    # Each forgery (u + e_0, h (x - 1), h = 1, x v, one entry + 1) breaks
+    # the Bezout row check, the degree of v or the exact kernel check at
+    # every prime, so the oracle refuses. x v is still a kernel vector, but
+    # its shifts wrap around. Every case has a nonzero nullity, and the
+    # first three have nullity one.
     cases = [NUT_12REG, GeneratorSet(10, (3, 4)), build_family(FamilyId("ddprime", 3, 46))]
     cases += [GeneratorSet(6, (1, 2)), GeneratorSet(32, (4, 12))]
     references = [bareiss_report(g) for g in cases]

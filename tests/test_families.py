@@ -187,19 +187,27 @@ def test_prior_family_grid_is_spectrally_nut():
     assert is_nut_kernel(build_family(FamilyId("ds", 3, 20))).is_nut
 
 
-def test_family_nut_check_agrees_with_both_routes_small_grid():
+def test_family_nut_check_agrees_with_both_routes_small_grid(monkeypatch):
     ids = [FamilyId("dprime", t, n) for t in (1, 3) for n in range(4 * t + 4, 4 * t + 21, 4)]
     ids += [FamilyId("ddprime", t, n) for t in (1, 2, 3) for n in range(4 * t + 6, 4 * t + 23, 4)]
+    spectral = []
     for fid in ids:
         g = build_family(fid)
-        family_verdict = family_nut_check(fid)
-        assert family_verdict.is_nut
-        assert is_nut_spectral(g).is_nut
+        spectral.append(is_nut_spectral(g))
+        assert spectral[-1].is_nut
         assert is_nut_kernel(g).is_nut
+    # The family check builds no member and re-checks no parity, so it
+    # decides the same grid without either, and members above FAMILY_MAX_T,
+    # which the theorems make nut.
+    _forbid(monkeypatch, "build_family")
+    _forbid(monkeypatch, "parity_balanced")
+    assert [family_nut_check(fid) for fid in ids] == spectral
+    assert family_nut_check(FamilyId("dprime", 100_001, 400_008)).is_nut
+    assert family_nut_check(FamilyId("ddprime", 100_000, 400_006)).is_nut
 
 
 def _forbid(monkeypatch, name: str) -> None:
-    """Make the polyalg function name raise, in polyalg and wherever it was imported by name."""
+    """Make the nutcirc function name raise, in its module and wherever it was imported by name."""
 
     def forbidden(*args):
         raise AssertionError(f"{name} called")
@@ -236,10 +244,12 @@ def test_oracle_decides_by_division_alone(monkeypatch):
 
 def test_family_ceilings_are_inclusive(monkeypatch):
     monkeypatch.setattr(families, "FAMILY_MAX_T", 3)
-    monkeypatch.setattr(circulant, "SPECTRAL_MAX_ORDER", 16)
-    assert family_nut_check(FamilyId("dprime", 3, 16)).is_nut
     with pytest.raises(CapacityError, match="t=4 exceeds the ceiling 3"):
         build_family(FamilyId("ddprime", 4, 22))
+    # FAMILY_MAX_T bounds only building the member, which the family check skips.
+    assert family_nut_check(FamilyId("ddprime", 4, 22)).is_nut
+    monkeypatch.setattr(circulant, "SPECTRAL_MAX_ORDER", 16)
+    assert family_nut_check(FamilyId("dprime", 3, 16)).is_nut
     with pytest.raises(CapacityError, match="order 20 exceeds the spectral order ceiling 16"):
         family_nut_check(FamilyId("dprime", 3, 20))
 
