@@ -5,11 +5,14 @@ orders divisible by four, one for orders congruent to 2 mod 4) and the older
 consecutive-run family they extend. Each block family comes with a pair of
 six-term polynomials whose cyclotomic non-divisibility is exactly what makes
 every member a nut graph. The four polynomials live in one table, ``_SHAPES``,
-each exponent as a*t + c. ``family_nut_check`` re-derives nut-ness through
-that divisor classification without ever forming the eigenvalue polynomial,
-and ``generate_table``/``appendix_golden_check`` regenerate (remainders
-through ``phi_remainder``) and diff the small-modulus residue tables that
-certify the small-index cases.
+each exponent as a*t + c; ``family_poly`` evaluates it at a validated t.
+``family_nut_check`` re-derives nut-ness through that divisor classification
+without ever forming the eigenvalue polynomial, and
+``generate_table``/``appendix_golden_check`` regenerate and diff the
+small-modulus residue tables that certify the small-index cases. A table row
+is built from its residue class alone: reduced modulo x^m - 1, the exponent
+a*t + c depends on t only through t mod m. Its remainder comes from
+``phi_remainder``.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .polyalg import (
     is_prime,
     phi_divides,
     phi_remainder,
-    reduce_mod_xb,
     sparse_from_text,
     sparse_to_text,
 )
@@ -116,36 +118,24 @@ def build_family(fid: FamilyId) -> GeneratorSet:
     t, n = fid.t, fid.n
     if t > FAMILY_MAX_T:
         raise CapacityError(f"family parameter t={t} exceeds the ceiling {FAMILY_MAX_T}")
-    low = list(range(1, t))
-    high = list(range(n // 2 - (t - 1), n // 2))
+    if fid.variant == VARIANT_DS_PRIOR:
+        return GeneratorSet(n, tuple(s for s in range(1, 2 * t + 2) if s != t))
     if fid.variant == VARIANT_DPRIME:
         middle = [n // 4, n // 4 + 1]
-    elif fid.variant == VARIANT_DDPRIME:
-        middle = [(n + 2) // 4, (n + 6) // 4]
     else:
-        return GeneratorSet(n, tuple(s for s in range(1, 2 * t + 2) if s != t))
-    return GeneratorSet(n, tuple(sorted(low + middle + high)))
-
-
-def _family_terms(kind: str, t: int) -> list[tuple[int, int]]:
-    # Shared by the public constructor and the residue-table generator, which
-    # instantiates arbitrary residues, so parity is not checked here.
-    if kind not in _SHAPES:
-        raise ParameterError(f"unknown family polynomial kind {kind!r}")
-    _, least_t, _, terms = _SHAPES[kind]
-    if t < least_t:
-        raise ParameterError(f"{kind}-polynomial shape needs t >= {least_t}, got {t}")
-    return [(a * t + c, coeff) for a, c, coeff in terms]
+        middle = [(n + 2) // 4, (n + 6) // 4]
+    high = range(n // 2 - (t - 1), n // 2)
+    return GeneratorSet(n, tuple(sorted([*range(1, t), *middle, *high])))
 
 
 def family_poly(pid: FamilyPolyId) -> SparsePoly:
     """The six-term family polynomial, exactly as defined."""
-    return SparsePoly(_family_terms(pid.kind, pid.t))
+    return SparsePoly((a * pid.t + c, coeff) for a, c, coeff in _SHAPES[pid.kind][3])
 
 
 def exponent_set(pid: FamilyPolyId) -> set[int]:
     """Exponent support of the family polynomial; always six elements."""
-    return {e for e, _ in _family_terms(pid.kind, pid.t)}
+    return set(family_poly(pid).terms)
 
 
 def unique_remainder_exists(pid: FamilyPolyId, p: int) -> bool:
@@ -242,23 +232,15 @@ class GoldenReport(Record):
         return not self.mismatches and not self.zero_remainders
 
 
-def _table_representative(kind: str, residue: int, modulus: int) -> int:
-    # The reduced polynomial depends on t only through t mod modulus, so any
-    # representative works; the least one at or above the kind's least t.
-    t = residue % modulus
-    while t < _SHAPES[kind][1]:
-        t += modulus
-    return t
-
-
 def generate_table(kind: str, modulus: int) -> list[TableRow]:
     """Rows r = 0 .. modulus-1 of the residue table for one family polynomial.
 
-    Each row reduces the family polynomial (instantiated at the smallest
-    valid representative of the residue class) modulo x^modulus - 1 and then
-    takes its remainder modulo the corresponding cyclotomic polynomial. Every
-    remainder must be nonzero; that is the content of the small-index
-    exclusion certified by these tables.
+    Every exponent is a*t + c, so the family polynomial reduced modulo
+    x^modulus - 1 depends on t only through its residue r: each row's
+    reduced polynomial is the sum of coefficient * x^((a*r + c) mod modulus),
+    and its remainder is that polynomial's remainder modulo the cyclotomic
+    polynomial of index modulus. Every remainder must be nonzero; that is
+    the content of the small-index exclusion certified by these tables.
     """
     if kind not in POLY_KINDS:
         raise ParameterError(f"unknown table kind {kind!r}")
@@ -268,9 +250,10 @@ def generate_table(kind: str, modulus: int) -> list[TableRow]:
         )
     rows = []
     for residue in range(modulus):
-        poly = SparsePoly(_family_terms(kind, _table_representative(kind, residue, modulus)))
-        reduced = reduce_mod_xb(poly, modulus)
-        rows.append(TableRow(kind, modulus, residue, reduced, phi_remainder(poly, modulus)))
+        reduced = SparsePoly(
+            ((a * residue + c) % modulus, coeff) for a, c, coeff in _SHAPES[kind][3]
+        )
+        rows.append(TableRow(kind, modulus, residue, reduced, phi_remainder(reduced, modulus)))
     return rows
 
 

@@ -131,33 +131,28 @@ def _moebius_factors(b: int) -> list[tuple[int, int]]:
 def cyclotomic(b: int) -> SparsePoly:
     """The b-th cyclotomic polynomial: monic, integer, degree euler_phi(b).
 
-    Built without division as the power series of the Moebius product of
-    (1 - x^(b/e))^mu(e) over squarefree e | b: mu(e) = +1 is a stride-(b/e)
-    difference, mu(e) = -1 a stride-(b/e) prefix sum. For b >= 2 the signs
-    cancel and Phi_b is palindromic, so the series is cut after
-    x^(euler_phi(b) // 2) and mirrored. Not memoized: a build costs about a
-    third of one phi_remainder by Phi_b, and the oracle builds only the
-    Phi_b that pass its integer test.
+    Built without division as the power series, up to x^euler_phi(b), of the
+    Moebius product of (1 - x^(b/e))^mu(e) over squarefree e | b: mu(e) = +1
+    is a stride-(b/e) difference, mu(e) = -1 a stride-(b/e) prefix sum. For
+    b >= 2 the mu(e) sum to zero, so the series is Phi_b; at b = 1 it would
+    be -Phi_1, which is returned directly. Not memoized: a build costs about
+    half of one phi_remainder by Phi_b, and the oracle builds only the Phi_b
+    that pass its integer test.
     """
     if b < 1:
         raise ParameterError(f"cyclotomic needs b >= 1, got {b}")
-    factors = _moebius_factors(b)
     if b == 1:
-        coeffs = [-1, 1]
-    else:
-        phi = sum(mu * (b // e) for e, mu in factors)
-        coeffs = [1] + [0] * (phi // 2)
-        half = len(coeffs)
-        for e, mu in factors:
-            k = b // e
-            if k >= half:
-                continue
-            if mu == 1:
-                coeffs[k:] = [c - s for c, s in zip(coeffs[k:], coeffs)]
-            else:
-                for i in range(k, half):
-                    coeffs[i] += coeffs[i - k]
-        coeffs += reversed(coeffs[: phi + 1 - half])
+        return SparsePoly({1: 1, 0: -1})
+    factors = _moebius_factors(b)
+    phi = sum(mu * (b // e) for e, mu in factors)
+    coeffs = [1] + [0] * phi
+    for e, mu in factors:
+        k = b // e
+        if mu == 1:
+            coeffs[k:] = [c - s for c, s in zip(coeffs[k:], coeffs)]
+        else:
+            for i in range(k, phi + 1):
+                coeffs[i] += coeffs[i - k]
     return SparsePoly(enumerate(coeffs))
 
 

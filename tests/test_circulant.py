@@ -272,7 +272,7 @@ def test_certificate_matches_bareiss_on_family_members():
             assert circulant._certified_report(g, p) == reference, (g, p)
 
 
-def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
+def test_tiny_primes_fall_through_or_are_refused(monkeypatch):
     # Modulo 3 and 5, gcds gain factors and lifts (entries up to 1 and 2)
     # fail often. The oracle tries the next prime and, when every prime
     # fails, refuses: a report it returns is always the exact one.
@@ -292,7 +292,7 @@ def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
     assert all(outcomes.values()), outcomes
 
 
-def test_rejected_vectors_fall_back_to_bareiss(monkeypatch):
+def test_rejected_kernel_vectors_are_refused(monkeypatch):
     # With every kernel vector rejected, a nonzero nullity cannot be
     # certified and is refused; nullity zero needs no vector.
     monkeypatch.setattr(circulant, "_is_in_kernel", lambda g, vec: False)

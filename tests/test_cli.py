@@ -388,6 +388,22 @@ def test_every_relative_import_names_what_its_module_defines():
     assert {("render", "human"), ("render", "search_csv"), ("search", "catalog")} <= checked
 
 
+
+def test_every_import_is_used_in_its_module():
+    # A name imported but never read is dead code that every request importing
+    # the module still compiles and loads. __future__ imports bind no name.
+    for path in sorted(Path(nutcirc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
 def test_readme_library_sketch_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]

@@ -12,9 +12,11 @@ from nutcirc.circulant import is_nut_kernel, is_nut_spectral, parity_balanced
 from nutcirc.cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle
 from nutcirc.errors import CapacityError, ConfigurationError, ParameterError
 from nutcirc.families import (
+    POLY_KINDS,
+    TABLE_MODULI,
+    _SHAPES,
     FamilyId,
     FamilyPolyId,
-    _family_terms,
     appendix_golden_check,
     build_family,
     exponent_set,
@@ -24,7 +26,7 @@ from nutcirc.families import (
     golden_data_dir,
     unique_remainder_exists,
 )
-from nutcirc.polyalg import SparsePoly
+from nutcirc.polyalg import SparsePoly, phi_remainder, reduce_mod_xb
 
 
 def test_family_id_validation_messages():
@@ -80,7 +82,7 @@ def test_family_poly_examples():
 
 
 # The paper's four polynomials, transcribed term by term: kind -> (least t,
-# t must be odd, terms as functions of t in the order _family_terms lists them).
+# t must be odd, terms as functions of t in the order _SHAPES lists them).
 PAPER_POLYS = {
     "q": (3, True, lambda t: [
         (2 * t - 1, 2), (t + 1, 1), (t, -1), (t - 1, 1), (t - 2, -1), (0, -2)
@@ -100,8 +102,9 @@ PAPER_POLYS = {
 @pytest.mark.parametrize("kind", sorted(PAPER_POLYS))
 def test_family_polys_match_the_paper(kind):
     least, odd, terms = PAPER_POLYS[kind]
+    assert _SHAPES[kind][:2] == (odd, least)
     for t in range(least, 61):
-        assert _family_terms(kind, t) == terms(t), (kind, t)
+        assert _shape_terms(kind, t) == terms(t), (kind, t)
         if t % 2 or not odd:
             assert family_poly(FamilyPolyId(kind, t)) == SparsePoly(terms(t)), (kind, t)
         else:
@@ -110,8 +113,11 @@ def test_family_polys_match_the_paper(kind):
     # One below the least t the shape degenerates, which pins the least t.
     exponents = [e for e, _ in terms(least - 1)]
     assert len(set(exponents)) < 6 or min(exponents) < 0
-    with pytest.raises(ParameterError, match=f"needs t >= {least}, got {least - 1}"):
-        _family_terms(kind, least - 1)
+
+
+def _shape_terms(kind: str, t: int) -> list[tuple[int, int]]:
+    """The six terms of _SHAPES[kind] at t, in table order, as (exponent, coefficient)."""
+    return [(a * t + c, coeff) for a, c, coeff in _SHAPES[kind][3]]
 
 
 def test_family_poly_validation():
@@ -298,14 +304,18 @@ def test_all_table_remainders_nonzero():
 
 
 def test_table_rows_depend_only_on_residue_class():
-    # Spot-check a second representative of the same class.
-    from nutcirc.families import _family_terms
-    from nutcirc.polyalg import reduce_mod_xb
-
-    for kind, modulus, residue, rep2 in (("q", 6, 0, 12), ("u", 10, 3, 13), ("w", 5, 2, 7)):
-        row = {r.residue: r for r in generate_table(kind, modulus)}[residue]
-        again = reduce_mod_xb(SparsePoly(_family_terms(kind, rep2)), modulus)
-        assert again == row.reduced
+    # Every row of every table equals the shape instantiated at three
+    # representatives t >= least t of its class, reduced modulo x^m - 1 and
+    # divided by Phi_m.
+    for kind in POLY_KINDS:
+        least = _SHAPES[kind][1]
+        for modulus in TABLE_MODULI:
+            for row in generate_table(kind, modulus):
+                first = least + (row.residue - least) % modulus
+                for t in (first, first + modulus, first + 7 * modulus):
+                    poly = SparsePoly(_shape_terms(kind, t))
+                    assert reduce_mod_xb(poly, modulus) == row.reduced, (kind, modulus, t)
+                    assert phi_remainder(poly, modulus) == row.remainder, (kind, modulus, t)
 
 
 def test_appendix_golden_check_passes():
