@@ -15,14 +15,14 @@ v = (x^n - 1) / h the Euclid ends with. Checked on the adjacency rows, the
 combination sum u_i row_i = h proves rank_p >= n - k, so the nullity is at
 most k; v, of degree n - k, lifted to the integers and checked exactly
 against A v = 0, is a kernel vector whose k cyclic shifts are independent,
-so the nullity is at least k. For k = 1 the primitive cofactor is the
-kernel vector. The certificate is tried at two fixed primes in turn; if
-both fail, the oracle refuses rather than answer unchecked. No step uses
-floating point, and nothing here depends on the spectral side.
+so the nullity is at least k. For k = 1 the cofactor, monic and so
+primitive once lifted, is the kernel vector. The certificate is tried at
+two fixed primes in turn; if both fail, the oracle refuses rather than
+answer unchecked. No step uses floating point, and nothing here depends on
+the spectral side.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import Optional, Union
 
 from .errors import CapacityError, ParameterError
@@ -180,16 +180,6 @@ def spectral_indices(n: int) -> list[int]:
     return [b for b in divisors(n) if b >= 3]
 
 
-def _primitive(vec: list[int]) -> tuple[int, ...]:
-    """Divide out the content and make the first nonzero entry positive."""
-    content = gcd(*vec)
-    if content > 1:
-        vec = [v // content for v in vec]
-    if next((v for v in vec if v), 1) < 0:
-        vec = [-v for v in vec]
-    return tuple(vec)
-
-
 def _trim(f: list[int]) -> list[int]:
     """Drop the zero leading coefficients of a residue list, constant term first."""
     while f and not f[-1]:
@@ -236,18 +226,19 @@ def _certified_report(g: GeneratorSet, p: int) -> Optional[KernelReport]:
       the row space mod p; their lowest terms are distinct, so rank_p >=
       n - k, and the rank over Q is at least rank_p.
     - nullity >= k: the cofactor v, of degree exactly n - k, is lifted to
-      the integers symmetrically (residues above p/2 become negative), made
-      primitive and checked exactly against A v = 0. A commutes with the
-      cyclic shift, so its k shifts are kernel vectors too, with distinct
-      top terms at n - k .. n - 1, hence independent: one verified vector
-      stands for k.
+      the integers symmetrically (residues above p/2 become negative),
+      negated if it starts negative, and checked exactly against A v = 0.
+      A commutes with the cyclic shift, so its k shifts are kernel vectors
+      too, with distinct top terms at n - k .. n - 1, hence independent:
+      one verified vector stands for k.
 
     Neither check trusts the Euclid. The lift is exact whenever p is lucky:
     the gcd over Q is a monic divisor of x^n - 1, so by Gauss's lemma its
     cofactor has integer coefficients, and they are recovered while their
-    height stays below p/2. For k = 1 the primitive vector is the kernel
-    vector. None means a check failed (an unlucky prime raises deg h above
-    the nullity, or the cofactor is taller than p/2).
+    height stays below p/2. v is monic, so its lift ends in 1 and has
+    content 1: for k = 1 it is the primitive kernel vector. None means a
+    check failed (an unlucky prime raises deg h above the nullity, or the
+    cofactor is taller than p/2).
     """
     n = g.n
     h, u, v = _bezout_mod_p(g, p)
@@ -258,7 +249,8 @@ def _certified_report(g: GeneratorSet, p: int) -> Optional[KernelReport]:
         return None
     if k == 0:
         return KernelReport(0, None, False)
-    vec = _primitive([r - p if 2 * r > p else r for r in v])
+    sign = -1 if 2 * v[0] > p else 1  # the reported vector starts with a positive entry
+    vec = tuple(sign * (r - p if 2 * r > p else r) for r in v)
     if len(vec) != n - k + 1 or not _is_in_kernel(g, vec + (0,) * (k - 1)):
         return None
     if k > 1:

@@ -111,7 +111,11 @@ class FamilyPolyId(Record):
 def build_family(fid: FamilyId) -> GeneratorSet:
     """Sorted generator set of the family member; always 2t elements.
 
-    A t above FAMILY_MAX_T raises CapacityError before the set is built.
+    dprime and ddprime members are 1 .. t - 1, then (n + 2)//4 and (n + 6)//4
+    (n/4 and n/4 + 1 when 4 | n), then n/2 - t + 1 .. n/2 - 1: ascending, as
+    n >= 4t + 4 (dprime) or 4t + 6 (ddprime) puts t - 1 below the pair and
+    the pair below n/2 - t + 1, which GeneratorSet checks. A t above
+    FAMILY_MAX_T raises CapacityError before the set is built.
     """
     from .circulant import GeneratorSet
 
@@ -120,12 +124,8 @@ def build_family(fid: FamilyId) -> GeneratorSet:
         raise CapacityError(f"family parameter t={t} exceeds the ceiling {FAMILY_MAX_T}")
     if fid.variant == VARIANT_DS_PRIOR:
         return GeneratorSet(n, tuple(s for s in range(1, 2 * t + 2) if s != t))
-    if fid.variant == VARIANT_DPRIME:
-        middle = [n // 4, n // 4 + 1]
-    else:
-        middle = [(n + 2) // 4, (n + 6) // 4]
-    high = range(n // 2 - (t - 1), n // 2)
-    return GeneratorSet(n, tuple(sorted([*range(1, t), *middle, *high])))
+    middle = ((n + 2) // 4, (n + 6) // 4)
+    return GeneratorSet(n, (*range(1, t), *middle, *range(n // 2 - t + 1, n // 2)))
 
 
 def family_poly(pid: FamilyPolyId) -> SparsePoly:

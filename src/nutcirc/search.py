@@ -11,21 +11,20 @@ b divides n those depend only on s mod b, the same for residues r and b - r.
 So each b takes only the b/2 + 1 residues with r <= b/2. Nothing forms
 Phi_b or divides by it.
 
-For a walk over k-sets each residue is packed once into one int:
-coefficient i, plus cmax (the largest |coefficient| of all of them), in the
-i-th of phi(b) fields of w = bit_length(2 * cmax * k) bits. Row s, one int
-per offset, ORs together every b's packed residue for s mod b, each b in
+For a walk over k-sets each residue is packed once into one int: coefficient
+i plus 2 in the i-th of phi(b) fields of w = bit_length(4k) bits, since
+every coefficient lies in [-2, 2] (proof in ``_pack_residues``). Row s, one
+int per offset, ORs together every b's packed residue for s mod b, each b in
 its own block of fields. A field of a sum of at most k rows then lies in
-[0, 2 * cmax * k] and fits in w bits, so adding two packed ints adds every
-field at once and never carries. A parity-balanced k-set is an odd
-half (k/2 odd offsets) plus an even half (k/2 even ones), so the walk is a
-double loop: the packed sums of all even halves are computed once per order
-and k, and each odd half's sum is added to each of them. A leaf's b-slice is
-zero exactly when every field in it holds k * cmax, that is when
-``total & mask_b`` equals ``base_b * k`` (masks and bases precomputed once
-per order and k); a leaf is a nut set iff no b-slice is zero. Every step is
-exact integer arithmetic, so the verdict is the spectral check's verdict.
-Unbalanced sets are never visited, since no nut set is unbalanced:
+[0, 4k] and fits in w bits, so adding two packed ints adds every field at
+once and never carries. A parity-balanced k-set is an odd half (k/2 odd
+offsets) plus an even half (k/2 even ones), so the walk is a double loop:
+the packed sums of all even halves are computed once per order and k, and
+each odd half's sum is added to each of them. A leaf's b-slice is zero
+exactly when every field in it holds 2k, that is when ``total & mask_b``
+equals ``base_b * k``; a leaf is a nut set iff no b-slice is zero. Every
+step is exact integer arithmetic, so the verdict is the spectral check's
+verdict. Unbalanced sets are never visited, since no nut set is unbalanced:
 ``sets_enumerated`` is the closed-form count of all d/2-subsets (of the
 balanced ones with ``balanced_only``), while ``sets_passing`` and the
 lexicographically least witness come from the walk.
@@ -70,10 +69,10 @@ CATALOG_MAX_ORDER = 3000
 # Most even orders in one catalog range: 10 000 entries build and print in
 # about 0.3 s.
 CATALOG_MAX_ORDERS = 10_000
-# Smallest walk, in balanced sets, that may use a process pool. Measured on
-# a 2-core machine: serial wins below about 50 000 sets, the pool above
-# about 90 000, and the two are even near 70 000.
-POOL_MIN_SETS = 70_000
+# Smallest walk, in balanced sets, that may use a process pool. On a 2-core
+# machine the pool wins from about 700 000 sets at degrees 12 to 20, and
+# from about 1 400 000 at degree 8.
+POOL_MIN_SETS = 1_500_000
 
 
 class CatalogEntry(Record):
@@ -93,44 +92,45 @@ class CatalogEntry(Record):
 def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
     """Fold residues of x^s + x^(n-s) for each Phi_b, b >= 3 dividing n, packed for k-sets.
 
-    Returns (rows, width, tests). Each such b, ascending, has a block of
-    phi(b) fields of width bits; field i holds coefficient i of
-    ``phi_fold(x^r + x^(b-r), b)``, r = min(s mod b, b - s mod b), plus cmax
-    (the largest |coefficient| of all the packed ones), in rows[s] for
-    0 <= s < n/2. A field of a sum of at most k rows lies in [0, 2*cmax*k],
-    which fits in width bits, so adding packed rows never carries. tests
-    holds, per block, (mask_b, base_b * k), where base_b has cmax in every
-    field of the block: Phi_b divides the sum's P_S exactly when
+    Returns (rows, width, tests), laid out as the module docstring says:
+    each such b, ascending, has a block of phi(b) fields of width =
+    bit_length(4k) bits, and field i of rows[s], 0 <= s < n/2, holds
+    coefficient i of ``phi_fold(x^r + x^(b-r), b)`` plus 2, r = min(s mod
+    b, b - s mod b). tests holds, per block, (mask_b, base_b * k), base_b
+    with 2 in every field: Phi_b divides the sum's P_S exactly when
     ``total & mask_b`` equals ``base_b * k``.
+
+    Proof that every coefficient lies in [-2, 2]. The fold multiplier g_b,
+    the product of x^(b/q) - 1 over the primes q | b, has 2^omega(b) terms
+    +-1 at the exponents sum over q in I of b/q, one per set I of those
+    primes, distinct mod b: modulo the full power of q in b the sum is
+    nonzero exactly when q is in I. The fold of x^r + x^(b-r) is the sum of
+    two shifts of g_b; at r = 0 it is 2 * g_b, whose constant term is +-2.
 
     Proof that phi(b) coefficients suffice. The fold is linear, so the fold
     F of P_S is the sum of its rows' folds; F has degree below b and is zero
     iff Phi_b divides P_S. Let Psi_b = (x^b - 1) / Phi_b, the product of
     Phi_c over c | b, c < b. Each such c divides b/q for some prime q | b,
     so Phi_c divides x^(b/q) - 1, and the distinct Phi_c are coprime: Psi_b
-    divides g_b (the fold's multiplier) as well as x^b - 1, hence F = Psi_b
-    * m with deg m < phi(b). Psi_b(0) = -1, so coefficient i of F is -m_i
-    plus a combination of m_0 .. m_(i-1): the lowest phi(b) coefficients of
-    F determine m, and they are all zero only when m, hence F, is zero.
+    divides g_b as well as x^b - 1, hence F = Psi_b * m with deg m <
+    phi(b). Psi_b(0) = -1, so coefficient i of F is -m_i plus a combination
+    of m_0 .. m_(i-1): the lowest phi(b) coefficients of F determine m, and
+    they are all zero only when m, hence F, is zero.
     """
-    blocks = []
+    width = (4 * k).bit_length()
+    rows = [0] * (n // 2)
+    tests = []
+    offset = 0
     for b in divisors(n):
         if b < 3:
             continue  # b = 1 and 2 are the parity condition: the walk visits balanced sets only
         phi = euler_phi(b)
-        folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
-        blocks.append((b, phi, [{i: c for i, c in fold.items() if i < phi} for fold in folds]))
-    cmax = max(abs(c) for _, _, half in blocks for low in half for c in low.values())
-    width = (2 * cmax * k).bit_length()
-    ones = (1 << width) - 1  # one field of ones
-    rows = [0] * (n // 2)
-    tests = []
-    offset = 0
-    for b, phi, half in blocks:
         mask = (1 << (width * phi)) - 1
-        base = mask // ones * cmax  # cmax in every field of the block
+        base = mask // ((1 << width) - 1) * 2  # 2 in every field of the block
+        folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
         packed = [
-            (base + sum(c << (width * i) for i, c in low.items())) << offset for low in half
+            (base + sum(c << (width * i) for i, c in fold.items() if i < phi)) << offset
+            for fold in folds
         ]
         for s in range(n // 2):
             r = s % b

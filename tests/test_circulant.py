@@ -359,13 +359,16 @@ FORGERIES = {
     ),
     "gcd-degree-too-low": ("_bezout_mod_p", lambda huv, p: ([1], *huv[1:])),
     "shifted-kernel-vector": ("_bezout_mod_p", lambda huv, p: (*huv[:2], [0] + huv[2])),
-    "nudged-kernel-vector": ("_primitive", lambda vec: (vec[0] + 1,) + vec[1:]),
+    "nudged-kernel-vector": (
+        "_bezout_mod_p",
+        lambda huv, p: (*huv[:2], [(huv[2][0] + 1) % p] + huv[2][1:]),
+    ),
 }
 
 
 @pytest.mark.parametrize("name, forge", FORGERIES.values(), ids=list(FORGERIES))
 def test_forged_certificates_are_refused(monkeypatch, name, forge):
-    # Each forgery (u + e_0, h (x - 1), h = 1, x v, one entry + 1) breaks
+    # Each forgery (u + e_0, h (x - 1), h = 1, x v, v + 1) breaks
     # the Bezout row check, the degree of v or the exact kernel check at
     # every prime, so the oracle refuses. x v is still a kernel vector, but
     # its shifts wrap around. Every case has a nonzero nullity, and the

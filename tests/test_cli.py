@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import nutcirc
-from nutcirc import circulant, cyclotomy, families
+from nutcirc import circulant, cyclotomy, families, search
 from nutcirc.cli import _COMMANDS, _plain_args, build_parser, main
 
 
@@ -346,6 +346,13 @@ def test_readme_lists_every_ceiling_with_its_value():
             defined[name] = (path.stem, getattr(import_module(f"nutcirc.{path.stem}"), name))
     assert len(defined) == 10
     assert listed == defined
+
+
+def test_readme_states_the_pool_floor():
+    # README "Parallelism" gives the pool floor as "`POOL_MIN_SETS` = value".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (value,) = re.findall(r"`POOL_MIN_SETS` = ([\d ]+\d)", readme)
+    assert int(value.replace(" ", "")) == search.POOL_MIN_SETS
 
 
 def test_no_module_reads_the_environment():

@@ -6,6 +6,8 @@ example database is kept, so every run checks the same inputs.
 """
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -18,6 +20,7 @@ from nutcirc.circulant import (  # noqa: E402
     is_nut_kernel,
     is_nut_spectral,
     kernel_oracle,
+    spectral_indices,
 )
 from nutcirc.cyclotomy import (  # noqa: E402
     cyclo_divisors_accelerated,
@@ -34,6 +37,7 @@ from nutcirc.polyalg import (  # noqa: E402
     phi_fold,
     phi_remainder,
 )
+from nutcirc.search import catalog  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -155,3 +159,94 @@ def test_fold_low_coefficients_match_exact_division(case):
     low_zero = not any(fold.get(i, 0) for i in range(euler_phi(b)))
     assert low_zero == phi_remainder(p, b).is_zero()
     assert low_zero or not planted
+
+
+def failing_indices(g):
+    """Every b >= 3 dividing n with Phi_b | P_S; is_nut_spectral stops at the first."""
+    p = eigen_poly(g)
+    return [b for b in spectral_indices(g.n) if phi_divides(p, b)]
+
+
+def unit_image(g, u):
+    """uS: each offset s goes to u*s mod n, folded into 1 .. n/2 - 1 by s -> n - s."""
+    n = g.n
+    return GeneratorSet(n, tuple(sorted(min(u * s % n, -u * s % n) for s in g.elements)))
+
+
+@st.composite
+def unit_multiples(draw):
+    """(S, units, member): an even order n < 10^6, a set S, three units mod n, a member.
+
+    n is below 64, 1024 or 10^6, a third of the time each: the catalog check
+    runs below 64 and the kernel check up to its ceiling 2048, and the
+    middle tier stops at 1024 because the kernel certificate is quadratic
+    in n. n/2 is a multiple of 1, 9 or 60, so that many orders have many
+    divisors, some of them multiples of 9. Half the sets are planted so that
+    Phi_2m divides P_S, for an m > 1 dividing n/2: m times a parity-balanced
+    set, or pairs {s, s + m} (x^s + x^(s+m) vanishes where x^m = -1).
+    member is a dprime or ddprime FamilyId, or None below the least order.
+    """
+    bound = draw(st.sampled_from((31, 511, 499_999)))
+    smooth = draw(st.sampled_from((1, 9, 60)))
+    n = 2 * max(2, smooth * draw(st.integers(1, max(1, bound // smooth))))
+    half = n // 2
+    plantable = [m for m in divisors(half) if m > 1 and half // m >= 4]
+    plant = draw(st.sampled_from((None, None, "multiples", "pairs"))) if plantable else None
+    if plant:
+        m = draw(st.sampled_from(plantable))
+        top = half // m
+        j = draw(st.integers(1, min(3, (top - 1) // 2)))
+    if plant == "multiples":
+        odd = draw(st.sets(st.sampled_from(range(1, top, 2)), min_size=j, max_size=j))
+        even = draw(st.sets(st.sampled_from(range(2, top, 2)), min_size=j, max_size=j))
+        elements = {m * s for s in odd | even}
+    elif plant == "pairs":
+        # s mod 2m < m keeps every s + m off the other pairs.
+        low = st.integers(1, half - m - 1).filter(lambda s: s % (2 * m) < m)
+        elements = {e for s in draw(st.sets(low, min_size=1, max_size=j)) for e in (s, s + m)}
+    else:
+        elements = draw(st.sets(st.integers(1, half - 1), min_size=1, max_size=8))
+    units = []
+    for u in draw(st.lists(st.integers(1, n - 1), min_size=3, max_size=3)):
+        u |= 1
+        while gcd(u, n) > 1:
+            u += 2
+        units.append(u)
+    member = None
+    if n % 4 == 0 and n >= 8:
+        member = FamilyId("dprime", draw(st.sampled_from(range(1, min(25, n // 4 - 1) + 1, 2))), n)
+    elif n % 4 == 2 and n >= 10:
+        member = FamilyId("ddprime", draw(st.integers(1, min(25, (n - 6) // 4))), n)
+    return GeneratorSet(n, tuple(sorted(elements))), units, member
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(unit_multiples())
+def test_unit_multiples_keep_every_verdict(case):
+    # s -> +-u s mod n, u a unit, maps Circ(n, S) onto an isomorphic graph
+    # and permutes the primitive b-th roots of unity for each b | n, so the
+    # failing b, the verdict and the nullity of S and uS agree, and a
+    # catalog witness W maps to a nut set uW. This checks the spectral route
+    # at orders no second route reaches. Mutations of phi_fold it catches,
+    # each checked on a copy of the package: folding mod b - 1 when 9 | b
+    # (the failing-b and family checks); dropping the reduced term at
+    # exponent b - 1, and squaring one binomial factor of g_b (the catalog
+    # check: the kernel route refuses uW).
+    g, units, fid = case
+    failing = failing_indices(g)
+    for u in units:
+        assert failing_indices(unit_image(g, u)) == failing, (g, u)
+    if fid is not None:
+        verdict = family_nut_check(fid)
+        member = build_family(fid)
+        for u in units:
+            image = is_nut_spectral(unit_image(member, u))
+            assert (image.is_nut, image.reason) == (verdict.is_nut, verdict.reason), (fid, u)
+    if g.n <= 2048:
+        assert kernel_oracle(unit_image(g, units[0])).nullity == kernel_oracle(g).nullity, g
+    if g.n < 64:
+        for d in (4, 8):
+            (entry,) = catalog(d, g.n, g.n)
+            if entry.exists:
+                image = unit_image(GeneratorSet(g.n, entry.witness), units[0])
+                assert is_nut_spectral(image).is_nut and is_nut_kernel(image).is_nut, image

@@ -174,6 +174,10 @@ def test_catalog_pool_is_clamped(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
+    # Both catalogs are below the real floor, so the floor is lowered to the
+    # second one's walk: both start the pool, the second exactly at it.
+    walk = sum(search._balanced_count(n // 2 - 1, 4) for n in range(14, 65, 2))
+    monkeypatch.setattr(search, "POOL_MIN_SETS", walk)
     # An odd half of a balanced 18-set at order 52 holds 9 of the odd offsets
     # 1 .. 25, so its least one is 1, 3, 5, 7 or 9: five shards. The order has
     # enough balanced 18-sets for the pool.
@@ -181,8 +185,6 @@ def test_catalog_pool_is_clamped(monkeypatch):
     assert catalog(36, 52, 52, jobs=10**8) == catalog(36, 52, 52)
     assert workers == [5]
     monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
-    walk = sum(search._balanced_count(n // 2 - 1, 4) for n in range(14, 65, 2))
-    assert walk >= search.POOL_MIN_SETS
     assert catalog(8, 14, 64, jobs=10**8) == catalog(8, 14, 64)
     assert workers == [5, 3]
 
@@ -251,9 +253,9 @@ PINNED_CATALOGS = {
 }
 
 
-def test_catalog_d12_d16_entries_unchanged():
-    # The d = 12 and d = 20 catalogs are above POOL_MIN_SETS, so jobs=2 runs a
-    # real pool on them.
+def test_catalog_d12_d16_entries_unchanged(real_pool):
+    # All three catalogs are below POOL_MIN_SETS; real_pool lifts the floor,
+    # so jobs=2 runs each of them on a real two-worker pool.
     for (d, n_min, n_max), rows in PINNED_CATALOGS.items():
         for balanced_only, jobs in ((False, 1), (True, 2)):
             expected = [
@@ -262,6 +264,7 @@ def test_catalog_d12_d16_entries_unchanged():
             ]
             got = catalog(d, n_min, n_max, jobs=jobs, balanced_only=balanced_only)
             assert got == expected, (d, balanced_only)
+    assert real_pool == [2, 2, 2]
 
 
 def test_pinned_witnesses_are_nut_sets_by_both_routes():
@@ -338,6 +341,22 @@ def test_packed_sums_unpack_to_tuple_sums():
             for subset in (ranked[:k], ranked[-k:]):
                 field = (sum(rows[s] for s in subset) >> (width * i)) & ones
                 assert field == sum(column[s] for s in subset) + k * cmax, (n, k, i)
+
+
+def test_binomial_folds_lie_in_minus_two_to_two():
+    # The packed field width, bit_length(4k), rests on every coefficient of
+    # the fold of x^r + x^(b-r) lying in [-2, 2], with r = 0 reaching +-2 at
+    # exponent 0: the 2^omega(b) terms of g_b sit at distinct exponents mod
+    # b. A phi_fold that squared one binomial factor of g_b would reach 4.
+    rng = random.Random(26)
+    cases = [(b, range(b // 2 + 1)) for b in range(3, 301)]
+    cases += [(b, [0, b // 2, *rng.sample(range(1, b // 2), 300)]) for b in (2310, 30030)]
+    for b, residues in cases:
+        for r in residues:
+            fold = phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b)
+            assert all(-2 <= c <= 2 for c in fold.values()), (b, r)
+            if r == 0:
+                assert abs(fold.get(0, 0)) == 2, b
 
 
 def test_packed_leaf_test_matches_tuple_slices():
