@@ -2,12 +2,14 @@
 
 Construct circulant graph families, certify nut-ness by independent spectral
 and null-space routes, decide cyclotomic divisibility of sparse integer
-polynomials, regenerate the small-modulus residue tables, and catalog nut
-graph existence by order and degree.
+polynomials, regenerate the small-modulus residue tables and diff them
+against the golden files, and catalog nut graph existence by order and
+degree.
 
 Each exported name is imported from its defining module on first use
 (PEP 562), so ``import nutcirc`` loads no layer and a command-line request
-compiles only the modules its subcommand calls.
+compiles only the modules its subcommand calls. The golden-file diff and
+the unique-residue premise live in ``appendix``, which no request calls.
 """
 
 from importlib import import_module
@@ -16,6 +18,12 @@ from importlib import import_module
 _EXPORTS = {
     name: module
     for module, names in {
+        "appendix": (
+            "GoldenReport",
+            "appendix_golden_check",
+            "exponent_set",
+            "unique_remainder_exists",
+        ),
         "circulant": (
             "GeneratorSet",
             "KernelReport",
@@ -37,15 +45,11 @@ _EXPORTS = {
         "families": (
             "FamilyId",
             "FamilyPolyId",
-            "GoldenReport",
             "TableRow",
-            "appendix_golden_check",
             "build_family",
-            "exponent_set",
             "family_nut_check",
             "family_poly",
             "generate_table",
-            "unique_remainder_exists",
         ),
         "polyalg": (
             "SparsePoly",

@@ -23,11 +23,13 @@ the spectral side.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .errors import CapacityError, ParameterError
 from .polyalg import SparsePoly, divisors, phi_divides, prime_factorization
 from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional, Union
 
 # Size ceilings, each checked before any work; timings on a 2-core machine.
 # KERNEL_MAX_ORDER bounds the kernel certificate, which is quadratic: at

@@ -25,8 +25,11 @@ which builds the parser from the same table, so help, abbreviations and
 every usage message stay argparse's. Each subcommand imports only the layers
 it calls: a cyclodiv request never compiles circulant, families or search, a
 search request never circulant, and only non-JSON output or a CSV file
-compiles ``render``. So elapsed_ms, timed from the start of main, includes
-the import of the subcommand's layers.
+compiles ``render``. The envelope is encoded by ``_to_json``, which writes
+what ``json.dumps(envelope, sort_keys=True)`` would, so that only the JSON
+document ``search --out FILE`` writes imports ``json``. So elapsed_ms,
+timed from the start of main, includes the import of the subcommand's
+layers.
 """
 from __future__ import annotations
 
@@ -34,12 +37,13 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import CapacityError, ConfigurationError, ParameterError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import Any, Optional
 
     from .circulant import NutVerdict
     from .search import CatalogEntry
@@ -326,12 +330,63 @@ def build_parser() -> argparse.ArgumentParser:
     return build_parser(_COMMANDS)
 
 
+# The escapes json.dumps writes for these characters; any other character
+# outside " " .. "~" becomes \uXXXX, an astral one a surrogate pair of them.
+_JSON_ESCAPES = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\b": "\\b",
+    "\f": "\\f",
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+}
+
+
+def _json_char(char: str) -> str:
+    if char in _JSON_ESCAPES:
+        return _JSON_ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | (code >> 10):04x}\\u{0xDC00 | (code & 0x3FF):04x}"
+    return f"\\u{code:04x}"
+
+
+def _to_json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True)`` for what an envelope holds, without ``json``.
+
+    That is dicts with str keys, lists, tuples, str, int, bool and None;
+    any other type raises TypeError. Strings are escaped as json's
+    ``ensure_ascii`` does, lone surrogates included.
+    """
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable():
+            return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + "".join(map(_json_char, value)) + '"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_to_json, value)) + "]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("envelope keys must be str")
+        return "{" + ", ".join(f"{_to_json(k)}: {_to_json(value[k])}" for k in sorted(value)) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(envelope: dict[str, Any], as_json: bool) -> None:
     stream = sys.stdout
     if as_json:
-        import json
-
-        text = json.dumps(envelope, sort_keys=True)
+        text = _to_json(envelope)
     elif envelope["status"] == "ok":
         from .render import human
 

@@ -7,29 +7,21 @@ six-term polynomials whose cyclotomic non-divisibility is exactly what makes
 every member a nut graph. The four polynomials live in one table, ``_SHAPES``,
 each exponent as a*t + c; ``family_poly`` evaluates it at a validated t.
 ``family_nut_check`` re-derives nut-ness through that divisor classification
-without ever forming the eigenvalue polynomial, and
-``generate_table``/``appendix_golden_check`` regenerate and diff the
-small-modulus residue tables that certify the small-index cases. A table row
-is built from its residue class alone: reduced modulo x^m - 1, the exponent
-a*t + c depends on t only through t mod m. Its remainder comes from
-``phi_remainder``.
+without ever forming the eigenvalue polynomial, and ``generate_table``
+regenerates the small-modulus residue tables that certify the small-index
+cases. A table row is built from its residue class alone: reduced modulo
+x^m - 1, the exponent a*t + c depends on t only through t mod m. Its
+remainder comes from ``phi_remainder``. The golden-file diff of those tables
+and the unique-residue premise, which no CLI request calls, live in
+``nutcirc.appendix``.
 """
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Union
-
-from .errors import CapacityError, ConfigurationError, ParameterError
-from .polyalg import (
-    SparsePoly,
-    is_prime,
-    phi_divides,
-    phi_remainder,
-    sparse_from_text,
-    sparse_to_text,
-)
+from .errors import CapacityError, ParameterError
+from .polyalg import SparsePoly, phi_divides, phi_remainder
 from .record import Record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .circulant import GeneratorSet, NutVerdict
 
@@ -39,8 +31,8 @@ VARIANT_DS_PRIOR = "ds"
 VARIANTS = (VARIANT_DPRIME, VARIANT_DDPRIME, VARIANT_DS_PRIOR)
 
 # The four six-term family polynomials, one entry per kind: whether t must be
-# odd, the least t, the least prime p for ``unique_remainder_exists``, and the
-# six terms (a, c, coefficient), each meaning coefficient * x^(a*t + c).
+# odd, the least t, the least prime p for ``appendix.unique_remainder_exists``,
+# and the six terms (a, c, coefficient), each meaning coefficient * x^(a*t + c).
 # q and r serve the 4 | n family, u and w the n = 2 (mod 4) family.
 _SHAPES = {
     "q": (True, 3, 5, ((2, -1, 2), (1, 1, 1), (1, 0, -1), (1, -1, 1), (1, -2, -1), (0, 0, -2))),
@@ -133,26 +125,6 @@ def family_poly(pid: FamilyPolyId) -> SparsePoly:
     return SparsePoly((a * pid.t + c, coeff) for a, c, coeff in _SHAPES[pid.kind][3])
 
 
-def exponent_set(pid: FamilyPolyId) -> set[int]:
-    """Exponent support of the family polynomial; always six elements."""
-    return set(family_poly(pid).terms)
-
-
-def unique_remainder_exists(pid: FamilyPolyId, p: int) -> bool:
-    """True iff some exponent's residue mod p is unique within the support set.
-
-    This is the pigeonhole fact that powers the prime-index exclusions; it is
-    stated for primes p from the kind's least prime on: 5 for q/r, 7 for u/w.
-    """
-    minimum = _SHAPES[pid.kind][2]
-    if p < minimum or not is_prime(p):
-        raise ParameterError(
-            f"unique_remainder_exists({pid.kind}) needs a prime p >= {minimum}, got {p}"
-        )
-    residues = [e % p for e in exponent_set(pid)]
-    return any(residues.count(r) == 1 for r in residues)
-
-
 def family_nut_check(fid: FamilyId) -> NutVerdict:
     """Decide nut-ness of a family member from the divisor classification alone.
 
@@ -211,27 +183,6 @@ class TableRow(Record):
     remainder: SparsePoly
 
 
-class GoldenMismatch(Record):
-    __slots__ = ("kind", "modulus", "residue", "field", "expected", "actual")
-    kind: str
-    modulus: int
-    residue: int
-    field: str
-    expected: str
-    actual: str
-
-
-class GoldenReport(Record):
-    __slots__ = ("rows_checked", "mismatches", "zero_remainders")
-    rows_checked: int
-    mismatches: tuple[GoldenMismatch, ...]
-    zero_remainders: tuple[tuple[str, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and not self.zero_remainders
-
-
 def generate_table(kind: str, modulus: int) -> list[TableRow]:
     """Rows r = 0 .. modulus-1 of the residue table for one family polynomial.
 
@@ -256,69 +207,3 @@ def generate_table(kind: str, modulus: int) -> list[TableRow]:
         rows.append(TableRow(kind, modulus, residue, reduced, phi_remainder(reduced, modulus)))
     return rows
 
-
-def golden_data_dir() -> Path:
-    return Path(__file__).parent / "data" / "appendix"
-
-
-def appendix_golden_check(data_dir: Union[Path, str, None] = None) -> GoldenReport:
-    """Regenerate all residue tables and diff them against the golden files.
-
-    Golden files live at data/appendix/{kind}_{modulus}.txt, one row per
-    line: ``residue reduced-sparse remainder-sparse``. Comparison is
-    bit-exact on the canonical sparse text. Zero remainders are reported
-    separately even if they match the golden file.
-    """
-    base = Path(data_dir) if data_dir is not None else golden_data_dir()
-    mismatches: list[GoldenMismatch] = []
-    zero_remainders: list[tuple[str, int, int]] = []
-    rows_checked = 0
-    for kind in POLY_KINDS:
-        for modulus in TABLE_MODULI:
-            path = base / f"{kind}_{modulus}.txt"
-            if not path.is_file():
-                raise ConfigurationError(f"missing golden table file {path}")
-            golden_rows = _parse_golden(path)
-            for row in generate_table(kind, modulus):
-                rows_checked += 1
-                if row.remainder.is_zero():
-                    zero_remainders.append((kind, modulus, row.residue))
-                golden = golden_rows.pop(row.residue, None)
-                if golden is None:
-                    mismatches.append(
-                        GoldenMismatch(kind, modulus, row.residue, "row", "<present>", "<missing>")
-                    )
-                    continue
-                actual = (sparse_to_text(row.reduced), sparse_to_text(row.remainder))
-                for field, expected, got in zip(("reduced", "remainder"), golden, actual):
-                    if got != expected:
-                        mismatches.append(
-                            GoldenMismatch(kind, modulus, row.residue, field, expected, got)
-                        )
-            # Rows left over name residues the table does not have.
-            mismatches += (
-                GoldenMismatch(kind, modulus, residue, "row", "<absent>", "<present>")
-                for residue in golden_rows
-            )
-    return GoldenReport(rows_checked, tuple(mismatches), tuple(zero_remainders))
-
-
-def _parse_golden(path: Path) -> dict[int, tuple[str, str]]:
-    rows: dict[int, tuple[str, str]] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise ConfigurationError(f"{path}:{line_no}: expected 3 fields, got {len(parts)}")
-        try:
-            residue = int(parts[0])
-            # Round-trip the reduced and remainder texts so the stored text is canonical.
-            texts = tuple(sparse_to_text(sparse_from_text(text)) for text in parts[1:])
-        except ValueError as exc:  # from int, or sparse_from_text's ParameterError
-            raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
-        if residue in rows:
-            raise ConfigurationError(f"{path}:{line_no}: repeated residue {residue}")
-        rows[residue] = texts
-    return rows

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from typing import Union
 
 from .errors import ParameterError
 
-TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Union
+
+    TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 class SparsePoly:
@@ -93,10 +96,6 @@ def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factorization(n) == ((n, 1),)
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -12,7 +12,10 @@ class; this base class builds none.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 class Record:

@@ -7,7 +7,9 @@ compiles it.
 """
 from __future__ import annotations
 
-from typing import Any
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 def _verdict(name: str, data: dict[str, Any]) -> str:

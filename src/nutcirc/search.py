@@ -53,11 +53,14 @@ import os
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from .errors import CapacityError, ParameterError
 from .polyalg import SparsePoly, divisors, euler_phi, phi_fold
 from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
 CATALOG_MAX_SETS = 10**7

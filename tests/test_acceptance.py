@@ -11,6 +11,7 @@ from itertools import combinations
 
 from polyref import compose_xpow, mul, x_pow_minus_one
 
+from nutcirc.appendix import appendix_golden_check
 from nutcirc.circulant import GeneratorSet, is_nut_kernel, is_nut_spectral
 from nutcirc.cyclotomy import (
     cyclo_divisors_accelerated,
@@ -20,7 +21,6 @@ from nutcirc.cyclotomy import (
 from nutcirc.families import (
     FamilyId,
     FamilyPolyId,
-    appendix_golden_check,
     build_family,
     family_nut_check,
     family_poly,

@@ -15,8 +15,21 @@ from pathlib import Path
 import pytest
 
 import nutcirc
-from nutcirc import circulant, cyclotomy, families, search
+from nutcirc import circulant, cli, cyclotomy, families, search
 from nutcirc.cli import _COMMANDS, _plain_args, build_parser, main
+
+
+@pytest.fixture(autouse=True)
+def _envelopes_encode_as_json_dumps(monkeypatch):
+    """Every envelope a test here emits, error envelopes included, is encoded
+    by the CLI byte for byte as ``json.dumps(envelope, sort_keys=True)``."""
+    emit = cli._emit
+
+    def checked(envelope, as_json):
+        assert cli._to_json(envelope) == json.dumps(envelope, sort_keys=True)
+        emit(envelope, as_json)
+
+    monkeypatch.setattr(cli, "_emit", checked)
 
 
 def run_cli(capsys, *argv):
@@ -651,6 +664,60 @@ def test_human_output_renders(capsys):
     assert labels == ["spectral", "kernel", "family", "checks agree"]
 
 
+def test_envelope_encoder_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chars = st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\b\f\n\r\t'),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+        st.characters(min_codepoint=0x10000),
+        st.characters(),
+    )
+    strings = st.text(chars)
+    ints = st.one_of(st.integers(), st.integers(min_value=2**63), st.integers(max_value=-(2**64)))
+    values = st.recursive(
+        st.one_of(st.none(), st.booleans(), ints, strings),
+        lambda inner: st.one_of(
+            st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(strings, inner)
+        ),
+        max_leaves=30,
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert cli._to_json(value) == json.dumps(value, sort_keys=True)
+
+    check()
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", {"payload": [0.0]}, {1: "x"}])
+def test_envelope_encoder_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._to_json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyclodiv", "--poly", "5:1,é:2"],
+        ["cyclodiv", "--poly", "5:1,\udc80:2"],
+        ["cyclodiv", "--poly", "2:1,\U0001f600"],
+        ["verify", "--n", "16", "--set", "1,\x7f"],
+        ["family", "--variant", "ü", "--t", "3", "--n", "16"],
+        ["tables", "--kind", "q\"\\", "--modulus", "3"],
+    ],
+    ids=["latin", "lone-surrogate", "astral", "del", "argparse-choice", "quote-backslash"],
+)
+def test_non_ascii_argv_leaves_through_the_envelope(capsys, argv):
+    # The message quotes the offending argument; the autouse check above
+    # compares its encoding with json.dumps.
+    code, envelope = run_json(capsys, *argv)
+    assert code == 2
+    assert envelope["status"] == "error" and envelope["command"] == argv[0]
+
+
 def _child_env() -> dict[str, str]:
     """This environment, with the package this test imports first on the path, installed or not."""
     package_root = str(Path(nutcirc.__file__).resolve().parents[1])
@@ -690,123 +757,128 @@ def test_closed_stdout_exits_1_quietly():
     assert result.returncode == 1
 
 
-LAYERS = frozenset({"polyalg", "record", "cyclotomy", "circulant", "families", "search", "render"})
+LAYERS = frozenset(
+    {"polyalg", "record", "cyclotomy", "circulant", "families", "appendix", "search", "render"}
+)
 
 
-def _modules_added(code: str, *argv: str) -> set[str]:
+def _modules_added(code: str, *argv: str, flags: tuple[str, ...] = ()) -> set[str]:
     """Modules that running code adds to a fresh interpreter's sys.modules.
 
     The child keeps this process's environment, so with
     PYTHONDONTWRITEBYTECODE set it writes no .pyc files under src/. Counting
-    only what code adds leaves out what the interpreter's own start-up loads
-    (site, .pth files).
+    only what code adds leaves out what the interpreter's own start-up loads;
+    the snapshot is taken before the script imports anything and the result
+    is printed as a repr, so the count itself loads nothing. Under site,
+    .pth files may import modules (typing, pathlib, re) that then go
+    uncounted: flags=("-S",) starts the interpreter without site.
     """
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         f"{code}\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env()
+        [sys.executable, *flags, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
 # Loaded only by build_parser(), --help, an abbreviation or a usage error:
 # argparse, the gettext it imports and the CLI's argparse side.
 ARGPARSE = frozenset({"argparse", "gettext", "argparser"})
+# Loaded by no plain --json request: the envelope is encoded without json,
+# annotations need no typing, and appendix (with its pathlib) serves the
+# library only. search --out FILE in JSON format still loads json.
+NOT_AT_START = frozenset({"json", "typing", "pathlib", "appendix"})
 
 
-@pytest.mark.parametrize(
-    "argv, exit_code, used, unused",
-    [
-        ([], None, ARGPARSE, LAYERS),
-        (
-            ["--json", "cyclodiv", "--poly", "2:1,0:1"],
-            0,
-            {"cyclotomy"},
-            {"circulant", "families", "search", "render"} | ARGPARSE,
-        ),
-        (
-            ["--json", "search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
-            0,
-            {"search", "polyalg"},
-            {"circulant", "families", "cyclotomy", "render"} | ARGPARSE,
-        ),
-        (
-            ["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"],
-            0,
-            {"circulant"},
-            {"families", "search", "cyclotomy", "render"} | ARGPARSE,
-        ),
-        (
-            ["--json", "tables", "--kind", "q", "--modulus", "3"],
-            0,
-            {"families"},
-            {"circulant", "search", "cyclotomy", "render"} | ARGPARSE,
-        ),
-        (
-            ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check"],
-            0,
-            {"families", "circulant"},
-            {"search", "cyclotomy", "render"} | ARGPARSE,
-        ),
-        (
-            ["verify", "--n", "16", "--set", "1,2,4,5,6,7"],
-            0,
-            {"circulant", "render"},
-            {"families", "search", "cyclotomy"} | ARGPARSE,
-        ),
-        (
-            ["search", "--degree", "8", "--n-min", "14", "--n-max", "14"]
-            + ["--out", "{tmp}/catalog.csv", "--format", "csv"],
-            0,
-            {"search", "render"},
-            {"circulant", "families", "cyclotomy"} | ARGPARSE,
-        ),
-        (["--help"], 0, ARGPARSE, LAYERS),
-        (["--json", "family", "-h"], 0, ARGPARSE, LAYERS),
-        (["--json", "verify", "--n", "1x", "--set", "3,4"], 2, ARGPARSE, LAYERS),
-        (
-            ["--js", "cyclodiv", "--poly", "2:1,0:1"],
-            0,
-            ARGPARSE | {"cyclotomy"},
-            {"circulant", "families", "search", "render"},
-        ),
-        (["tables", "--kind", "z", "--modulus", "3"], 2, ARGPARSE, LAYERS),
-    ],
-    ids=[
-        "import",
-        "cyclodiv",
-        "search",
-        "verify",
-        "tables",
-        "family",
-        "verify-human",
-        "search-csv",
-        "help",
-        "subcommand-help",
-        "usage-error",
-        "abbreviation",
-        "usage-error-text",
-    ],
-)
-def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(
-    argv, exit_code, used, unused, tmp_path
-):
-    """A CLI request loads the layers its subcommand calls, no others, and no dataclasses.
+# (argv, exit code, modules it must load, modules it must not), by case id;
+# nutcirc modules are named without the package prefix.
+LOAD_CASES = [
+    pytest.param([], None, ARGPARSE, LAYERS, id="import"),
+    pytest.param(
+        ["--json", "cyclodiv", "--poly", "2:1,0:1"],
+        0,
+        {"cyclotomy"},
+        {"circulant", "families", "search", "render"} | ARGPARSE | NOT_AT_START,
+        id="cyclodiv",
+    ),
+    pytest.param(
+        ["--json", "search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
+        0,
+        {"search", "polyalg"},
+        {"circulant", "families", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
+        id="search",
+    ),
+    pytest.param(
+        ["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"],
+        0,
+        {"circulant"},
+        {"families", "search", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
+        id="verify",
+    ),
+    pytest.param(
+        ["--json", "tables", "--kind", "q", "--modulus", "3"],
+        0,
+        {"families"},
+        {"circulant", "search", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
+        id="tables",
+    ),
+    pytest.param(
+        ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check"],
+        0,
+        {"families", "circulant"},
+        {"search", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
+        id="family",
+    ),
+    pytest.param(
+        ["--json", "search", "--degree", "8", "--n-min", "14", "--n-max", "14"]
+        + ["--out", "{tmp}/catalog.json"],
+        0,
+        {"search", "json"},
+        {"circulant", "families", "appendix", "cyclotomy", "render"} | ARGPARSE,
+        id="search-json-out",
+    ),
+    pytest.param(
+        ["verify", "--n", "16", "--set", "1,2,4,5,6,7"],
+        0,
+        {"circulant", "render"},
+        {"families", "appendix", "search", "cyclotomy"} | ARGPARSE,
+        id="verify-human",
+    ),
+    pytest.param(
+        ["search", "--degree", "8", "--n-min", "14", "--n-max", "14"]
+        + ["--out", "{tmp}/catalog.csv", "--format", "csv"],
+        0,
+        {"search", "render"},
+        {"circulant", "families", "appendix", "cyclotomy"} | ARGPARSE,
+        id="search-csv",
+    ),
+    pytest.param(["--help"], 0, ARGPARSE, LAYERS, id="help"),
+    pytest.param(["--json", "family", "-h"], 0, ARGPARSE, LAYERS, id="subcommand-help"),
+    pytest.param(
+        ["--json", "verify", "--n", "1x", "--set", "3,4"], 2, ARGPARSE, LAYERS, id="usage-error"
+    ),
+    pytest.param(
+        ["--js", "cyclodiv", "--poly", "2:1,0:1"],
+        0,
+        ARGPARSE | {"cyclotomy"},
+        {"circulant", "families", "appendix", "search", "render"},
+        id="abbreviation",
+    ),
+    pytest.param(
+        ["tables", "--kind", "z", "--modulus", "3"], 2, ARGPARSE, LAYERS, id="usage-error-text"
+    ),
+]
 
-    Every request is one process, and where no .pyc can be written each
-    module it loads is compiled again. A plain request loads neither argparse
-    nor gettext: only `build_parser()`, --help, an abbreviation and a usage
-    error do, and `build_parser()`, help and usage errors load no layer. A
-    subcommand adds only its own layers. A search builds on polyalg alone,
-    and the renderer is loaded only for human output or a CSV file, never
-    for a JSON envelope. The records are built without dataclasses, which
-    generate their methods with exec at import time and pull in inspect.
-    """
+
+def _check_loads(argv, exit_code, used, unused, tmp_path, flags=()):
     code = (
         "from nutcirc.cli import build_parser, main\n"
         "if sys.argv[1:]:\n"
@@ -818,11 +890,38 @@ def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(
         "else:\n"
         "    build_parser()"
     )
-    added = _modules_added(code, *(arg.format(tmp=tmp_path) for arg in argv))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    added = _modules_added(code, *argv, flags=flags)
     assert not {"dataclasses", "inspect"} & added
     names = {name.removeprefix("nutcirc.") for name in added}
     assert used <= names
     assert not unused & names
+
+
+@pytest.mark.parametrize("argv, exit_code, used, unused", LOAD_CASES)
+def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(
+    argv, exit_code, used, unused, tmp_path
+):
+    """A CLI request loads the layers its subcommand calls, no others, and no dataclasses.
+
+    Every request is one process, and where no .pyc can be written each
+    module it loads is compiled again. A plain request loads neither argparse
+    nor gettext: only `build_parser()`, --help, an abbreviation and a usage
+    error do, and `build_parser()`, help and usage errors load no layer. A
+    subcommand adds only its own layers. A search builds on polyalg alone,
+    and the renderer is loaded only for human output or a CSV file, never
+    for a JSON envelope. A plain --json request loads none of NOT_AT_START.
+    The records are built without dataclasses, which generate their methods
+    with exec at import time and pull in inspect.
+    """
+    _check_loads(argv, exit_code, used, unused, tmp_path)
+
+
+@pytest.mark.parametrize("argv, exit_code, used, unused", LOAD_CASES)
+def test_cli_loads_the_same_without_site(argv, exit_code, used, unused, tmp_path):
+    """The same requests under ``python -S``, where no .pth file has already
+    imported typing, pathlib or re, so that loading one of them shows."""
+    _check_loads(argv, exit_code, used, unused, tmp_path, flags=("-S",))
 
 
 def test_package_exports_load_on_first_use():

@@ -8,6 +8,12 @@ import pytest
 from polyref import evaluate
 
 from nutcirc import circulant, families, search
+from nutcirc.appendix import (
+    appendix_golden_check,
+    exponent_set,
+    golden_data_dir,
+    unique_remainder_exists,
+)
 from nutcirc.circulant import is_nut_kernel, is_nut_spectral, parity_balanced
 from nutcirc.cyclotomy import cyclo_divisors_accelerated, cyclo_divisors_oracle
 from nutcirc.errors import CapacityError, ConfigurationError, ParameterError
@@ -17,14 +23,10 @@ from nutcirc.families import (
     _SHAPES,
     FamilyId,
     FamilyPolyId,
-    appendix_golden_check,
     build_family,
-    exponent_set,
     family_nut_check,
     family_poly,
     generate_table,
-    golden_data_dir,
-    unique_remainder_exists,
 )
 from nutcirc.polyalg import SparsePoly, phi_remainder, reduce_mod_xb
 

@@ -11,10 +11,11 @@ import pickle
 
 import pytest
 
+from nutcirc.appendix import GoldenMismatch, GoldenReport
 from nutcirc.circulant import GeneratorSet, KernelReport, NutVerdict
 from nutcirc.cyclotomy import CycloDivisorReport
 from nutcirc.errors import ParameterError
-from nutcirc.families import FamilyId, FamilyPolyId, GoldenMismatch, GoldenReport, TableRow
+from nutcirc.families import FamilyId, FamilyPolyId, TableRow
 from nutcirc.polyalg import SparsePoly
 from nutcirc.record import Record
 from nutcirc.search import CatalogEntry
