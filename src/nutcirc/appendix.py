@@ -17,8 +17,6 @@ from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Union
-
     from .families import FamilyPolyId
 
 
@@ -74,7 +72,7 @@ def golden_data_dir() -> Path:
     return Path(__file__).parent / "data" / "appendix"
 
 
-def appendix_golden_check(data_dir: Union[Path, str, None] = None) -> GoldenReport:
+def appendix_golden_check(data_dir: Path | str | None = None) -> GoldenReport:
     """Regenerate all residue tables and diff them against the golden files.
 
     Golden files live at data/appendix/{kind}_{modulus}.txt, one row per

@@ -27,10 +27,6 @@ from .errors import CapacityError, ParameterError
 from .polyalg import SparsePoly, divisors, phi_divides, prime_factorization
 from .record import Record
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Optional, Union
-
 # Size ceilings, each checked before any work; timings on a 2-core machine.
 # KERNEL_MAX_ORDER bounds the kernel certificate, which is quadratic: at
 # n = 2048 it takes 0.9 to 1.2 s on random degree-8 sets, 1.3 to 1.6 s on
@@ -100,7 +96,7 @@ class NutVerdict(Record):
     _defaults = {"witness": None}
     is_nut: bool
     reason: str
-    witness: Union[int, tuple[int, ...], None]
+    witness: int | tuple[int, ...] | None
 
 
 class KernelReport(Record):
@@ -108,7 +104,7 @@ class KernelReport(Record):
 
     __slots__ = ("nullity", "kernel_vector", "full_support")
     nullity: int
-    kernel_vector: Optional[tuple[int, ...]]
+    kernel_vector: tuple[int, ...] | None
     full_support: bool
 
 
@@ -216,7 +212,7 @@ def _bezout_mod_p(g: GeneratorSet, p: int) -> tuple[list[int], list[int], list[i
     return [x * inv % p for x in r0], [x * inv % p for x in u0], [x * inv_v % p for x in v]
 
 
-def _certified_report(g: GeneratorSet, p: int) -> Optional[KernelReport]:
+def _certified_report(g: GeneratorSet, p: int) -> KernelReport | None:
     """The kernel report from one extended Euclid over F_p, checked on the rows, or None.
 
     With h, u, v from `_bezout_mod_p` and k = deg h, two exact checks bound
@@ -284,7 +280,7 @@ def kernel_oracle(g: GeneratorSet) -> KernelReport:
     )
 
 
-def _row_sums(g: GeneratorSet, vec: Union[list[int], tuple[int, ...]]) -> list[int]:
+def _row_sums(g: GeneratorSet, vec: list[int] | tuple[int, ...]) -> list[int]:
     """A v exactly, all n rows in a few big-int additions.
 
     Row i of A v is the sum over offsets o of v[(i + o) mod n]. The entries,

@@ -25,11 +25,12 @@ which builds the parser from the same table, so help, abbreviations and
 every usage message stay argparse's. Each subcommand imports only the layers
 it calls: a cyclodiv request never compiles circulant, families or search, a
 search request never circulant, and only non-JSON output or a CSV file
-compiles ``render``. The envelope is encoded by ``_to_json``, which writes
-what ``json.dumps(envelope, sort_keys=True)`` would, so that only the JSON
-document ``search --out FILE`` writes imports ``json``. So elapsed_ms,
-timed from the start of main, includes the import of the subcommand's
-layers.
+compiles ``render``. So elapsed_ms, timed from the start of main, includes
+the import of the subcommand's layers. ``_to_json`` encodes the envelope
+with ``_json``, the C encoder behind ``json.dumps(envelope,
+sort_keys=True)``, imported without the ``json`` package. Only the indented
+JSON document ``search --out FILE`` writes imports ``json``: that encoder
+cannot indent before Python 3.13.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .errors import CapacityError, ConfigurationError, ParameterError
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
-    from typing import Any, Optional
+    from typing import Any
 
     from .circulant import NutVerdict
     from .search import CatalogEntry
@@ -277,7 +278,7 @@ _COMMANDS = {
 }
 
 
-def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain request, equal to argparse's, or None for any other argv.
 
     A plain request is ``[--json] <subcommand>`` followed by full flag names
@@ -330,57 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     return build_parser(_COMMANDS)
 
 
-# The escapes json.dumps writes for these characters; any other character
-# outside " " .. "~" becomes \uXXXX, an astral one a surrogate pair of them.
-_JSON_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def _json_char(char: str) -> str:
-    if char in _JSON_ESCAPES:
-        return _JSON_ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code > 0xFFFF:
-        code -= 0x10000
-        return f"\\u{0xD800 | (code >> 10):04x}\\u{0xDC00 | (code & 0x3FF):04x}"
-    return f"\\u{code:04x}"
-
-
 def _to_json(value: Any) -> str:
-    """``json.dumps(value, sort_keys=True)`` for what an envelope holds, without ``json``.
+    """``json.dumps(value, sort_keys=True)`` by json's own C encoder, without loading ``json``."""
+    from _json import encode_basestring_ascii, make_encoder
 
-    That is dicts with str keys, lists, tuples, str, int, bool and None;
-    any other type raises TypeError. Strings are escaped as json's
-    ``ensure_ascii`` does, lone surrogates included.
-    """
-    if isinstance(value, str):
-        if value.isascii() and value.isprintable():
-            return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        return '"' + "".join(map(_json_char, value)) + '"'
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_to_json, value)) + "]"
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("envelope keys must be str")
-        return "{" + ", ".join(f"{_to_json(k)}: {_to_json(value[k])}" for k in sorted(value)) + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    def default(obj):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    # The arguments json.JSONEncoder.iterencode passes for sort_keys=True:
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan.
+    encode = make_encoder({}, default, encode_basestring_ascii, None, ": ", ", ", True, False, True)
+    return "".join(encode(value, 0))
 
 
 def _emit(envelope: dict[str, Any], as_json: bool) -> None:
@@ -397,7 +359,7 @@ def _emit(envelope: dict[str, Any], as_json: bool) -> None:
     print(text, file=stream, flush=True)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     if argv is None:
         argv = sys.argv[1:]

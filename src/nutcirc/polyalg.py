@@ -20,12 +20,6 @@ from functools import lru_cache
 
 from .errors import ParameterError
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Union
-
-    TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-
 
 class SparsePoly:
     """Integer polynomial as a map from exponent to nonzero coefficient.
@@ -39,7 +33,7 @@ class SparsePoly:
     __slots__ = ("terms",)
     terms: dict[int, int]
 
-    def __init__(self, terms: TermSource = ()):
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for e, c in items:

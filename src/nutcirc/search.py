@@ -58,10 +58,6 @@ from .errors import CapacityError, ParameterError
 from .polyalg import SparsePoly, divisors, euler_phi, phi_fold
 from .record import Record
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Optional
-
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
 CATALOG_MAX_SETS = 10**7
 # Largest scanned order. The degree-4 walk, about n^2/16 leaves with one
@@ -86,7 +82,7 @@ class CatalogEntry(Record):
     n: int
     d: int
     exists: bool
-    witness: Optional[tuple[int, ...]]  # offsets of the least nut set of order n
+    witness: tuple[int, ...] | None  # offsets of the least nut set of order n
     sets_enumerated: int
     sets_passing: int
     skipped: bool
@@ -164,7 +160,7 @@ def _packed_table(
     return rows, tests, tuple((sum(rows[s] for s in half), half) for half in halves)
 
 
-def _walk(shard: tuple[int, int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
+def _walk(shard: tuple[int, int, int]) -> tuple[int, tuple[int, ...] | None]:
     """Nut sets among the balanced k-sets of order n whose least odd offset is first.
 
     Returns the number of nut sets and the lexicographically least one (or
@@ -181,7 +177,7 @@ def _walk(shard: tuple[int, int, int]) -> tuple[int, Optional[tuple[int, ...]]]:
     n, k, first = shard
     rows, tests, evens = _packed_table(n, k)
     passing = 0
-    witness: Optional[tuple[int, ...]] = None
+    witness: tuple[int, ...] | None = None
     for rest in combinations(range(first + 2, n // 2, 2), k // 2 - 1):
         odd = (first,) + rest
         acc = sum(rows[s] for s in odd)
@@ -216,7 +212,7 @@ def _usable_cpus() -> int:
 
 def _run_shards(
     shards: list[tuple[int, int, int]], jobs: int
-) -> list[tuple[int, Optional[tuple[int, ...]]]]:
+) -> list[tuple[int, tuple[int, ...] | None]]:
     """Scan every shard, in order, on at most jobs processes.
 
     The pool never has more workers than shards or usable CPUs: with the
@@ -287,7 +283,7 @@ def catalog(
     shards = [(n, k, first) for n in walked for first in range(1, n // 2 - k + 2, 2)]
     if sum(_balanced_count(n // 2 - 1, k) for n in walked) < POOL_MIN_SETS:
         jobs = 1
-    found: dict[int, tuple[int, Optional[tuple[int, ...]]]] = dict.fromkeys(scanned, (0, None))
+    found: dict[int, tuple[int, tuple[int, ...] | None]] = dict.fromkeys(scanned, (0, None))
     for (n, _, _), (passing, witness) in zip(shards, _run_shards(shards, jobs)):
         total, least = found[n]
         found[n] = (total + passing, min(filter(None, (least, witness)), default=None))

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 
@@ -692,10 +693,27 @@ def test_envelope_encoder_matches_json_dumps():
     check()
 
 
-@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", {"payload": [0.0]}, {1: "x"}])
-def test_envelope_encoder_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        cli._to_json(value)
+def _outcome(encode, value):
+    """What encode returns for value, or the type of the exception it raises."""
+    try:
+        return encode(value)
+    except Exception as exc:
+        return type(exc)
+
+
+_SELF_CONTAINING = []
+_SELF_CONTAINING.append(_SELF_CONTAINING)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), {1, 2}, b"x", {"payload": [0.0]}, {1: "x"}, _SELF_CONTAINING],
+    ids=["float", "nan", "set", "bytes", "nested-float", "int-key", "self-containing"],
+)
+def test_envelope_encoder_matches_json_dumps_on_other_types(value):
+    # No envelope holds these; the encoder still writes what json.dumps
+    # writes, or raises the exception type json.dumps raises.
+    assert _outcome(cli._to_json, value) == _outcome(partial(json.dumps, sort_keys=True), value)
 
 
 @pytest.mark.parametrize(
@@ -792,48 +810,50 @@ def _modules_added(code: str, *argv: str, flags: tuple[str, ...] = ()) -> set[st
 # Loaded only by build_parser(), --help, an abbreviation or a usage error:
 # argparse, the gettext it imports and the CLI's argparse side.
 ARGPARSE = frozenset({"argparse", "gettext", "argparser"})
-# Loaded by no plain --json request: the envelope is encoded without json,
-# annotations need no typing, and appendix (with its pathlib) serves the
-# library only. search --out FILE in JSON format still loads json.
+# Loaded by no plain --json request: the envelope is encoded by _json, the C
+# encoder behind json.dumps, without the json package; annotations need no
+# typing, and appendix (with its pathlib) serves the library only. search
+# --out FILE in JSON format still loads json. Every JSON envelope, a usage
+# error's included, loads _json; build_parser(), help and human output do not.
 NOT_AT_START = frozenset({"json", "typing", "pathlib", "appendix"})
 
 
 # (argv, exit code, modules it must load, modules it must not), by case id;
 # nutcirc modules are named without the package prefix.
 LOAD_CASES = [
-    pytest.param([], None, ARGPARSE, LAYERS, id="import"),
+    pytest.param([], None, ARGPARSE, LAYERS | {"_json"}, id="import"),
     pytest.param(
         ["--json", "cyclodiv", "--poly", "2:1,0:1"],
         0,
-        {"cyclotomy"},
+        {"cyclotomy", "_json"},
         {"circulant", "families", "search", "render"} | ARGPARSE | NOT_AT_START,
         id="cyclodiv",
     ),
     pytest.param(
         ["--json", "search", "--degree", "8", "--n-min", "14", "--n-max", "14"],
         0,
-        {"search", "polyalg"},
+        {"search", "polyalg", "_json"},
         {"circulant", "families", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
         id="search",
     ),
     pytest.param(
         ["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"],
         0,
-        {"circulant"},
+        {"circulant", "_json"},
         {"families", "search", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
         id="verify",
     ),
     pytest.param(
         ["--json", "tables", "--kind", "q", "--modulus", "3"],
         0,
-        {"families"},
+        {"families", "_json"},
         {"circulant", "search", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
         id="tables",
     ),
     pytest.param(
         ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check"],
         0,
-        {"families", "circulant"},
+        {"families", "circulant", "_json"},
         {"search", "cyclotomy", "render"} | ARGPARSE | NOT_AT_START,
         id="family",
     ),
@@ -849,7 +869,7 @@ LOAD_CASES = [
         ["verify", "--n", "16", "--set", "1,2,4,5,6,7"],
         0,
         {"circulant", "render"},
-        {"families", "appendix", "search", "cyclotomy"} | ARGPARSE,
+        {"families", "appendix", "search", "cyclotomy", "_json"} | ARGPARSE,
         id="verify-human",
     ),
     pytest.param(
@@ -857,18 +877,22 @@ LOAD_CASES = [
         + ["--out", "{tmp}/catalog.csv", "--format", "csv"],
         0,
         {"search", "render"},
-        {"circulant", "families", "appendix", "cyclotomy"} | ARGPARSE,
+        {"circulant", "families", "appendix", "cyclotomy", "_json"} | ARGPARSE,
         id="search-csv",
     ),
-    pytest.param(["--help"], 0, ARGPARSE, LAYERS, id="help"),
+    pytest.param(["--help"], 0, ARGPARSE, LAYERS | {"_json"}, id="help"),
     pytest.param(["--json", "family", "-h"], 0, ARGPARSE, LAYERS, id="subcommand-help"),
     pytest.param(
-        ["--json", "verify", "--n", "1x", "--set", "3,4"], 2, ARGPARSE, LAYERS, id="usage-error"
+        ["--json", "verify", "--n", "1x", "--set", "3,4"],
+        2,
+        ARGPARSE | {"_json"},
+        LAYERS,
+        id="usage-error",
     ),
     pytest.param(
         ["--js", "cyclodiv", "--poly", "2:1,0:1"],
         0,
-        ARGPARSE | {"cyclotomy"},
+        ARGPARSE | {"cyclotomy", "_json"},
         {"circulant", "families", "appendix", "search", "render"},
         id="abbreviation",
     ),
@@ -910,7 +934,8 @@ def test_cli_loads_only_the_subcommand_layers_and_no_dataclasses(
     error do, and `build_parser()`, help and usage errors load no layer. A
     subcommand adds only its own layers. A search builds on polyalg alone,
     and the renderer is loaded only for human output or a CSV file, never
-    for a JSON envelope. A plain --json request loads none of NOT_AT_START.
+    for a JSON envelope. A plain --json request loads none of NOT_AT_START,
+    and every JSON envelope loads _json.
     The records are built without dataclasses, which generate their methods
     with exec at import time and pull in inspect.
     """
