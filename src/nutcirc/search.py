@@ -7,35 +7,41 @@ P_S(x) = sum over s in S of x^s + x^(n-s). Phi_b divides P_S iff
 ``polyalg.phi_fold(P_S, b)`` is zero, and so iff the fold's lowest phi(b)
 coefficients, its residue, are all zero (proof in ``_pack_residues``). The
 fold is linear in S, so it is the sum of the folds of x^s + x^(n-s), and as
-b divides n those depend only on s mod b, the same for residues r and b - r.
-So each b takes only the b/2 + 1 residues with r <= b/2. Nothing forms
-Phi_b or divides by it.
+b divides n those depend only on s mod b. Nothing forms Phi_b or divides by
+it.
 
-For a walk over k-sets each residue is packed once into one int: coefficient
-i plus 2 in the i-th of phi(b) fields of w = bit_length(4k) bits, since
-every coefficient lies in [-2, 2] (proof in ``_pack_residues``). Row s, one
-int per offset, ORs together every b's packed residue for s mod b, each b in
-its own block of fields. A field of a sum of at most k rows then lies in
-[0, 4k] and fits in w bits, so adding two packed ints adds every field at
-once and never carries. A parity-balanced k-set is an odd half (k/2 odd
-offsets) plus an even half (k/2 even ones), so the walk is a double loop:
-the packed sums of all even halves are computed once per order and k, and
-each odd half's sum is added to each of them. A leaf's b-slice is zero
-exactly when every field in it holds 2k, that is when ``total & mask_b``
-equals ``base_b * k``; a leaf is a nut set iff no b-slice is zero. Every
-step is exact integer arithmetic, so the verdict is the spectral check's
-verdict. Unbalanced sets are never visited, since no nut set is unbalanced:
-``sets_enumerated`` is the closed-form count of all d/2-subsets (of the
-balanced ones with ``balanced_only``), while ``sets_passing`` and the
-lexicographically least witness come from the walk.
+For a walk over k-sets each fold is packed into one int: coefficient i plus
+2 in the i-th of phi(b) fields of w = bit_length(4k) bits, since every
+coefficient lies in [-2, 2] (proof in ``_pack_residues``). Folding x^s
+multiplies the fold of 1 by x^s modulo x^b - 1, which rotates it, so each b
+takes one ``phi_fold`` and packs the residue of each s mod b as the sum of
+two rotations of it. Row s, one int per offset, ORs together every b's
+packed residue for s mod b, each b in its own block of fields. A field of a
+sum of at most k rows then lies in [0, 4k] and fits in w bits, so adding
+two packed ints adds every field at once and never carries.
 
-Work is split into shards by (order, least odd offset). A catalog whose walk
-(the balanced sets of all its scanned orders) has at least
-``POOL_MIN_SETS`` sets may run on one process pool; smaller ones run
-serially, where starting the pool costs more than it saves. Each shard
-returns its least nut set and the merge keeps the least of those, so the
-output (including witnesses) is identical for any job count and shard
-order. A range of more than ``CATALOG_MAX_ORDERS`` even orders raises
+A parity-balanced k-set is an odd half (k/2 odd offsets) plus an even half
+(k/2 even ones), and its b-slice is zero exactly when every field in it
+holds 2k. A half's fields lie in [0, 2k], so that happens exactly when the
+even half's masked sum is ``zero_b - (odd sum & mask_b)``, a subtraction
+that never borrows. So the walk is a join: the even halves of an order are
+put once into one bucket per b, keyed by their masked sums, and each odd
+half looks up one bucket per b; the union of the bitmasks found is the set
+of even halves it fails with, and a set is a nut set iff no b-slice is zero.
+Every step is exact integer arithmetic, so the verdict is the spectral
+check's verdict. Unbalanced sets are never visited, since no nut set is
+unbalanced: ``sets_enumerated`` is the closed-form count of all
+d/2-subsets (of the balanced ones with ``balanced_only``), while
+``sets_passing`` and the lexicographically least witness come from the
+walk.
+
+Work is split into one shard per order, so each order's rows and buckets
+are built once, by the process that walks it. A catalog whose join work
+(``_join_work`` summed over its walked orders) reaches ``POOL_MIN_WORK``
+may run on one process pool; smaller ones run serially, where starting the
+pool costs more than it saves. Each shard returns its order's count and
+least nut set, so the output (including witnesses) is identical for any
+job count. A range of more than ``CATALOG_MAX_ORDERS`` even orders raises
 ``CapacityError``; orders above ``CATALOG_MAX_ORDER``, or with more than
 ``CATALOG_MAX_SETS`` candidate sets, are marked skipped rather than silently
 truncated.
@@ -50,7 +56,6 @@ request never compiles ``circulant``.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -60,18 +65,23 @@ from .record import Record
 
 # Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
 CATALOG_MAX_SETS = 10**7
-# Largest scanned order. The degree-4 walk, about n^2/16 leaves with one
-# test per divisor of n, sets the cost: catalog(4, n, n) takes 1.3 to 1.6 s
-# and 21 MB at n = 2 880, the slowest order up to 3 000, 1.9 s at 3 360 and
-# 2.8 s at 4 000 (fresh processes on a 2-core machine).
+# Largest scanned order. Degree 4, about n/2 rows and halves meeting each
+# divisor block, has the costliest orders: catalog(4, n, n) takes 45 to 85
+# ms and 19 to 21 MB at n = 2 520 and 2 880, the costliest up to 3 000, 90
+# ms at 3 360 and 65 ms at 4 000 (fresh processes on a 2-core machine). The
+# ceiling dates from the leaf-by-leaf walk, which took 1.3 to 1.6 s at
+# 2 880, and is kept so that no entry changes.
 CATALOG_MAX_ORDER = 3000
 # Most even orders in one catalog range: 10 000 entries build and print in
 # about 0.3 s.
 CATALOG_MAX_ORDERS = 10_000
-# Smallest walk, in balanced sets, that may use a process pool. On a 2-core
-# machine the pool wins from about 700 000 sets at degrees 12 to 20, and
-# from about 1 400 000 at degree 8.
-POOL_MIN_SETS = 1_500_000
+# Smallest catalog, in ``_join_work`` summed over its walked orders, that
+# may use a process pool. On a 2-core machine one unit takes about 0.3 to 1
+# us serially, and the pool costs about 50 ms to start. Timed as CLI
+# processes, --jobs 2 lost to --jobs 1 on every catalog tried below 1 000 000
+# units and beat it on every one from 2 000 000; in between the winner
+# changed from one session to the next.
+POOL_MIN_WORK = 2_000_000
 
 
 class CatalogEntry(Record):
@@ -88,16 +98,24 @@ class CatalogEntry(Record):
     skipped: bool
 
 
-def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]:
+def _pack_residues(n: int, k: int) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
     """Fold residues of x^s + x^(n-s) for each Phi_b, b >= 3 dividing n, packed for k-sets.
 
     Returns (rows, width, tests), laid out as the module docstring says:
     each such b, ascending, has a block of phi(b) fields of width =
     bit_length(4k) bits, and field i of rows[s], 0 <= s < n/2, holds
-    coefficient i of ``phi_fold(x^r + x^(b-r), b)`` plus 2, r = min(s mod
-    b, b - s mod b). tests holds, per block, (mask_b, base_b * k), base_b
-    with 2 in every field: Phi_b divides the sum's P_S exactly when
-    ``total & mask_b`` equals ``base_b * k``.
+    coefficient i of ``phi_fold(x^s + x^(n-s), b)`` plus 2. tests holds,
+    per block, (mask_b, base_b * k), base_b with 2 in every field: Phi_b
+    divides the sum's P_S exactly when ``total & mask_b`` equals ``base_b *
+    k``.
+
+    The rows are built by rotation. That fold is (x^s + x^(n-s)) * g_b
+    modulo x^b - 1, with g_b = ``phi_fold(1, b)``, and multiplying by x^r
+    modulo x^b - 1 rotates the b coefficients by r. Packed over b fields
+    with 1 added to each, g_b's coefficients 0, -1 and +1 become the fields
+    1, 0 and 2 (by the first proof below), an int whose fields rotate as its
+    bits do. Its rotations by s and by -s (mod b) add up to the fold plus 2
+    in every field, and the mask keeps the lowest phi(b) of them.
 
     Proof that every coefficient lies in [-2, 2]. The fold multiplier g_b,
     the product of x^(b/q) - 1 over the primes q | b, has 2^omega(b) terms
@@ -117,6 +135,7 @@ def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[in
     they are all zero only when m, hence F, is zero.
     """
     width = (4 * k).bit_length()
+    field = (1 << width) - 1
     rows = [0] * (n // 2)
     tests = []
     offset = 0
@@ -125,73 +144,67 @@ def _pack_residues(n: int, k: int) -> tuple[tuple[int, ...], int, tuple[tuple[in
             continue  # b = 1 and 2 are the parity condition: the walk visits balanced sets only
         phi = euler_phi(b)
         mask = (1 << (width * phi)) - 1
-        base = mask // ((1 << width) - 1) * 2  # 2 in every field of the block
-        folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
-        packed = [
-            (base + sum(c << (width * i) for i, c in fold.items() if i < phi)) << offset
-            for fold in folds
+        span = width * b
+        g = ((1 << span) - 1) // field  # 1 in every field
+        g += sum(c << (width * e) for e, c in phi_fold(SparsePoly({0: 1}), b).items())
+        # Field i of turned[r] holds field (i - r) mod b of g, for 0 <= i < phi(b).
+        turned = [g & mask] + [
+            ((g << shift) | (g >> (span - shift))) & mask for shift in range(width, span, width)
         ]
+        cycle = [turned[r] + turned[-r] for r in range(b)]
         for s in range(n // 2):
-            r = s % b
-            rows[s] |= packed[min(r, b - r)]
-        tests.append((mask << offset, base * k << offset))
+            rows[s] |= cycle[s % b] << offset
+        tests.append((mask << offset, mask // field * 2 * k << offset))
         offset += width * phi
-    return tuple(rows), width, tuple(tests)
+    return rows, width, tuple(tests)
 
 
-# Packed tables kept per process: shards of one order arrive together, so a
-# few tables suffice, and the bound caps memory on long catalogs.
-RESIDUE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=RESIDUE_CACHE_SIZE)
-def _packed_table(
-    n: int, k: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """What the walk over balanced k-sets of order n needs: (rows, tests, evens).
-
-    rows and tests are ``_pack_residues(n, k)``'s. evens holds every k/2-set
-    of even offsets in 1 .. n/2 - 1, in lexicographic order, as (the sum of
-    its packed rows, its offsets). The catalog walks only orders whose
-    k-sets are under CATALOG_MAX_SETS, so evens stays small.
-    """
-    rows, _, tests = _pack_residues(n, k)
-    halves = combinations(range(2, n // 2, 2), k // 2)
-    return rows, tests, tuple((sum(rows[s] for s in half), half) for half in halves)
-
-
-def _walk(shard: tuple[int, int, int]) -> tuple[int, tuple[int, ...] | None]:
-    """Nut sets among the balanced k-sets of order n whose least odd offset is first.
+def _walk(shard: tuple[int, int]) -> tuple[int, tuple[int, ...] | None]:
+    """Nut sets among the balanced k-sets of order n, for a shard (n, k), k even and >= 2.
 
     Returns the number of nut sets and the lexicographically least one (or
-    None), for a shard (n, k, first) with k even and at least 2. A balanced
-    k-set is an odd half, k/2 odd offsets, plus an even half, k/2 even ones,
-    so its packed sum is the odd half's plus the even half's. Fix an odd
-    half O and let E < E' be even halves whose first difference is e < e'.
-    Below e, the sorted sets O + E and O + E' both hold O's elements and the
-    common prefix of E and E'; next, O + E holds e and O + E' something
-    larger (e' or an odd element, never the even e). So O + E < O + E': the
-    first passing even half gives the least nut set containing O, and the
-    shard's least is the least of those over all O.
+    None). A balanced k-set is an odd half, k/2 odd offsets, plus an even
+    half, k/2 even ones, so its packed sum is the odd half's, acc, plus the
+    even half's. Every field of a half's sum lies in [0, 2k], so the set's
+    b-slice is zero, each field 2k, exactly when the even half's masked sum
+    is ``zero_b - (acc & mask_b)``: that subtraction never borrows between
+    fields. So the even halves, in lexicographic order, go into one bucket
+    per block, keyed by their masked sums, with the bitmask of their indices
+    as the value, and one lookup per block gives dead, the bitmask of the
+    even halves that fail with an odd half; the rest pass. The catalog walks
+    only orders whose k-sets are under CATALOG_MAX_SETS, so the halves stay
+    few.
+
+    Fix an odd half O and let E < E' be even halves whose first difference
+    is e < e'. Below e, the sorted sets O + E and O + E' both hold O's
+    elements and the common prefix of E and E'; next, O + E holds e and
+    O + E' something larger (e' or an odd element, never the even e). So
+    O + E < O + E': the lowest clear bit of dead, the first passing even
+    half, gives the least nut set containing O, and the order's least is
+    the least of those over all O.
     """
-    n, k, first = shard
-    rows, tests, evens = _packed_table(n, k)
+    n, k = shard
+    rows, _, blocks = _pack_residues(n, k)
+    evens = list(combinations(range(2, n // 2, 2), k // 2))
+    sums = [sum(rows[s] for s in half) for half in evens]
+    tests = []
+    for mask, zero in blocks:
+        bucket: dict[int, int] = {}
+        for i, total in enumerate(sums):
+            key = total & mask
+            bucket[key] = bucket.get(key, 0) | 1 << i
+        tests.append((mask, zero, bucket))
     passing = 0
     witness: tuple[int, ...] | None = None
-    for rest in combinations(range(first + 2, n // 2, 2), k // 2 - 1):
-        odd = (first,) + rest
+    for odd in combinations(range(1, n // 2, 2), k // 2):
         acc = sum(rows[s] for s in odd)
-        least = None
-        for even_sum, even in evens:
-            total = acc + even_sum
-            for mask, zero in tests:
-                if total & mask == zero:
-                    break
-            else:
-                passing += 1
-                least = least or even
-        if least:
-            found = tuple(sorted(odd + least))
+        dead = 0
+        for mask, zero, bucket in tests:
+            dead |= bucket.get(zero - (acc & mask), 0)
+        passing += len(evens) - dead.bit_count()
+        least = (~dead & (dead + 1)).bit_length() - 1
+        if least < len(evens):
+            found = tuple(sorted(odd + evens[least]))
             witness = min(witness, found) if witness else found
     return passing, witness
 
@@ -203,6 +216,16 @@ def _balanced_count(m: int, k: int) -> int:
     return comb((m + 1) // 2, k // 2) * comb(m // 2, k // 2)
 
 
+def _join_work(n: int, k: int) -> int:
+    """Cost of the join over the balanced k-sets of order n, k even, in bucket operations.
+
+    Every row, even half and odd half meets each divisor block once: as a
+    packed residue, a bucket entry or a lookup.
+    """
+    m = n // 2 - 1
+    return (n // 2 + comb((m + 1) // 2, k // 2) + comb(m // 2, k // 2)) * (len(divisors(n)) - 2)
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -211,9 +234,9 @@ def _usable_cpus() -> int:
 
 
 def _run_shards(
-    shards: list[tuple[int, int, int]], jobs: int
+    shards: list[tuple[int, int]], jobs: int
 ) -> list[tuple[int, tuple[int, ...] | None]]:
-    """Scan every shard, in order, on at most jobs processes.
+    """Walk every shard, one order each, in order, on at most jobs processes.
 
     The pool never has more workers than shards or usable CPUs: with the
     fork start method every worker is started up front.
@@ -279,14 +302,10 @@ def catalog(
             scanned.append(n)
     # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
     walked = scanned if k and k % 2 == 0 else []
-    # The least odd offset of an odd half is at most n/2 - 1 - (k - 2).
-    shards = [(n, k, first) for n in walked for first in range(1, n // 2 - k + 2, 2)]
-    if sum(_balanced_count(n // 2 - 1, k) for n in walked) < POOL_MIN_SETS:
+    if sum(_join_work(n, k) for n in walked) < POOL_MIN_WORK:
         jobs = 1
-    found: dict[int, tuple[int, tuple[int, ...] | None]] = dict.fromkeys(scanned, (0, None))
-    for (n, _, _), (passing, witness) in zip(shards, _run_shards(shards, jobs)):
-        total, least = found[n]
-        found[n] = (total + passing, min(filter(None, (least, witness)), default=None))
+    found = dict.fromkeys(scanned, (0, None))
+    found.update(zip(walked, _run_shards([(n, k) for n in walked], jobs)))
     for n, (passing, witness) in found.items():
         m = n // 2 - 1
         enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)

@@ -363,10 +363,10 @@ def test_readme_lists_every_ceiling_with_its_value():
 
 
 def test_readme_states_the_pool_floor():
-    # README "Parallelism" gives the pool floor as "`POOL_MIN_SETS` = value".
+    # README "Parallelism" gives the pool floor as "`POOL_MIN_WORK` = value".
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (value,) = re.findall(r"`POOL_MIN_SETS` = ([\d ]+\d)", readme)
-    assert int(value.replace(" ", "")) == search.POOL_MIN_SETS
+    (value,) = re.findall(r"`POOL_MIN_WORK` = ([\d ]+\d)", readme)
+    assert int(value.replace(" ", "")) == search.POOL_MIN_WORK
 
 
 def test_no_module_reads_the_environment():

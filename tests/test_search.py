@@ -1,7 +1,10 @@
-"""Tests for the existence catalog: the packed residue walk, its shards and pool.
+"""Tests for the existence catalog: the packed residues, the join and its pool.
 
-The walk pairs each odd half of a balanced set with every even half, so its
-shards are (order, k, least odd offset), and shard results merge by min.
+Each order is one shard: its rows are built by rotation and its balanced
+sets walked as a join, each odd half looking up the even halves it fails
+with in one bucket per divisor. ``searchref`` keeps the walk this replaced,
+one ``phi_fold`` per residue and one test per leaf and divisor, and the
+differential tests below compare the two order by order.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from itertools import accumulate, combinations
 from math import comb
 
 import pytest
+import searchref
 
 from nutcirc import search
 from nutcirc.circulant import (
@@ -122,7 +126,7 @@ def real_pool(monkeypatch):
             return super().__enter__()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search, "POOL_MIN_SETS", 0)
+    monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     return entered
 
@@ -152,12 +156,26 @@ def test_catalog_counts_match_enumeration():
 
 
 def test_catalog_jobs_on_one_order(real_pool):
-    assert catalog(8, 30, 30, jobs=2) == catalog(8, 30, 30, jobs=1)
-    assert real_pool == [2]
+    # One order is one shard, so a one-order catalog never starts a pool,
+    # whatever --jobs asks for and however low the floor.
+    for jobs in (2, 10**8):
+        assert catalog(8, 30, 30, jobs=jobs) == catalog(8, 30, 30, jobs=1)
+    assert real_pool == []
 
 
-def test_catalog_pool_is_clamped(monkeypatch):
-    workers = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Send every catalog with jobs > 1 to an in-process stand-in for the pool.
+
+    Returns the list of worker counts of the pools entered; its shards
+    attribute lists, for each pool, the shards its map received.
+    """
+
+    class Entered(list):
+        pass
+
+    workers = Entered()
+    workers.shards = []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -170,35 +188,86 @@ def test_catalog_pool_is_clamped(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            workers.shards.append(list(items))
             return list(map(fn, items))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
-    # Both catalogs are below the real floor, so the floor is lowered to the
-    # second one's walk: both start the pool, the second exactly at it.
-    walk = sum(search._balanced_count(n // 2 - 1, 4) for n in range(14, 65, 2))
-    monkeypatch.setattr(search, "POOL_MIN_SETS", walk)
-    # An odd half of a balanced 18-set at order 52 holds 9 of the odd offsets
-    # 1 .. 25, so its least one is 1, 3, 5, 7 or 9: five shards. The order has
-    # enough balanced 18-sets for the pool.
-    assert search._balanced_count(25, 18) >= search.POOL_MIN_SETS
-    assert catalog(36, 52, 52, jobs=10**8) == catalog(36, 52, 52)
-    assert workers == [5]
+    return workers
+
+
+def test_catalog_pool_is_clamped(monkeypatch, serial_pool):
+    # A pool has min(jobs, walked orders, usable CPUs) workers, and it starts
+    # once the join work reaches POOL_MIN_WORK: each catalog below runs with
+    # the floor at exactly its own work, and one unit higher keeps it serial.
+    def floor_at(orders, extra=0):
+        work = sum(search._join_work(n, 4) for n in orders)
+        monkeypatch.setattr(search, "POOL_MIN_WORK", work + extra)
+
+    # 26 orders in 14..64 at degree 8, each of the three the least in turn.
+    floor_at(range(14, 65, 2))
+    assert catalog(8, 14, 64, jobs=10**8) == catalog(8, 14, 64)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
     assert catalog(8, 14, 64, jobs=10**8) == catalog(8, 14, 64)
-    assert workers == [5, 3]
+    assert catalog(8, 14, 64, jobs=2) == catalog(8, 14, 64)
+    floor_at(range(14, 65, 2), extra=1)
+    assert catalog(8, 14, 64, jobs=2) == catalog(8, 14, 64)
+    # Orders 6 and 8 hold no 4-set, 10 and 12 hold some: two walked orders.
+    floor_at((10, 12))
+    assert catalog(8, 6, 12, jobs=10**8) == catalog(8, 6, 12)
+    assert serial_pool == [26, 3, 2, 2]
+
+
+def test_each_order_is_one_shard(serial_pool):
+    # The stand-in pool records what map receives: one (n, k) shard per
+    # walked order, so no order's table can be built in two workers.
+    assert catalog(12, 10, 40, jobs=2)
+    assert serial_pool == [2]
+    assert serial_pool.shards == [[(n, 6) for n in range(14, 41, 2)]]
+
+
+def test_each_order_packs_its_residues_once(monkeypatch, real_pool, tmp_path):
+    # Counted in the processes that pack, the real workers included: a worker
+    # appends one line per _pack_residues call to a file the test reads.
+    log = tmp_path / "packed"
+    pack = search._pack_residues
+
+    def counting(n, k):
+        with open(log, "a") as out:
+            out.write(f"{n} {k}\n")
+        return pack(n, k)
+
+    monkeypatch.setattr(search, "_pack_residues", counting)
+    walked = [(n, 6) for n in range(14, 41, 2)]
+    for jobs in (1, 2):
+        log.write_text("")
+        assert catalog(12, 10, 40, jobs=jobs, balanced_only=jobs == 2)
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(calls) == walked, jobs
+    assert real_pool == [2]
 
 
 def test_small_catalog_runs_serially(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a catalog below POOL_MIN_SETS started a pool")
+        raise AssertionError("a catalog below POOL_MIN_WORK started a pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
-    # The balanced 4-sets of orders 12..44: 11 153, below the threshold.
-    walk = sum(search._balanced_count(n // 2 - 1, 4) for n in range(12, 45, 2))
-    assert walk == 11153 < search.POOL_MIN_SETS
+    # The join work of degree 8 on orders 12..44, the bench's --jobs request,
+    # is far below the floor.
+    walk = sum(search._join_work(n, 4) for n in range(12, 45, 2))
+    assert walk == 4139 < search.POOL_MIN_WORK
     assert catalog(8, 12, 44, jobs=2) == catalog(8, 12, 44)
+
+
+def test_pool_floor_splits_the_catalogs_it_was_timed_on():
+    # README "Parallelism": timed as CLI processes, --jobs 2 lost to --jobs 1
+    # on degree 4 over orders up to 800 and won up to 1 000 and 1 600.
+    def work(top):
+        return sum(search._join_work(n, 2) for n in range(6, top + 1, 2))
+
+    assert work(800) < search.POOL_MIN_WORK <= work(1000) < work(1600)
 
 
 # Degree 12 on orders 16..48 and degree 16 on orders 22..40, recorded from the
@@ -254,7 +323,7 @@ PINNED_CATALOGS = {
 
 
 def test_catalog_d12_d16_entries_unchanged(real_pool):
-    # All three catalogs are below POOL_MIN_SETS; real_pool lifts the floor,
+    # All three catalogs are below POOL_MIN_WORK; real_pool lifts the floor,
     # so jobs=2 runs each of them on a real two-worker pool.
     for (d, n_min, n_max), rows in PINNED_CATALOGS.items():
         for balanced_only, jobs in ((False, 1), (True, 2)):
@@ -282,8 +351,8 @@ def reference_residues(n):
     Returns (table, slices): table[s] concatenates, over the divisors b >= 3
     of n ascending, the remainder padded to phi(b) coefficients, and slices
     lists each b's (start, stop) in it. Every binomial is divided as it is,
-    without the r <-> b - r shortcut of ``_pack_residues``, and without the
-    fold that builds its residues, so the leaf test below checks both.
+    without the rotations of one fold that ``_pack_residues`` builds its
+    rows from, so the leaf test below checks them.
     """
     indices = spectral_indices(n)
     table = []
@@ -302,8 +371,8 @@ def reference_folds(n):
 
     table[s] concatenates, over the divisors b >= 3 of n ascending,
     coefficients 0 .. phi(b) - 1 of ``phi_fold(x^s + x^(n-s), b)``. Every
-    binomial is folded as it is, without the r <-> b - r shortcut of
-    ``_pack_residues``, so the test below checks that shortcut too.
+    binomial is folded as it is, not rotated from the fold of 1 as in
+    ``_pack_residues``, so the test below checks the rotation too.
     """
     indices = spectral_indices(n)
     table = []
@@ -376,6 +445,44 @@ def test_packed_leaf_test_matches_tuple_slices():
             assert [total & mask == zero for mask, zero in tests] == zero_slices, (n, subset)
             zero_seen += any(zero_slices)
     assert zero_seen
+
+
+def test_rotated_rows_equal_one_fold_per_residue():
+    # Rows from two rotations of one fold per divisor equal rows packed from
+    # one phi_fold call per residue, at the orders with the most divisors
+    # under the order ceiling.
+    for n in (720, 2310, 2520, 2880):
+        for k in (2, 4, 6):
+            assert search._pack_residues(n, k) == searchref.pack_residues(n, k), (n, k)
+
+
+def test_join_matches_leaf_walk():
+    # Every even order that holds a k-set, up to 120 at degree 8, 60 at 12
+    # and 48 at 20: the join's count and witness equal the leaf-by-leaf walk's.
+    for d, n_max in ((8, 120), (12, 60), (20, 48)):
+        k = d // 2
+        for n in range(2 * k + 2, n_max + 1, 2):
+            assert search._walk((n, k)) == searchref.walk(n, k), (d, n)
+
+
+# The largest order each degree admits under CATALOG_MAX_SETS, or at degree
+# 4 under CATALOG_MAX_ORDER (the next order is skipped), recorded from the
+# leaf walk: (d, n, sets_passing, least witness).
+LARGEST_ORDERS = [
+    (4, 3000, 159600, (1, 12)),
+    (8, 252, 932310, (1, 2, 3, 10)),
+    (12, 94, 3134670, (1, 2, 3, 4, 5, 6)),
+    (16, 64, 1340944, (1, 2, 3, 4, 5, 6, 7, 10)),
+    (20, 56, 2432376, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+    (24, 54, 1572318, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16)),
+]
+
+
+def test_largest_admitted_orders_unchanged():
+    for d, n, passing, witness in LARGEST_ORDERS:
+        entry, after = catalog(d, n, n + 2)
+        assert (entry.sets_passing, entry.witness) == (passing, witness), (d, n)
+        assert not entry.skipped and after.skipped, (d, n)
 
 
 def test_catalog_balanced_pruning_preserves_existence():
