@@ -163,15 +163,11 @@ def _cmd_tables(args) -> dict[str, Any]:
 def _cmd_search(args) -> dict[str, Any]:
     if args.format == "csv" and not args.out:
         raise ParameterError("--format csv needs --out, the file the CSV document is written to")
+    if args.jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
     from .search import catalog
 
-    entries = catalog(
-        args.degree,
-        args.n_min,
-        args.n_max,
-        jobs=args.jobs,
-        balanced_only=args.balanced,
-    )
+    entries = catalog(args.degree, args.n_min, args.n_max, balanced_only=args.balanced)
     payload = {
         "degree": args.degree,
         "entries": [entry_to_json(e) for e in entries],
@@ -253,7 +249,11 @@ _COMMANDS = {
             "--degree": {"type": int, "required": True},
             "--n-min": {"type": int, "required": True},
             "--n-max": {"type": int, "required": True},
-            "--jobs": {"type": int, "default": 1},
+            "--jobs": {
+                "type": int,
+                "default": 1,
+                "help": "no effect, the catalog walk is serial; N must be >= 1",
+            },
             "--balanced": {
                 "action": "store_true",
                 "help": "count only balanced sets in sets_enumerated "

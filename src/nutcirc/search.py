@@ -35,16 +35,12 @@ d/2-subsets (of the balanced ones with ``balanced_only``), while
 ``sets_passing`` and the lexicographically least witness come from the
 walk.
 
-Work is split into one shard per order, so each order's rows and buckets
-are built once, by the process that walks it. A catalog whose join work
-(``_join_work`` summed over its walked orders) reaches ``POOL_MIN_WORK``
-may run on one process pool; smaller ones run serially, where starting the
-pool costs more than it saves. Each shard returns its order's count and
-least nut set, so the output (including witnesses) is identical for any
-job count. A range of more than ``CATALOG_MAX_ORDERS`` even orders raises
-``CapacityError``; orders above ``CATALOG_MAX_ORDER``, or with more than
-``CATALOG_MAX_SETS`` candidate sets, are marked skipped rather than silently
-truncated.
+The catalog walks its orders in ascending order on one process. Each
+walked order builds its rows and buckets once and returns its count and
+least nut set, so every entry is fixed by its order alone. A range of more
+than ``CATALOG_MAX_ORDERS`` even orders raises ``CapacityError``; orders
+above ``CATALOG_MAX_ORDER``, or with more than ``CATALOG_MAX_SETS``
+candidate sets, are marked skipped rather than silently truncated.
 
 The case the paper leaves open, degree 4t with t even at an order n
 divisible by four, is ``catalog(4 * t, n, n)``, whose witness is the least
@@ -55,7 +51,6 @@ request never compiles ``circulant``.
 """
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from math import comb
 
@@ -75,13 +70,6 @@ CATALOG_MAX_ORDER = 3000
 # Most even orders in one catalog range: 10 000 entries build and print in
 # about 0.3 s.
 CATALOG_MAX_ORDERS = 10_000
-# Smallest catalog, in ``_join_work`` summed over its walked orders, that
-# may use a process pool. On a 2-core machine one unit takes about 0.3 to 1
-# us serially, and the pool costs about 50 ms to start. Timed as CLI
-# processes, --jobs 2 lost to --jobs 1 on every catalog tried below 1 000 000
-# units and beat it on every one from 2 000 000; in between the winner
-# changed from one session to the next.
-POOL_MIN_WORK = 2_000_000
 
 
 class CatalogEntry(Record):
@@ -159,8 +147,8 @@ def _pack_residues(n: int, k: int) -> tuple[list[int], int, tuple[tuple[int, int
     return rows, width, tuple(tests)
 
 
-def _walk(shard: tuple[int, int]) -> tuple[int, tuple[int, ...] | None]:
-    """Nut sets among the balanced k-sets of order n, for a shard (n, k), k even and >= 2.
+def _walk(n: int, k: int) -> tuple[int, tuple[int, ...] | None]:
+    """Nut sets among the balanced k-sets of order n, k even and 2 <= k < n/2.
 
     Returns the number of nut sets and the lexicographically least one (or
     None). A balanced k-set is an odd half, k/2 odd offsets, plus an even
@@ -183,7 +171,6 @@ def _walk(shard: tuple[int, int]) -> tuple[int, tuple[int, ...] | None]:
     half, gives the least nut set containing O, and the order's least is
     the least of those over all O.
     """
-    n, k = shard
     rows, _, blocks = _pack_residues(n, k)
     evens = list(combinations(range(2, n // 2, 2), k // 2))
     sums = [sum(rows[s] for s in half) for half in evens]
@@ -216,51 +203,10 @@ def _balanced_count(m: int, k: int) -> int:
     return comb((m + 1) // 2, k // 2) * comb(m // 2, k // 2)
 
 
-def _join_work(n: int, k: int) -> int:
-    """Cost of the join over the balanced k-sets of order n, k even, in bucket operations.
-
-    Every row, even half and odd half meets each divisor block once: as a
-    packed residue, a bucket entry or a lookup.
-    """
-    m = n // 2 - 1
-    return (n // 2 + comb((m + 1) // 2, k // 2) + comb(m // 2, k // 2)) * (len(divisors(n)) - 2)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _run_shards(
-    shards: list[tuple[int, int]], jobs: int
-) -> list[tuple[int, tuple[int, ...] | None]]:
-    """Walk every shard, one order each, in order, on at most jobs processes.
-
-    The pool never has more workers than shards or usable CPUs: with the
-    fork start method every worker is started up front.
-    """
-    workers = min(jobs, len(shards), _usable_cpus())
-    if workers < 2:
-        return [_walk(shard) for shard in shards]
-    # Imported here because it adds ~20 ms to every CLI start. The default
-    # start method is kept: the CLI has no threads when it forks, and spawn
-    # would re-import the package in every worker.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # A few chunks per worker: one shard per message costs more in pipe
-        # round trips than small shards take to scan.
-        chunksize = max(1, len(shards) // (4 * workers))
-        return list(pool.map(_walk, shards, chunksize=chunksize))
-
-
 def catalog(
     d: int,
     n_min: int,
     n_max: int,
-    jobs: int = 1,
     balanced_only: bool = False,
 ) -> list[CatalogEntry]:
     """Existence catalog for degree d over every even order in [n_min, n_max].
@@ -272,7 +218,7 @@ def catalog(
     although the walk visits only the balanced ones: one ceiling keeps an
     entry the same with and without balanced_only. A range of more than
     CATALOG_MAX_ORDERS even orders raises CapacityError before any order is
-    built. The result is deterministic for any job count.
+    built.
     """
     if d < 0 or d % 2:
         raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
@@ -280,8 +226,6 @@ def catalog(
         raise ParameterError(f"graph orders start at 2, got n_min={n_min}")
     if n_min > n_max:
         raise ParameterError(f"empty order range [{n_min}, {n_max}]")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     orders = n_max // 2 - (n_min + 1) // 2 + 1
     if orders > CATALOG_MAX_ORDERS:
         raise CapacityError(
@@ -289,25 +233,17 @@ def catalog(
             f"the catalog range ceiling {CATALOG_MAX_ORDERS}"
         )
     k = d // 2
-    entries: dict[int, CatalogEntry] = {}
-    scanned = []
+    entries = []
     for n in range(n_min + n_min % 2, n_max + 1, 2):
         m = n // 2 - 1
         # comb(m, k) is 0 for k > m, and is never formed above the order ceiling.
         if n > CATALOG_MAX_ORDER or comb(m, k) > CATALOG_MAX_SETS:
-            entries[n] = CatalogEntry(n, d, False, None, 0, 0, skipped=True)
-        elif k > m:
-            entries[n] = CatalogEntry(n, d, False, None, 0, 0)
-        else:
-            scanned.append(n)
-    # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
-    walked = scanned if k and k % 2 == 0 else []
-    if sum(_join_work(n, k) for n in walked) < POOL_MIN_WORK:
-        jobs = 1
-    found = dict.fromkeys(scanned, (0, None))
-    found.update(zip(walked, _run_shards([(n, k) for n in walked], jobs)))
-    for n, (passing, witness) in found.items():
-        m = n // 2 - 1
+            entries.append(CatalogEntry(n, d, False, None, 0, 0, skipped=True))
+            continue
+        # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
+        # Above m there is no k-set at all, and both counts below are 0.
+        walked = k % 2 == 0 and 0 < k <= m
+        passing, witness = _walk(n, k) if walked else (0, None)
         enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)
-        entries[n] = CatalogEntry(n, d, witness is not None, witness, enumerated, passing)
-    return [entries[n] for n in sorted(entries)]
+        entries.append(CatalogEntry(n, d, witness is not None, witness, enumerated, passing))
+    return entries

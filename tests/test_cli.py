@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import nutcirc
-from nutcirc import circulant, cli, cyclotomy, families, search
+from nutcirc import circulant, cli, cyclotomy, families
 from nutcirc.cli import _COMMANDS, _plain_args, build_parser, main
 
 
@@ -362,13 +362,6 @@ def test_readme_lists_every_ceiling_with_its_value():
     assert listed == defined
 
 
-def test_readme_states_the_pool_floor():
-    # README "Parallelism" gives the pool floor as "`POOL_MIN_WORK` = value".
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (value,) = re.findall(r"`POOL_MIN_WORK` = ([\d ]+\d)", readme)
-    assert int(value.replace(" ", "")) == search.POOL_MIN_WORK
-
-
 def test_no_module_reads_the_environment():
     # Ceilings and behaviour are fixed in code, never taken from the environment.
     for path in Path(nutcirc.__file__).parent.rglob("*.py"):
@@ -613,6 +606,26 @@ def test_search_csv_without_out_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --format csv needs --out")
+
+
+def test_search_jobs_has_no_effect(capsys):
+    # --jobs is still accepted for callers that pass it: any N >= 1 gives the
+    # payload of a request without it, and N < 1 is a usage error.
+    argv = ("search", "--degree", "8", "--n-min", "10", "--n-max", "28")
+
+    def payload_bytes(*extra):
+        code, envelope = run_json(capsys, *argv, *extra)
+        assert code == 0, extra
+        return json.dumps(envelope["payload"], sort_keys=True)
+
+    plain = payload_bytes()
+    for jobs in ("1", "2", "4"):
+        assert payload_bytes("--jobs", jobs) == plain, jobs
+    code, envelope = run_json(capsys, *argv, "--jobs", "0")
+    assert code == 2
+    assert envelope["status"] == "error"
+    assert envelope["command"] == "search"
+    assert "jobs" in envelope["payload"]["message"]
 
 
 def test_search_unwritable_out_is_domain_error(capsys, tmp_path):

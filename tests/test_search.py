@@ -1,6 +1,6 @@
-"""Tests for the existence catalog: the packed residues, the join and its pool.
+"""Tests for the existence catalog: the packed residues and the join.
 
-Each order is one shard: its rows are built by rotation and its balanced
+Each order is walked once: its rows are built by rotation and its balanced
 sets walked as a join, each odd half looking up the even halves it fails
 with in one bucket per divisor. ``searchref`` keeps the walk this replaced,
 one ``phi_fold`` per residue and one test per leaf and divisor, and the
@@ -8,7 +8,6 @@ differential tests below compare the two order by order.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import random
 from itertools import accumulate, combinations
 from math import comb
@@ -112,32 +111,6 @@ def test_catalog_witnesses_are_lexicographically_least_and_valid():
             assert not is_nut_spectral(g).is_nut
 
 
-@pytest.fixture
-def real_pool(monkeypatch):
-    """Send every catalog with jobs > 1 to a real two-worker pool.
-
-    Returns the list of worker counts of the pools entered.
-    """
-    entered = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __enter__(self):
-            entered.append(self._max_workers)
-            return super().__enter__()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-    return entered
-
-
-def test_catalog_deterministic_across_jobs(real_pool):
-    solo = catalog(8, 12, 18, jobs=1)
-    multi = catalog(8, 12, 18, jobs=3)
-    assert real_pool == [2]
-    assert solo == multi
-
-
 def test_catalog_matches_per_set_reference():
     grid = [(d, 36) for d in range(0, 11, 2)] + [(12, 34)]
     for d, n_max in grid:
@@ -155,119 +128,19 @@ def test_catalog_counts_match_enumeration():
                 assert entry.sets_enumerated == len(list(enumerate_sets(n, 2 * k, balanced_only)))
 
 
-def test_catalog_jobs_on_one_order(real_pool):
-    # One order is one shard, so a one-order catalog never starts a pool,
-    # whatever --jobs asks for and however low the floor.
-    for jobs in (2, 10**8):
-        assert catalog(8, 30, 30, jobs=jobs) == catalog(8, 30, 30, jobs=1)
-    assert real_pool == []
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Send every catalog with jobs > 1 to an in-process stand-in for the pool.
-
-    Returns the list of worker counts of the pools entered; its shards
-    attribute lists, for each pool, the shards its map received.
-    """
-
-    class Entered(list):
-        pass
-
-    workers = Entered()
-    workers.shards = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            workers.shards.append(list(items))
-            return list(map(fn, items))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(search, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
-    return workers
-
-
-def test_catalog_pool_is_clamped(monkeypatch, serial_pool):
-    # A pool has min(jobs, walked orders, usable CPUs) workers, and it starts
-    # once the join work reaches POOL_MIN_WORK: each catalog below runs with
-    # the floor at exactly its own work, and one unit higher keeps it serial.
-    def floor_at(orders, extra=0):
-        work = sum(search._join_work(n, 4) for n in orders)
-        monkeypatch.setattr(search, "POOL_MIN_WORK", work + extra)
-
-    # 26 orders in 14..64 at degree 8, each of the three the least in turn.
-    floor_at(range(14, 65, 2))
-    assert catalog(8, 14, 64, jobs=10**8) == catalog(8, 14, 64)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
-    assert catalog(8, 14, 64, jobs=10**8) == catalog(8, 14, 64)
-    assert catalog(8, 14, 64, jobs=2) == catalog(8, 14, 64)
-    floor_at(range(14, 65, 2), extra=1)
-    assert catalog(8, 14, 64, jobs=2) == catalog(8, 14, 64)
-    # Orders 6 and 8 hold no 4-set, 10 and 12 hold some: two walked orders.
-    floor_at((10, 12))
-    assert catalog(8, 6, 12, jobs=10**8) == catalog(8, 6, 12)
-    assert serial_pool == [26, 3, 2, 2]
-
-
-def test_each_order_is_one_shard(serial_pool):
-    # The stand-in pool records what map receives: one (n, k) shard per
-    # walked order, so no order's table can be built in two workers.
-    assert catalog(12, 10, 40, jobs=2)
-    assert serial_pool == [2]
-    assert serial_pool.shards == [[(n, 6) for n in range(14, 41, 2)]]
-
-
-def test_each_order_packs_its_residues_once(monkeypatch, real_pool, tmp_path):
-    # Counted in the processes that pack, the real workers included: a worker
-    # appends one line per _pack_residues call to a file the test reads.
-    log = tmp_path / "packed"
+def test_each_order_packs_its_residues_once(monkeypatch):
+    # Orders 10 and 12 hold no 6-set; every other order is walked once, in
+    # ascending order, and builds its rows once.
+    calls = []
     pack = search._pack_residues
 
     def counting(n, k):
-        with open(log, "a") as out:
-            out.write(f"{n} {k}\n")
+        calls.append((n, k))
         return pack(n, k)
 
     monkeypatch.setattr(search, "_pack_residues", counting)
-    walked = [(n, 6) for n in range(14, 41, 2)]
-    for jobs in (1, 2):
-        log.write_text("")
-        assert catalog(12, 10, 40, jobs=jobs, balanced_only=jobs == 2)
-        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        assert sorted(calls) == walked, jobs
-    assert real_pool == [2]
-
-
-def test_small_catalog_runs_serially(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a catalog below POOL_MIN_WORK started a pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
-    # The join work of degree 8 on orders 12..44, the bench's --jobs request,
-    # is far below the floor.
-    walk = sum(search._join_work(n, 4) for n in range(12, 45, 2))
-    assert walk == 4139 < search.POOL_MIN_WORK
-    assert catalog(8, 12, 44, jobs=2) == catalog(8, 12, 44)
-
-
-def test_pool_floor_splits_the_catalogs_it_was_timed_on():
-    # README "Parallelism": timed as CLI processes, --jobs 2 lost to --jobs 1
-    # on degree 4 over orders up to 800 and won up to 1 000 and 1 600.
-    def work(top):
-        return sum(search._join_work(n, 2) for n in range(6, top + 1, 2))
-
-    assert work(800) < search.POOL_MIN_WORK <= work(1000) < work(1600)
+    assert catalog(12, 10, 40)
+    assert calls == [(n, 6) for n in range(14, 41, 2)]
 
 
 # Degree 12 on orders 16..48 and degree 16 on orders 22..40, recorded from the
@@ -322,18 +195,15 @@ PINNED_CATALOGS = {
 }
 
 
-def test_catalog_d12_d16_entries_unchanged(real_pool):
-    # All three catalogs are below POOL_MIN_WORK; real_pool lifts the floor,
-    # so jobs=2 runs each of them on a real two-worker pool.
+def test_catalog_d12_d16_entries_unchanged():
     for (d, n_min, n_max), rows in PINNED_CATALOGS.items():
-        for balanced_only, jobs in ((False, 1), (True, 2)):
+        for balanced_only in (False, True):
             expected = [
                 CatalogEntry(n, d, True, w, bal if balanced_only else full, passing)
                 for n, full, bal, passing, w in rows
             ]
-            got = catalog(d, n_min, n_max, jobs=jobs, balanced_only=balanced_only)
+            got = catalog(d, n_min, n_max, balanced_only=balanced_only)
             assert got == expected, (d, balanced_only)
-    assert real_pool == [2, 2, 2]
 
 
 def test_pinned_witnesses_are_nut_sets_by_both_routes():
@@ -462,7 +332,7 @@ def test_join_matches_leaf_walk():
     for d, n_max in ((8, 120), (12, 60), (20, 48)):
         k = d // 2
         for n in range(2 * k + 2, n_max + 1, 2):
-            assert search._walk((n, k)) == searchref.walk(n, k), (d, n)
+            assert search._walk(n, k) == searchref.walk(n, k), (d, n)
 
 
 # The largest order each degree admits under CATALOG_MAX_SETS, or at degree
@@ -553,8 +423,6 @@ def test_catalog_validation():
         catalog(8, 20, 10)
     with pytest.raises(ParameterError):
         catalog(7, 10, 20)
-    with pytest.raises(ParameterError):
-        catalog(8, 10, 20, jobs=0)
     with pytest.raises(ParameterError):
         catalog(0, -4, 4)
     with pytest.raises(ParameterError):
