@@ -38,9 +38,11 @@ walk.
 The catalog walks its orders in ascending order on one process. Each
 walked order builds its rows and buckets once and returns its count and
 least nut set, so every entry is fixed by its order alone. A range of more
-than ``CATALOG_MAX_ORDERS`` even orders raises ``CapacityError``; orders
-above ``CATALOG_MAX_ORDER``, or with more than ``CATALOG_MAX_SETS``
-candidate sets, are marked skipped rather than silently truncated.
+than ``CATALOG_MAX_ORDERS`` even orders raises ``CapacityError``. An order
+whose walk could hold more than ``CATALOG_MAX_BYTES``, by the bound
+``_walk_bytes`` computes from n and d alone, is marked skipped rather than
+silently truncated, and so is an order that is not walked but whose count
+would have more digits than Python prints.
 
 The case the paper leaves open, degree 4t with t even at an order n
 divisible by four, is ``catalog(4 * t, n, n)``, whose witness is the least
@@ -51,6 +53,7 @@ request never compiles ``circulant``.
 """
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from math import comb
 
@@ -58,17 +61,14 @@ from .errors import CapacityError, ParameterError
 from .polyalg import SparsePoly, divisors, euler_phi, phi_fold
 from .record import Record
 
-# Most candidate sets, C(n/2 - 1, d/2), of a scanned order.
-CATALOG_MAX_SETS = 10**7
-# Largest scanned order. Degree 4, about n/2 rows and halves meeting each
-# divisor block, has the costliest orders: catalog(4, n, n) takes 45 to 85
-# ms and 19 to 21 MB at n = 2 520 and 2 880, the costliest up to 3 000, 90
-# ms at 3 360 and 65 ms at 4 000 (fresh processes on a 2-core machine). The
-# ceiling dates from the leaf-by-leaf walk, which took 1.3 to 1.6 s at
-# 2 880, and is kept so that no entry changes.
-CATALOG_MAX_ORDER = 3000
-# Most even orders in one catalog range: 10 000 entries build and print in
-# about 0.3 s.
+# Most bytes the walk of one order may hold, as ``_walk_bytes`` bounds them.
+# Every even order is walked up to 9 238 at degree 4, 646 at 8, 190 at 12,
+# 112 at 16, 82 at 20 and 76 at 24. No sampled admitted order took over 0.4
+# s or 100 MB peak RSS in a fresh process (2-core machine).
+CATALOG_MAX_BYTES = 10**8
+# Most even orders in one catalog range: 10 000 skipped entries build and
+# print in about 0.2 s, and degree 4 on orders 2..20 000 walks 5 147 orders
+# in about 7 minutes.
 CATALOG_MAX_ORDERS = 10_000
 
 
@@ -160,8 +160,8 @@ def _walk(n: int, k: int) -> tuple[int, tuple[int, ...] | None]:
     per block, keyed by their masked sums, with the bitmask of their indices
     as the value, and one lookup per block gives dead, the bitmask of the
     even halves that fail with an odd half; the rest pass. The catalog walks
-    only orders whose k-sets are under CATALOG_MAX_SETS, so the halves stay
-    few.
+    only orders whose ``_walk_bytes`` is within CATALOG_MAX_BYTES, so the
+    halves and buckets stay few.
 
     Fix an odd half O and let E < E' be even halves whose first difference
     is e < e'. Below e, the sorted sets O + E and O + E' both hold O's
@@ -196,6 +196,55 @@ def _walk(n: int, k: int) -> tuple[int, tuple[int, ...] | None]:
     return passing, witness
 
 
+def _walk_bytes(n: int, k: int) -> int:
+    """Upper bound on the bytes ``_walk(n, k)`` holds at once, from n and k alone.
+
+    A CPython int below 2^B takes at most 28 + 4 * (B // 30) bytes (30-bit
+    digits), and a list slot 8. Let w = bit_length(4k) and E = C((n - 2) // 4,
+    k/2), the number of even halves. The terms, cheapest first, so that an
+    order far over CATALOG_MAX_BYTES is refused before n is factored or a
+    binomial formed:
+
+    - rows: n/2 packed rows of w * (n - 2) bits;
+    - halves: the E even halves, each a tuple of k/2 offsets and its sum,
+      one row wide, and the odd halves and witnesses the walk drops, which
+      CPython keeps for reuse, up to 2 000 tuples of each length;
+    - rotations: per block b, the lists turned and cycle of
+      ``_pack_residues``, b ints each of w * phi(b) + 1 bits, summed over
+      every b although only the latest two blocks' lists coexist;
+    - buckets: per block b, a key is the half's sum masked to the blocks up
+      to b, and as row s's block depends on s mod b alone, it is fixed by
+      the multiset of the half's offsets mod b: at most min(E, C(b + k/2 -
+      1, k/2)) keys. Each key's bitmask has distinct highest bits below E, so
+      the bitmasks' digits take at most min(E^2 / 15, keys * E * 2 / 15)
+      bytes, and each key adds 100 bytes for its dict slot and its bitmask's
+      header.
+
+    The rotation lists are freed before the halves are built, so the bound
+    is rows plus the larger of rotations and halves plus buckets.
+    """
+    width = (4 * k).bit_length()
+    row = 36 + width * n // 30 * 4
+    rows = n // 2 * row
+    if rows > CATALOG_MAX_BYTES:
+        return rows
+    evens = comb((n - 2) // 4, k // 2)
+    halves = evens * (row + 48 + 4 * k) + 2000 * (80 + 12 * k)
+    if rows + halves > CATALOG_MAX_BYTES:
+        return rows + halves
+    rotations = buckets = bits = 0
+    for b in divisors(n):
+        if b < 3:
+            continue
+        phi = euler_phi(b)
+        bits += width * phi
+        rotations += 2 * b * (36 + (width * phi + 1) // 30 * 4)
+        keys = min(evens, comb(b + k // 2 - 1, k // 2))
+        masks = min(evens * evens // 15, keys * evens * 2 // 15)
+        buckets += masks + keys * (128 + bits // 30 * 4)
+    return rows + max(rotations, halves + buckets)
+
+
 def _balanced_count(m: int, k: int) -> int:
     """Number of parity-balanced k-subsets of {1, .., m}."""
     if k % 2:
@@ -213,12 +262,14 @@ def catalog(
 
     sets_enumerated counts every d/2-subset (only the balanced ones with
     balanced_only), sets_passing every nut set, and the witness is the
-    lexicographically least nut set. An order is skipped when its
-    C(n/2 - 1, d/2) candidate sets exceed CATALOG_MAX_SETS, in both modes,
-    although the walk visits only the balanced ones: one ceiling keeps an
-    entry the same with and without balanced_only. A range of more than
-    CATALOG_MAX_ORDERS even orders raises CapacityError before any order is
-    built.
+    lexicographically least nut set. A walked order is skipped when its
+    ``_walk_bytes`` exceeds CATALOG_MAX_BYTES. An order that is not walked
+    (d/2 odd or zero, or no d/2-set at all) is skipped only when its count
+    C(n/2 - 1, d/2) might have more digits than ``sys.get_int_max_str_digits``
+    lets Python print, judged without forming it. Neither test reads
+    balanced_only, so an entry is the same with and without it. A range of
+    more than CATALOG_MAX_ORDERS even orders raises CapacityError before any
+    order is built.
     """
     if d < 0 or d % 2:
         raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
@@ -233,16 +284,24 @@ def catalog(
             f"the catalog range ceiling {CATALOG_MAX_ORDERS}"
         )
     k = d // 2
+    # Python before 3.10.7 prints any int; 4 300 digits is the later default.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     entries = []
     for n in range(n_min + n_min % 2, n_max + 1, 2):
         m = n // 2 - 1
-        # comb(m, k) is 0 for k > m, and is never formed above the order ceiling.
-        if n > CATALOG_MAX_ORDER or comb(m, k) > CATALOG_MAX_SETS:
-            entries.append(CatalogEntry(n, d, False, None, 0, 0, skipped=True))
-            continue
         # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
         # Above m there is no k-set at all, and both counts below are 0.
         walked = k % 2 == 0 and 0 < k <= m
+        if walked:
+            skipped = _walk_bytes(n, k) > CATALOG_MAX_BYTES
+        else:
+            # C(m, j) < 2^(j * bit_length(m)) for j = min(k, m - k), and
+            # log10(2) < 1/3: the count has at most that exponent // 3 + 1
+            # digits. A limit of 0 prints any int.
+            skipped = 0 < digits <= min(k, m - k) * m.bit_length() // 3
+        if skipped:
+            entries.append(CatalogEntry(n, d, False, None, 0, 0, skipped=True))
+            continue
         passing, witness = _walk(n, k) if walked else (0, None)
         enumerated = _balanced_count(m, k) if balanced_only else comb(m, k)
         entries.append(CatalogEntry(n, d, witness is not None, witness, enumerated, passing))

@@ -358,7 +358,7 @@ def test_readme_lists_every_ceiling_with_its_value():
     for path in Path(nutcirc.__file__).parent.glob("*.py"):
         for name in re.findall(r"^([A-Z]\w*_MAX_\w+) = ", path.read_text(), re.M):
             defined[name] = (path.stem, getattr(import_module(f"nutcirc.{path.stem}"), name))
-    assert len(defined) == 10
+    assert len(defined) == 9
     assert listed == defined
 
 
@@ -628,6 +628,26 @@ def test_search_jobs_has_no_effect(capsys):
     assert "jobs" in envelope["payload"]["message"]
 
 
+def test_search_with_an_unprintable_count_answers(capsys):
+    # d/2 = 50 001 is odd, so order 400 000 is not walked, and its count of
+    # about 48 000 digits is more than Python prints: the order is skipped,
+    # and the envelope is written.
+    code, envelope = run_json(
+        capsys, "search", "--degree", "100002", "--n-min", "400000", "--n-max", "400000"
+    )
+    assert code == 0 and envelope["status"] == "ok"
+    assert envelope["payload"]["entries"] == [
+        {
+            "exists": False,
+            "n": 400000,
+            "sets_enumerated": 0,
+            "sets_passing": 0,
+            "skipped": True,
+            "witness": None,
+        }
+    ]
+
+
 def test_search_unwritable_out_is_domain_error(capsys, tmp_path):
     out_path = tmp_path / "missing" / "x.json"
     code, envelope = run_json(
@@ -820,6 +840,22 @@ def _modules_added(code: str, *argv: str, flags: tuple[str, ...] = ()) -> set[st
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
+def _run_main(exit_code) -> str:
+    """Code that runs main on sys.argv[1:] (build_parser() when empty) and
+    asserts its exit code."""
+    return (
+        "from nutcirc.cli import build_parser, main\n"
+        "if sys.argv[1:]:\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"    assert code == {exit_code}, code\n"
+        "else:\n"
+        "    build_parser()"
+    )
+
+
 # Loaded only by build_parser(), --help, an abbreviation or a usage error:
 # argparse, the gettext it imports and the CLI's argparse side.
 ARGPARSE = frozenset({"argparse", "gettext", "argparser"})
@@ -916,19 +952,8 @@ LOAD_CASES = [
 
 
 def _check_loads(argv, exit_code, used, unused, tmp_path, flags=()):
-    code = (
-        "from nutcirc.cli import build_parser, main\n"
-        "if sys.argv[1:]:\n"
-        "    try:\n"
-        "        code = main(sys.argv[1:])\n"
-        "    except SystemExit as exc:\n"
-        "        code = exc.code\n"
-        f"    assert code == {exit_code}, code\n"
-        "else:\n"
-        "    build_parser()"
-    )
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    added = _modules_added(code, *argv, flags=flags)
+    added = _modules_added(_run_main(exit_code), *argv, flags=flags)
     assert not {"dataclasses", "inspect"} & added
     names = {name.removeprefix("nutcirc.") for name in added}
     assert used <= names
@@ -960,6 +985,51 @@ def test_cli_loads_the_same_without_site(argv, exit_code, used, unused, tmp_path
     """The same requests under ``python -S``, where no .pth file has already
     imported typing, pathlib or re, so that loading one of them shows."""
     _check_loads(argv, exit_code, used, unused, tmp_path, flags=("-S",))
+
+
+def _nodes(module: str) -> int:
+    """Syntax-tree nodes of a nutcirc module ("nutcirc" is the package's __init__)."""
+    path = Path(nutcirc.__file__).with_name(f"{module.replace('nutcirc', '__init__')}.py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+
+
+def _thousands(text: str) -> int:
+    return int(text.replace(" ", ""))
+
+
+def test_readme_start_up_table_counts_what_each_request_compiles():
+    # The README's start-up paragraph lists, per plain --json request, the
+    # nutcirc modules it compiles and their syntax-tree nodes. Each request
+    # runs in a fresh interpreter without site, and the modules it loads are
+    # counted with ast.walk: the modules all five load, the table's rows
+    # and every other "`module` (N nodes)" must match.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\nStart-up:", 1)[1].split("\n## ", 1)[0]
+    loaded = {}
+    for case in LOAD_CASES:
+        if case.id in {"cyclodiv", "search", "verify", "tables", "family"}:
+            argv, exit_code = case.values[:2]
+            added = _modules_added(_run_main(exit_code), *argv, flags=("-S",))
+            loaded[case.id] = {
+                name.removeprefix("nutcirc.") for name in added if name.partition(".")[0] == "nutcirc"
+            }
+    base = set.intersection(*loaded.values())
+    head = re.search(
+        r"Beside (.+?) \(([\d ]+) nodes,\s+([\d ]+) of them `cli`'s and ([\d ]+) `polyalg`'s\)",
+        section,
+    )
+    assert set(re.findall(r"`(\w+)`", head[1])) == base
+    assert _thousands(head[2]) == sum(map(_nodes, base))
+    assert (_thousands(head[3]), _thousands(head[4])) == (_nodes("cli"), _nodes("polyalg"))
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| ([\d ]+) \|$", section, re.M)
+    assert {command for command, _, _ in rows} == set(loaded)
+    for command, extra, total in rows:
+        assert set(re.findall(r"`(\w+)`", extra)) == loaded[command] - base, command
+        assert _thousands(total) == sum(map(_nodes, loaded[command])), command
+    others = re.findall(r"`(?:nutcirc\.)?(\w+)` \(([\d ]+) nodes\)", section)
+    assert {name for name, _ in others} == {"argparser", "render", "appendix"}
+    for name, count in others:
+        assert _thousands(count) == _nodes(name), name
 
 
 def test_package_exports_load_on_first_use():

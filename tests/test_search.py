@@ -9,6 +9,8 @@ differential tests below compare the two order by order.
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 from itertools import accumulate, combinations
 from math import comb
 
@@ -17,6 +19,7 @@ import searchref
 
 from nutcirc import search
 from nutcirc.circulant import (
+    KERNEL_MAX_ORDER,
     GeneratorSet,
     is_nut_kernel,
     is_nut_spectral,
@@ -320,7 +323,7 @@ def test_packed_leaf_test_matches_tuple_slices():
 def test_rotated_rows_equal_one_fold_per_residue():
     # Rows from two rotations of one fold per divisor equal rows packed from
     # one phi_fold call per residue, at the orders with the most divisors
-    # under the order ceiling.
+    # up to 3 000.
     for n in (720, 2310, 2520, 2880):
         for k in (2, 4, 6):
             assert search._pack_residues(n, k) == searchref.pack_residues(n, k), (n, k)
@@ -335,10 +338,21 @@ def test_join_matches_leaf_walk():
             assert search._walk(n, k) == searchref.walk(n, k), (d, n)
 
 
-# The largest order each degree admits under CATALOG_MAX_SETS, or at degree
-# 4 under CATALOG_MAX_ORDER (the next order is skipped), recorded from the
-# leaf walk: (d, n, sets_passing, least witness).
+# The largest order up to which each degree walks every even order under
+# CATALOG_MAX_BYTES (the next order is skipped), recorded from the join:
+# (d, n, sets_passing, least witness).
 LARGEST_ORDERS = [
+    (4, 9238, 4926180, (1, 2)),
+    (8, 646, 158518368, (1, 2, 3, 4)),
+    (12, 190, 222345060, (1, 2, 3, 4, 5, 6)),
+    (16, 112, 191074232, (1, 2, 3, 4, 5, 6, 7, 10)),
+    (20, 82, 240358512, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+    (24, 76, 311891664, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14)),
+]
+# The largest order each degree walked under the ceilings of 10^7 candidate
+# sets and of order 3 000 that CATALOG_MAX_BYTES replaced, recorded from the
+# leaf walk: these entries stay as they were.
+FORMER_LARGEST_ORDERS = [
     (4, 3000, 159600, (1, 12)),
     (8, 252, 932310, (1, 2, 3, 10)),
     (12, 94, 3134670, (1, 2, 3, 4, 5, 6)),
@@ -353,6 +367,76 @@ def test_largest_admitted_orders_unchanged():
         entry, after = catalog(d, n, n + 2)
         assert (entry.sets_passing, entry.witness) == (passing, witness), (d, n)
         assert not entry.skipped and after.skipped, (d, n)
+    for d, n, passing, witness in FORMER_LARGEST_ORDERS:
+        (entry,) = catalog(d, n, n)
+        assert (entry.sets_passing, entry.witness) == (passing, witness), (d, n)
+
+
+def _skip_pattern(monkeypatch, d, n_min, n_max):
+    """Which orders catalog(d, n_min, n_max) skips, with every walk stubbed out."""
+    monkeypatch.setattr(search, "_walk", lambda n, k: (0, None))
+    return {e.n: e.skipped for e in catalog(d, n_min, n_max)}
+
+
+def test_every_order_up_to_the_largest_is_walked(monkeypatch):
+    for d, n, _, _ in LARGEST_ORDERS:
+        skipped = _skip_pattern(monkeypatch, d, 2, n + 2)
+        assert [m for m, s in skipped.items() if s] == [n + 2], d
+
+
+def test_orders_the_former_ceilings_walked_are_still_walked(monkeypatch):
+    # Up to order 3 000 the former ceilings walked every order with at most
+    # 10^7 candidate sets C(n/2 - 1, d/2), at every degree.
+    for d in range(0, 42, 2):
+        skipped = _skip_pattern(monkeypatch, d, 2, 3000)
+        for n, s in skipped.items():
+            assert not (s and comb(n // 2 - 1, d // 2) <= 10**7), (d, n)
+
+
+# Degree 4 at orders 1 000 to 3 000, and each higher degree near the largest
+# order it walks.
+PEAK_GRID = [
+    (4, 1000),
+    (4, 2000),
+    (4, 3000),
+    (8, 646),
+    (12, 166),
+    (16, 106),
+    (20, 82),
+    (24, 70),
+    (40, 62),
+    (40, 66),
+]
+
+
+@pytest.mark.parametrize("d, n", PEAK_GRID)
+def test_walk_bytes_bound_the_measured_peak(d, n):
+    # At degree 4 the rotation lists of _pack_residues set the peak at n =
+    # 1 000 and come within a fifth of it at 3 000. Near the largest admitted
+    # orders of higher degrees the buckets' bitmasks set it, and at (40, 62)
+    # the bound holds only with the tuples CPython keeps for reuse.
+    k = d // 2
+    tracemalloc.start()
+    try:
+        search._walk(n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= search._walk_bytes(n, k) <= search.CATALOG_MAX_BYTES
+
+
+# Ranges of orders that the former ceilings skipped and CATALOG_MAX_BYTES admits.
+NEWLY_ADMITTED = [(4, 3002, 3010), (8, 254, 262), (12, 96, 102), (20, 58, 62), (40, 60, 64)]
+
+
+def test_newly_admitted_witnesses_are_nut_sets():
+    for d, n_min, n_max in NEWLY_ADMITTED:
+        for entry in catalog(d, n_min, n_max):
+            assert entry.exists and not entry.skipped, (d, entry.n)
+            g = GeneratorSet(entry.n, entry.witness)
+            assert g.degree == d and is_nut_spectral(g).is_nut, (d, entry.n)
+            if entry.n <= KERNEL_MAX_ORDER:
+                assert is_nut_kernel(g).is_nut, (d, entry.n)
 
 
 def test_catalog_balanced_pruning_preserves_existence():
@@ -364,24 +448,16 @@ def test_catalog_balanced_pruning_preserves_existence():
 
 
 def test_catalog_capacity_marks_skipped(monkeypatch):
-    monkeypatch.setattr(search, "CATALOG_MAX_SETS", 10)
+    # A skipped order builds nothing: its bound reads n and d alone.
+    def refuse(n, k):
+        raise AssertionError(f"built order {n}")
+
+    monkeypatch.setattr(search, "_pack_residues", refuse)
+    assert catalog(8, 648, 648) == [CatalogEntry(648, 8, False, None, 0, 0, skipped=True)]
+    monkeypatch.setattr(search, "CATALOG_MAX_BYTES", 10)
     entries = catalog(8, 20, 24)
     assert all(e.skipped for e in entries)
     assert all(not e.exists and e.witness is None for e in entries)
-
-
-def test_catalog_capacity_counts_unbalanced_sets_under_balanced(monkeypatch):
-    # Order 20, degree 8: 60 balanced 4-sets among C(9, 4) = 126. The ceiling
-    # counts all 126 in both modes, so a ceiling of 100 skips the order, and
-    # one of 126 scans it.
-    assert search._balanced_count(9, 4) == 60 < 100 < comb(9, 4)
-    monkeypatch.setattr(search, "CATALOG_MAX_SETS", 100)
-    for balanced_only in (False, True):
-        (entry,) = catalog(8, 20, 20, balanced_only=balanced_only)
-        assert entry == CatalogEntry(20, 8, False, None, 0, 0, skipped=True)
-    monkeypatch.setattr(search, "CATALOG_MAX_SETS", 126)
-    (entry,) = catalog(8, 20, 20)
-    assert not entry.skipped and entry.sets_enumerated == 126
 
 
 def test_catalog_order_ceiling_is_inclusive(monkeypatch):
@@ -398,24 +474,51 @@ def test_catalog_order_ceiling_is_inclusive(monkeypatch):
         catalog(0, 2, 10**12)
 
 
-def test_catalog_scanned_order_ceiling_is_inclusive(monkeypatch):
-    # A ceiling of 20 scans order 20 and skips order 22 at every degree and in
-    # both modes, also where order 22 has no set of the degree (d = 22).
+def test_catalog_byte_ceiling_is_inclusive(monkeypatch):
+    # A ceiling of _walk_bytes(20, 4) walks order 20 and skips order 22 at
+    # degree 8, in both modes although only C(9, 2)^2 = 60 of the C(9, 4) =
+    # 126 sets of order 20 are balanced: the bound reads n and d alone. It
+    # never skips an order that is not walked, as at degree 0, 2 and 22.
     expected = {
-        (d, balanced_only): catalog(d, 20, 20, balanced_only=balanced_only)
+        (d, balanced_only): catalog(d, 20, 22, balanced_only=balanced_only)
         for d in (0, 2, 8, 22)
         for balanced_only in (False, True)
     }
-    monkeypatch.setattr(search, "CATALOG_MAX_ORDER", 20)
-    for (d, balanced_only), scanned in expected.items():
+    assert search._balanced_count(9, 4) == 60 < comb(9, 4)
+    monkeypatch.setattr(search, "CATALOG_MAX_BYTES", search._walk_bytes(20, 4))
+    assert search._walk_bytes(22, 4) > search.CATALOG_MAX_BYTES
+    for (d, balanced_only), walked in expected.items():
         got = catalog(d, 20, 22, balanced_only=balanced_only)
-        assert got == scanned + [CatalogEntry(22, d, False, None, 0, 0, skipped=True)]
-    # Above the ceiling the set count, here a number of over six million
+        if d == 8:
+            walked[1] = CatalogEntry(22, d, False, None, 0, 0, skipped=True)
+        assert got == walked, (d, balanced_only)
+    # Past the bound the set count, here a number of over six million
     # digits, is never formed.
     monkeypatch.setattr(search, "comb", None)
     assert catalog(2 * 10**6, 2 * 10**12, 2 * 10**12) == [
         CatalogEntry(2 * 10**12, 2 * 10**6, False, None, 0, 0, skipped=True)
     ]
+
+
+def test_unprintable_counts_are_skipped_unformed(monkeypatch):
+    # At degree 100 002, d/2 is odd and nothing is walked, but the count
+    # C(199 999, 50 001) of order 400 000 has about 48 000 digits, more than
+    # Python prints by default. The entry is skipped without forming it, also
+    # where sys has no limit to read (before Python 3.10.7 and 3.11).
+    skipped = [CatalogEntry(400000, 100002, False, None, 0, 0, skipped=True)]
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "comb", None)
+        assert catalog(100002, 400000, 400000) == skipped
+        patch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert catalog(100002, 400000, 400000) == skipped
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit: every count prints
+        try:
+            (entry,) = catalog(100002, 400000, 400000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert not entry.skipped and entry.sets_enumerated == comb(199999, 50001)
 
 
 def test_catalog_validation():
