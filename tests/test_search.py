@@ -474,17 +474,31 @@ def test_catalog_order_ceiling_is_inclusive(monkeypatch):
         catalog(0, 2, 10**12)
 
 
-def test_catalog_byte_ceiling_is_inclusive(monkeypatch):
+def test_catalog_capacity_counts_unbalanced_sets_under_balanced(monkeypatch):
+    # Order 20, degree 8: 60 balanced 4-sets among C(9, 4) = 126. The bound
+    # reads n and d alone, so in both modes a ceiling one byte under
+    # _walk_bytes(20, 4) skips the order, and one of _walk_bytes(20, 4)
+    # walks it.
+    assert search._balanced_count(9, 4) == 60 < comb(9, 4)
+    monkeypatch.setattr(search, "CATALOG_MAX_BYTES", search._walk_bytes(20, 4) - 1)
+    for balanced_only in (False, True):
+        (entry,) = catalog(8, 20, 20, balanced_only=balanced_only)
+        assert entry == CatalogEntry(20, 8, False, None, 0, 0, skipped=True)
+    monkeypatch.setattr(search, "CATALOG_MAX_BYTES", search._walk_bytes(20, 4))
+    for balanced_only, enumerated in ((False, 126), (True, 60)):
+        (entry,) = catalog(8, 20, 20, balanced_only=balanced_only)
+        assert not entry.skipped and entry.sets_enumerated == enumerated
+
+
+def test_catalog_scanned_order_ceiling_is_inclusive(monkeypatch):
     # A ceiling of _walk_bytes(20, 4) walks order 20 and skips order 22 at
-    # degree 8, in both modes although only C(9, 2)^2 = 60 of the C(9, 4) =
-    # 126 sets of order 20 are balanced: the bound reads n and d alone. It
-    # never skips an order that is not walked, as at degree 0, 2 and 22.
+    # degree 8 in both modes. It never skips an order that is not walked, as
+    # at degree 0, 2 and 22.
     expected = {
         (d, balanced_only): catalog(d, 20, 22, balanced_only=balanced_only)
         for d in (0, 2, 8, 22)
         for balanced_only in (False, True)
     }
-    assert search._balanced_count(9, 4) == 60 < comb(9, 4)
     monkeypatch.setattr(search, "CATALOG_MAX_BYTES", search._walk_bytes(20, 4))
     assert search._walk_bytes(22, 4) > search.CATALOG_MAX_BYTES
     for (d, balanced_only), walked in expected.items():
