@@ -20,10 +20,6 @@ if TYPE_CHECKING:
     from .families import FamilyPolyId
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factorization(n) == ((n, 1),)
-
-
 def exponent_set(pid: FamilyPolyId) -> set[int]:
     """Exponent support of the family polynomial; always six elements."""
     return set(family_poly(pid).terms)
@@ -36,7 +32,7 @@ def unique_remainder_exists(pid: FamilyPolyId, p: int) -> bool:
     stated for primes p from the kind's least prime on: 5 for q/r, 7 for u/w.
     """
     minimum = _SHAPES[pid.kind][2]
-    if p < minimum or not is_prime(p):
+    if p < minimum or prime_factorization(p) != ((p, 1),):
         raise ParameterError(
             f"unique_remainder_exists({pid.kind}) needs a prime p >= {minimum}, got {p}"
         )

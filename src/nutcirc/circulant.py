@@ -148,10 +148,14 @@ def is_nut_spectral(g: GeneratorSet) -> NutVerdict:
 
     Raises CapacityError, whatever the verdict, when n exceeds
     SPECTRAL_MAX_ORDER or the work, 2|S| terms times the sum of 2^omega(b)
-    over the tested b, exceeds SPECTRAL_MAX_WORK.
+    over the tested b, exceeds SPECTRAL_MAX_WORK. Over every b | n that sum
+    is the product of 2e + 1 over n's prime powers p^e, so no b is factored.
     """
     indices = spectral_indices(g.n)
-    work = 2 * len(g.elements) * sum(1 << len(prime_factorization(b)) for b in indices)
+    fold_terms = 1
+    for _, e in prime_factorization(g.n):
+        fold_terms *= 2 * e + 1
+    work = 2 * len(g.elements) * (fold_terms - 1 - 2 * (g.n % 2 == 0))  # less b = 1 and 2
     if work > SPECTRAL_MAX_WORK:
         raise CapacityError(
             f"spectral work {work} on order {g.n} exceeds the ceiling {SPECTRAL_MAX_WORK}"
@@ -160,9 +164,19 @@ def is_nut_spectral(g: GeneratorSet) -> NutVerdict:
         return NutVerdict(False, REASON_ODD_ORDER)
     if not g.elements or not parity_balanced(g):
         return NutVerdict(False, REASON_PARITY)
-    p = eigen_poly(g)
+    return first_obstruction(indices, [(g.n, eigen_poly(g))])
+
+
+def first_obstruction(indices: list[int], rules: list[tuple[int, SparsePoly]]) -> NutVerdict:
+    """The spectral verdict from the least b of indices whose Phi_b divides b's polynomial.
+
+    Each b is tested against the polynomial of the first (m, polynomial)
+    rule with b | m; a b that no rule matches cannot fail. The witness on
+    failure is the least failing b, so indices must be ascending.
+    """
     for b in indices:
-        if phi_divides(p, b):
+        poly = next((poly for m, poly in rules if m % b == 0), None)
+        if poly is not None and phi_divides(poly, b):
             return NutVerdict(False, REASON_SPECTRAL, witness=b)
     return NutVerdict(True, REASON_OK)
 

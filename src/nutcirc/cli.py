@@ -82,12 +82,11 @@ def entry_to_json(entry: CatalogEntry) -> dict[str, Any]:
 # --- subcommand implementations ----------------------------------------------
 
 
-def _run_checks(g, method: str = "both", **later) -> tuple[dict[str, Any], bool]:
-    """Verdicts on g keyed spectral, kernel, then each later check, and whether they agree.
+def _run_checks(g, method: str = "both") -> tuple[dict[str, Any], bool]:
+    """Verdicts on g keyed spectral then kernel, and whether they agree.
 
     method picks the routes, and the kernel runs first, so that its order
-    ceiling refuses before any spectral work. Each later check is a thunk
-    giving a verdict, or None where it does not apply.
+    ceiling refuses before any spectral work.
     """
     from .circulant import is_nut_kernel, is_nut_spectral
 
@@ -96,10 +95,7 @@ def _run_checks(g, method: str = "both", **later) -> tuple[dict[str, Any], bool]
         results["kernel"] = verdict_to_json(is_nut_kernel(g))
     if method != "kernel":
         results = {"spectral": verdict_to_json(is_nut_spectral(g)), **results}
-    for name, check in later.items():
-        results[name] = check and verdict_to_json(check())
-    decided = {r["is_nut"] for r in results.values() if r is not None}
-    return results, len(decided) == 1
+    return results, len({r["is_nut"] for r in results.values()}) == 1
 
 
 def _cmd_verify(args) -> dict[str, Any]:
@@ -120,8 +116,6 @@ def _cmd_verify(args) -> dict[str, Any]:
 
 
 def _cmd_family(args) -> dict[str, Any]:
-    from functools import partial
-
     from . import families
 
     fid = families.FamilyId(args.variant, args.t, args.n)
@@ -134,9 +128,12 @@ def _cmd_family(args) -> dict[str, Any]:
         "degree": g.degree,
     }
     if args.check:
-        applies = args.variant in (families.VARIANT_DPRIME, families.VARIANT_DDPRIME)
-        family = partial(families.family_nut_check, fid) if applies else None
-        payload["checks"], payload["agree"] = _run_checks(g, family=family)
+        checks, agree = _run_checks(g)
+        family = None
+        if args.variant != families.VARIANT_DS_PRIOR:
+            family = verdict_to_json(families.family_nut_check(fid))
+            agree = agree and family["is_nut"] == checks["spectral"]["is_nut"]
+        payload["checks"], payload["agree"] = {**checks, "family": family}, agree
     return payload
 
 

@@ -18,7 +18,7 @@ and the unique-residue premise, which no CLI request calls, live in
 from __future__ import annotations
 
 from .errors import CapacityError, ParameterError
-from .polyalg import SparsePoly, phi_divides, phi_remainder
+from .polyalg import SparsePoly, phi_remainder
 from .record import Record
 
 TYPE_CHECKING = False
@@ -135,14 +135,14 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
     divide n/2 can never fail. For the n = 2 (mod 4) family the same
     classification runs at the half-exponent level: odd divisors of n check
     the u-polynomial, even ones the w-polynomial. t = 1 members reduce to a
-    closed-form binomial divisibility in both families. The returned witness
-    is the smallest failing divisor index in the respective scheme.
+    closed-form binomial divisibility in both families. The rules go through
+    ``circulant.first_obstruction``: the witness is the least failing b.
     Listing the divisors factors n, so an order above
     ``circulant.SPECTRAL_MAX_ORDER`` raises CapacityError first; with six
     terms per polynomial, that one ceiling bounds the divisibility tests
     too, whatever t is (FAMILY_MAX_T bounds only ``build_family``).
     """
-    from .circulant import REASON_OK, REASON_SPECTRAL, NutVerdict, spectral_indices
+    from .circulant import first_obstruction, spectral_indices
 
     if fid.variant == VARIANT_DS_PRIOR:
         raise ParameterError(
@@ -152,8 +152,6 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
     t, n = fid.t, fid.n
     indices = spectral_indices(n)
     dprime = fid.variant == VARIANT_DPRIME
-    # Each divisor b >= 3 of n is tested against the polynomial of the first
-    # (m, polynomial) rule with b | m; a b matching no rule cannot fail.
     if t == 1:
         # The spectrum dies at a primitive b-th root iff that root solves
         # x^(n/2 + shift) = -1, i.e. iff Phi_b divides x^(n/2 + shift) + 1.
@@ -162,11 +160,7 @@ def family_nut_check(fid: FamilyId) -> NutVerdict:
     else:
         pairs = (("q", 4), ("r", 2)) if dprime else (("u", 2), ("w", 1))
         rules = [(n // k, family_poly(FamilyPolyId(kind, t))) for kind, k in pairs]
-    for b in indices:
-        poly = next((poly for m, poly in rules if m % b == 0), None)
-        if poly is not None and phi_divides(poly, b):
-            return NutVerdict(False, REASON_SPECTRAL, witness=b)
-    return NutVerdict(True, REASON_OK)
+    return first_obstruction(indices, rules)
 
 
 # --- residue tables ---------------------------------------------------------

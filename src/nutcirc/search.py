@@ -86,16 +86,15 @@ class CatalogEntry(Record):
     skipped: bool
 
 
-def _pack_residues(n: int, k: int) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
+def _pack_residues(n: int, k: int) -> tuple[list[int], tuple[tuple[int, int], ...]]:
     """Fold residues of x^s + x^(n-s) for each Phi_b, b >= 3 dividing n, packed for k-sets.
 
-    Returns (rows, width, tests), laid out as the module docstring says:
-    each such b, ascending, has a block of phi(b) fields of width =
-    bit_length(4k) bits, and field i of rows[s], 0 <= s < n/2, holds
-    coefficient i of ``phi_fold(x^s + x^(n-s), b)`` plus 2. tests holds,
-    per block, (mask_b, base_b * k), base_b with 2 in every field: Phi_b
-    divides the sum's P_S exactly when ``total & mask_b`` equals ``base_b *
-    k``.
+    Returns (rows, tests), laid out as the module docstring says: each such
+    b, ascending, has a block of phi(b) fields of bit_length(4k) bits, and
+    field i of rows[s], 0 <= s < n/2, holds coefficient i of
+    ``phi_fold(x^s + x^(n-s), b)`` plus 2. tests holds, per block, (mask_b,
+    base_b * k), base_b with 2 in every field: Phi_b divides the sum's P_S
+    exactly when ``total & mask_b`` equals ``base_b * k``.
 
     The rows are built by rotation. That fold is (x^s + x^(n-s)) * g_b
     modulo x^b - 1, with g_b = ``phi_fold(1, b)``, and multiplying by x^r
@@ -144,7 +143,7 @@ def _pack_residues(n: int, k: int) -> tuple[list[int], int, tuple[tuple[int, int
             rows[s] |= cycle[s % b] << offset
         tests.append((mask << offset, mask // field * 2 * k << offset))
         offset += width * phi
-    return rows, width, tuple(tests)
+    return rows, tuple(tests)
 
 
 def _walk(n: int, k: int) -> tuple[int, tuple[int, ...] | None]:
@@ -171,9 +170,10 @@ def _walk(n: int, k: int) -> tuple[int, tuple[int, ...] | None]:
     half, gives the least nut set containing O, and the order's least is
     the least of those over all O.
     """
-    rows, _, blocks = _pack_residues(n, k)
+    rows, blocks = _pack_residues(n, k)
     evens = list(combinations(range(2, n // 2, 2), k // 2))
-    sums = [sum(rows[s] for s in half) for half in evens]
+    # Each sum starts from its first row, so a one-offset half shares its row, not a copy.
+    sums = [sum(map(rows.__getitem__, half[1:]), rows[half[0]]) for half in evens]
     tests = []
     for mask, zero in blocks:
         bucket: dict[int, int] = {}

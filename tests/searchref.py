@@ -14,8 +14,8 @@ from itertools import combinations
 from nutcirc.polyalg import SparsePoly, divisors, euler_phi, phi_fold
 
 
-def pack_residues(n: int, k: int) -> tuple[list[int], int, tuple[tuple[int, int], ...]]:
-    """(rows, width, tests) as ``search._pack_residues`` lays them out, one fold per residue."""
+def pack_residues(n: int, k: int) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """(rows, tests) as ``search._pack_residues`` lays them out, one fold per residue."""
     width = (4 * k).bit_length()
     rows = [0] * (n // 2)
     tests = []
@@ -36,12 +36,12 @@ def pack_residues(n: int, k: int) -> tuple[list[int], int, tuple[tuple[int, int]
             rows[s] |= packed[min(r, b - r)]
         tests.append((mask << offset, base * k << offset))
         offset += width * phi
-    return rows, width, tuple(tests)
+    return rows, tuple(tests)
 
 
 def walk(n: int, k: int) -> tuple[int, tuple[int, ...] | None]:
     """(nut sets, least nut set or None) among the balanced k-sets of order n, leaf by leaf."""
-    rows, _, tests = pack_residues(n, k)
+    rows, tests = pack_residues(n, k)
     halves = combinations(range(2, n // 2, 2), k // 2)
     evens = [(sum(rows[s] for s in half), half) for half in halves]
     passing = 0

@@ -12,6 +12,7 @@ from nutcirc import circulant
 from nutcirc.circulant import (
     GeneratorSet,
     eigen_poly,
+    first_obstruction,
     is_nut_kernel,
     is_nut_spectral,
     kernel_oracle,
@@ -19,7 +20,7 @@ from nutcirc.circulant import (
 )
 from nutcirc.errors import CapacityError, ParameterError
 from nutcirc.families import FamilyId, build_family
-from nutcirc.polyalg import SparsePoly, reduce_mod_xb
+from nutcirc.polyalg import SparsePoly, divisors, prime_factorization, reduce_mod_xb
 
 NUT_12REG = GeneratorSet(16, (1, 2, 4, 5, 6, 7))
 
@@ -133,6 +134,37 @@ def test_spectral_ceilings_refuse_before_factoring_or_testing():
     assert circulant.SPECTRAL_MAX_WORK == 3 * 10**7
     with pytest.raises(CapacityError, match="spectral work 30010080 on order 720720"):
         is_nut_spectral(g)
+
+
+def test_spectral_work_counts_every_tested_divisor(monkeypatch):
+    # The work is read from n's factorization alone, as the product of 2e + 1
+    # less b = 1 and 2; it must equal 2|S| times the sum of 2^omega(b) over
+    # the tested b, each factored, at every order up to 10 000.
+    monkeypatch.setattr(circulant, "SPECTRAL_MAX_WORK", -1)
+    for n in range(3, 10_001):
+        per_divisor = sum(1 << len(prime_factorization(b)) for b in divisors(n) if b >= 3)
+        with pytest.raises(CapacityError, match=f"spectral work {2 * per_divisor} on order {n} "):
+            is_nut_spectral(GeneratorSet(n, (1,)))
+
+
+def test_first_obstruction_tests_each_b_by_its_first_matching_rule():
+    phi3, one = SparsePoly({2: 1, 1: 1, 0: 1}), SparsePoly({0: 1})
+    x12_minus_1 = SparsePoly({12: 1, 0: -1})  # every Phi_b with b | 12 divides it
+    verdicts = [
+        # Both rules match b = 3: the first decides it.
+        first_obstruction([3], [(6, phi3), (3, one)]),
+        first_obstruction([3], [(3, one), (6, phi3)]),
+        # b = 3 matches no rule, so it cannot fail; b = 4 does.
+        first_obstruction([3, 4], [(4, x12_minus_1)]),
+        # Every b fails; the witness is the least.
+        first_obstruction([3, 4, 6, 12], [(12, x12_minus_1)]),
+    ]
+    assert [(v.is_nut, v.reason, v.witness) for v in verdicts] == [
+        (False, "spectral-failure", 3),
+        (True, "ok", None),
+        (False, "spectral-failure", 4),
+        (False, "spectral-failure", 3),
+    ]
 
 
 def test_kernel_oracle_unique_full_support():

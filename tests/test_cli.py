@@ -1032,6 +1032,37 @@ def test_readme_start_up_table_counts_what_each_request_compiles():
         assert _thousands(count) == _nodes(name), name
 
 
+def test_every_private_helper_has_a_caller():
+    # A module-level _name function or class of the package must be named
+    # somewhere in the package outside its own definition; otherwise it is
+    # dead and gets deleted.
+    trees = [ast.parse(path.read_text()) for path in Path(nutcirc.__file__).parent.glob("*.py")]
+    refs = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+            elif isinstance(node, ast.alias):
+                refs.append((node.name, node))
+    helpers = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    assert helpers
+    dead = []
+    for helper in helpers:
+        own = {id(node) for node in ast.walk(helper)}
+        if not any(name == helper.name and id(node) not in own for name, node in refs):
+            dead.append(helper.name)
+    assert dead == []
+
+
 def test_package_exports_load_on_first_use():
     for name in nutcirc.__all__:
         value = getattr(nutcirc, name)

@@ -7,7 +7,7 @@ import sys
 import pytest
 from polyref import evaluate
 
-from nutcirc import circulant, families, search
+from nutcirc import appendix, circulant, families, search
 from nutcirc.appendix import (
     appendix_golden_check,
     exponent_set,
@@ -23,6 +23,7 @@ from nutcirc.families import (
     _SHAPES,
     FamilyId,
     FamilyPolyId,
+    TableRow,
     build_family,
     family_nut_check,
     family_poly,
@@ -42,8 +43,12 @@ def test_family_id_validation_messages():
         FamilyId("ddprime", 2, 16)
     with pytest.raises(ParameterError, match="4t\\+6"):
         FamilyId("ddprime", 2, 10)
+    with pytest.raises(ParameterError, match="t must be >= 1, got 0"):
+        FamilyId("ddprime", 0, 14)
     with pytest.raises(ParameterError, match="odd t >= 3"):
         FamilyId("ds", 1, 16)
+    with pytest.raises(ParameterError, match="ds requires even n"):
+        FamilyId("ds", 3, 17)
     with pytest.raises(ParameterError, match="1 \\(mod 10\\)"):
         FamilyId("ds", 11, 48)
     with pytest.raises(ParameterError, match="15 \\(mod 18\\)"):
@@ -183,6 +188,33 @@ def test_family_nut_check_examples():
     assert family_nut_check(FamilyId("dprime", 1, 8)).is_nut
     with pytest.raises(ParameterError):
         family_nut_check(FamilyId("ds", 3, 16))
+
+
+# Family shapes (odd t, least t, least prime, terms) with t-free terms,
+# planted in _SHAPES so that a member fails: q becomes Phi_3 and r Phi_8.
+PHI_3_SHAPE = (True, 3, 5, ((0, 2, 1), (0, 1, 1), (0, 0, 1)))
+PHI_8_SHAPE = (True, 3, 5, ((0, 4, 1), (0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "planted, n, witness",
+    [
+        # q decides the b | n/4: 3 | 6 at n = 24, while 16 has no b = 3.
+        ({"q": PHI_3_SHAPE}, 24, 3),
+        ({"q": PHI_3_SHAPE}, 16, None),
+        # r decides the other b | n/2: 8 | 8 at n = 16; at n = 24 no such b is 8.
+        ({"r": PHI_8_SHAPE}, 16, 8),
+        ({"r": PHI_8_SHAPE}, 24, None),
+        # Both fail at n = 48 (b = 3 by q, b = 8 by r): the least b is the witness.
+        ({"q": PHI_3_SHAPE, "r": PHI_8_SHAPE}, 48, 3),
+    ],
+)
+def test_family_nut_check_fails_at_the_least_obstructed_divisor(monkeypatch, planted, n, witness):
+    for kind, shape in planted.items():
+        monkeypatch.setitem(_SHAPES, kind, shape)
+    verdict = family_nut_check(FamilyId("dprime", 3, n))
+    reason = "ok" if witness is None else "spectral-failure"
+    assert (verdict.is_nut, verdict.reason, verdict.witness) == (witness is None, reason, witness)
 
 
 def test_prior_family_grid_is_spectrally_nut():
@@ -361,6 +393,39 @@ def test_appendix_golden_check_reports_an_extra_row(tmp_path):
     assert mismatch.field == "row"
 
 
+def test_appendix_golden_check_reports_a_missing_row_and_skips_comments(tmp_path):
+    data = _golden_copy_with(tmp_path / "a", "q_3.txt", lambda lines: ["# comment", "", *lines])
+    assert appendix_golden_check(data).ok
+    data = _golden_copy_with(tmp_path / "b", "q_5.txt", lambda lines: lines[:2] + lines[3:])
+    report = appendix_golden_check(data)
+    assert not report.ok
+    (mismatch,) = report.mismatches
+    assert (mismatch.kind, mismatch.modulus, mismatch.field) == ("q", 5, "row")
+    assert (mismatch.expected, mismatch.actual) == ("<present>", "<missing>")
+
+
+def test_appendix_golden_check_reports_a_zero_remainder(monkeypatch, tmp_path):
+    # A zero remainder fails the report even where the golden file agrees.
+    generate = appendix.generate_table
+
+    def with_zero(kind, modulus):
+        rows = generate(kind, modulus)
+        if (kind, modulus) == ("q", 3):
+            row = rows[1]
+            rows[1] = TableRow(kind, modulus, row.residue, row.reduced, SparsePoly())
+        return rows
+
+    def zero_golden(lines):
+        residue, reduced, _ = lines[1].split()
+        return [lines[0], f"{residue} {reduced} 0", *lines[2:]]
+
+    monkeypatch.setattr(appendix, "generate_table", with_zero)
+    report = appendix_golden_check(_golden_copy_with(tmp_path, "q_3.txt", zero_golden))
+    assert report.mismatches == ()
+    assert report.zero_remainders == (("q", 3, 1),)
+    assert not report.ok
+
+
 def test_appendix_golden_check_rejects_a_repeated_residue(tmp_path):
     def add_wrong_duplicate(lines):
         index = next(i for i, line in enumerate(lines) if line.split()[:1] == ["1"])
@@ -377,6 +442,7 @@ def test_appendix_golden_check_rejects_a_repeated_residue(tmp_path):
     [
         ("x 1:1 1:1", "invalid literal for int"),
         ("7 1:x 1:1", "malformed sparse polynomial term '1:x'"),
+        ("7 1:1", "expected 3 fields, got 2"),
     ],
 )
 def test_appendix_golden_check_rejects_a_malformed_line(tmp_path, line, fragment):

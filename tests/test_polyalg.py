@@ -126,6 +126,10 @@ def test_euler_phi_examples():
     assert euler_phi(1) == 1
     assert euler_phi(2) == 1
     assert euler_phi(30) == 8
+    with pytest.raises(ParameterError, match="euler_phi needs b >= 1, got 0"):
+        euler_phi(0)
+    with pytest.raises(ParameterError, match="cannot factor 0"):
+        prime_factorization(0)
 
 
 def test_euler_phi_matches_unit_count():

@@ -263,7 +263,8 @@ def test_packed_sums_unpack_to_tuple_sums():
     cases = ((36, 2), (44, 4), (48, 6), (60, 8), (420, 4), (420, 12), (720, 4), (840, 8))
     for n, k in cases:
         table = reference_folds(n)
-        rows, width, _ = search._pack_residues(n, k)
+        rows, _ = search._pack_residues(n, k)
+        width = (4 * k).bit_length()
         cmax = max(abs(c) for row in table for c in row)
         assert cmax == 2
         ones = (1 << width) - 1
@@ -310,7 +311,7 @@ def test_packed_leaf_test_matches_tuple_slices():
     zero_seen = 0
     for n, k, subsets in cases:
         table, slices = reference_residues(n)
-        rows, _, tests = search._pack_residues(n, k)
+        rows, tests = search._pack_residues(n, k)
         for subset in subsets:
             sums = [sum(column) for column in zip(*(table[s] for s in subset))]
             zero_slices = [not any(sums[lo:hi]) for lo, hi in slices]
@@ -412,7 +413,7 @@ PEAK_GRID = [
 @pytest.mark.parametrize("d, n", PEAK_GRID)
 def test_walk_bytes_bound_the_measured_peak(d, n):
     # At degree 4 the rotation lists of _pack_residues set the peak at n =
-    # 1 000 and come within a fifth of it at 3 000. Near the largest admitted
+    # 1 000 and 2 000 and come within 2% of it at 3 000. Near the largest admitted
     # orders of higher degrees the buckets' bitmasks set it, and at (40, 62)
     # the bound holds only with the tuples CPython keeps for reuse.
     k = d // 2
@@ -423,6 +424,24 @@ def test_walk_bytes_bound_the_measured_peak(d, n):
     finally:
         tracemalloc.stop()
     assert peak <= search._walk_bytes(n, k) <= search.CATALOG_MAX_BYTES
+
+
+def test_one_offset_halves_hold_their_rows_not_copies():
+    # At degree 4 each even half is one offset, and its sum is its row. A
+    # sum started from 0 copies the row: at order 3 000 those copies, half
+    # the row bytes, raised the walk's tracemalloc peak 1.3 MB above the
+    # residue build's, where without them it is under 0.1 MB above.
+    n = 3000
+    peaks = []
+    for build in (search._pack_residues, search._walk):
+        tracemalloc.start()
+        try:
+            build(n, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows = sum(map(sys.getsizeof, search._pack_residues(n, 2)[0]))
+    assert peaks[1] - peaks[0] < rows / 10
 
 
 # Ranges of orders that the former ceilings skipped and CATALOG_MAX_BYTES admits.
