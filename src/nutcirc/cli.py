@@ -15,6 +15,14 @@ preconditions). With --json, usage errors that argparse detects also leave
 through the envelope; without it they keep argparse's usage text on stderr.
 A closed stdout (``| head``) ends the request quietly with exit code 1.
 
+``python -m nutcirc.cli`` and the ``nutcirc`` console script call ``run``,
+which calls ``main``, flushes stdout and stderr and ends the process with
+``os._exit`` and main's exit code: interpreter finalization (atexit, module
+teardown, the last collection) would add several milliseconds to every
+request. Nothing is flushed or closed after that, so every file a handler
+opens is closed before main returns (``search --out`` writes inside
+``with``). Callers of ``main`` in process keep the normal exit.
+
 Each subcommand's options are declared once in ``_COMMANDS``, each as the
 keyword arguments of argparse's add_argument; the --variant and --kind
 choices mirror ``families.VARIANTS`` and ``families.POLY_KINDS``, and a test
@@ -391,5 +399,22 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
+def run(argv: list[str] | None = None) -> None:
+    """Run main, flush stdout and stderr, and end the process by ``os._exit`` with main's code.
+
+    A flush that fails ends the process with EXIT_DOMAIN and writes nothing
+    more, as a closed stdout does. argparse's SystemExit (help, usage errors
+    without --json) leaves the normal way.
+    """
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        code = EXIT_DOMAIN
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

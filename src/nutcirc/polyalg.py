@@ -64,9 +64,12 @@ class SparsePoly:
 
 
 # Bound on the factorization memo. A request factors a b two or three times,
-# close together (filaseta_step then phi_fold, _walk_bytes then _pack_residues):
-# in process it takes is_nut_spectral on Circ(2 * 499 999 999 979, {1, 2, 3, 4})
-# from 188 to 91 ms; catalog(4, 2, 1000) and bench-sized requests do not move.
+# close together (filaseta_step then phi_fold, _walk_bytes then _pack_residues),
+# and a factorization leaves each cofactor in the memo. In process,
+# is_nut_spectral on Circ(2 * 499 999 999 979, {1, 2, 3, 4}) takes 37 ms, with
+# the prime trial-divided once for n and found in the memo by the fold at b = p;
+# it took 82 ms when the fold factored p again. catalog(4, 2, 1000) and
+# bench-sized requests do not move.
 ARITH_CACHE_SIZE = 4096
 
 
@@ -75,19 +78,17 @@ def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:
         raise ParameterError(f"cannot factor {n}; need n >= 1")
-    out = []
     d = 2
     while d * d <= n:
-        e = 0
-        while n % d == 0:
-            e += 1
-            n //= d
-        if e:
-            out.append((d, e))
+        if n % d == 0:
+            cofactor, e = n // d, 1
+            while cofactor % d == 0:
+                cofactor, e = cofactor // d, e + 1
+            # The cofactor goes through the memo, so that a large prime of n
+            # is trial-divided once and a later factorization of it is a hit.
+            return ((d, e),) + prime_factorization(cofactor)
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    return ((n, 1),) if n > 1 else ()
 
 
 def divisors(n: int) -> tuple[int, ...]:

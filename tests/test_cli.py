@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import re
@@ -806,6 +807,140 @@ def test_closed_stdout_exits_1_quietly():
         os.close(write_end)
     assert result.stderr == b""
     assert result.returncode == 1
+
+
+# One request per subcommand, a human rendering, each error exit and both
+# --out formats. "{tmp}" is the test's directory, the same for both runs, so
+# that an error message quoting the --out path is the same.
+SEARCH_14_20 = ["search", "--degree", "8", "--n-min", "14", "--n-max", "20"]
+PROCESS_CASES = [
+    pytest.param(["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"], id="verify"),
+    pytest.param(
+        ["--json", "family", "--variant", "dprime", "--t", "3", "--n", "16", "--check"],
+        id="family",
+    ),
+    pytest.param(["--json", "tables", "--kind", "q", "--modulus", "3"], id="tables"),
+    pytest.param(["--json", *SEARCH_14_20], id="search"),
+    pytest.param(
+        ["--json", "cyclodiv", "--poly", "5:2,4:1,0:-2", "--engine", "fast"],
+        id="cyclodiv",
+    ),
+    pytest.param(["verify", "--n", "16", "--set", "1,2,4,5,6,7"], id="human"),
+    pytest.param(["--json", "verify", "--n", "16", "--set", "9"], id="parameter-error"),
+    pytest.param(
+        ["--json", "verify", "--n", "4096", "--set", "1,2", "--method", "kernel"],
+        id="capacity-error",
+    ),
+    pytest.param(["--json", *SEARCH_14_20, "--out", "{tmp}/missing/c.json"], id="unwritable-out"),
+    pytest.param(["--json", *SEARCH_14_20, "--out", "{tmp}/c.json"], id="search-json-out"),
+    pytest.param([*SEARCH_14_20, "--out", "{tmp}/c.csv", "--format", "csv"], id="search-csv-out"),
+]
+
+
+def _take_out_file(argv: list[str]) -> bytes | None:
+    """The bytes of the request's --out file, which is then removed, or None if there is none."""
+    if "--out" not in argv:
+        return None
+    path = Path(argv[argv.index("--out") + 1])
+    if not path.is_file():
+        return None
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+def _without_elapsed(out: bytes) -> bytes:
+    return re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', out)
+
+
+@pytest.mark.parametrize("argv", PROCESS_CASES)
+def test_process_exit_matches_in_process_main(capsysbinary, tmp_path, argv):
+    """``python -m nutcirc.cli``, which ends by os._exit, prints and writes
+    what main does in process, and exits with its code.
+
+    The child's stdout is block-buffered (no PYTHONUNBUFFERED), so output not
+    flushed before the process ends, or a --out file not closed, would be lost.
+    A --out file is read as soon as main returns, so it must be whole then.
+    """
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "nutcirc.cli", *argv]
+    child = subprocess.run(command, capture_output=True, env=env)
+    child_file = _take_out_file(argv)
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    assert child.returncode == code
+    assert _without_elapsed(child.stdout) == _without_elapsed(captured.out)
+    assert child.stderr == captured.err
+    assert child_file == _take_out_file(argv)
+    assert bool(child_file) == ("--out" in argv and code == 0)
+
+
+class _Exited(Exception):
+    """Raised by the stand-in for os._exit, with the code run passed it."""
+
+
+def _exit(code):
+    raise _Exited(code)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["--json", "cyclodiv", "--poly", "2:1,0:1"], 0),
+        (["--json", "verify", "--n", "4096", "--set", "1,2", "--method", "kernel"], 1),
+        (["--json", "verify", "--n", "16", "--set", "9"], 2),
+    ],
+    ids=["ok", "capacity-error", "parameter-error"],
+)
+def test_run_exits_with_mains_code(capsys, monkeypatch, argv, exit_code):
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(_Exited) as exited:
+        cli.run(argv)
+    assert exited.value.args == (exit_code,)
+    assert capsys.readouterr().out.startswith('{"command": ')
+
+
+def test_run_leaves_help_to_argparse(capsys, monkeypatch):
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(SystemExit) as exited:
+        cli.run(["--help"])
+    assert exited.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_run_exits_1_quietly_when_a_flush_fails(monkeypatch):
+    class Unflushable(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+    stderr = io.StringIO()
+    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    monkeypatch.setattr(sys, "stdout", Unflushable())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(_Exited) as exited:
+        cli.run([])
+    assert exited.value.args == (1,)
+    assert stderr.getvalue() == ""
+
+
+def test_run_skips_a_stream_closed_at_start(monkeypatch):
+    # `nutcirc ... >&-` starts with sys.stdout None; main's print then writes
+    # nothing, and run keeps main's code.
+    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(_Exited) as exited:
+        cli.run([])
+    assert exited.value.args == (0,)
+
+
+def test_console_script_calls_run():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+    assert re.findall(r"^(\S+) = \"(.*)\"$", scripts[1], re.M) == [("nutcirc", "nutcirc.cli:run")]
 
 
 LAYERS = frozenset(

@@ -132,6 +132,35 @@ def test_euler_phi_examples():
         prime_factorization(0)
 
 
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """The reference factorization: trial division by every d >= 2, in one loop."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out) + (((n, 1),) if n > 1 else ())
+
+
+def test_prime_factorization_matches_trial_division():
+    for n in [*range(1, 20_001), 2**40, 963_761_198_400]:
+        assert prime_factorization(n) == _trial_division(n), n
+
+
+def test_prime_factorization_memoizes_the_cofactor():
+    # A large prime p of n is trial-divided once, while n is factored; a
+    # later factorization of p (phi_fold at b = p) is a memo hit.
+    p = 499_999_999_979
+    prime_factorization.cache_clear()
+    assert prime_factorization(2 * p) == ((2, 1), (p, 1))
+    hits = prime_factorization.cache_info().hits
+    assert prime_factorization(p) == ((p, 1),)
+    assert prime_factorization.cache_info().hits == hits + 1
+
+
 def test_euler_phi_matches_unit_count():
     for b in range(1, 301):
         assert euler_phi(b) == sum(1 for k in range(1, b + 1) if math.gcd(k, b) == 1)
