@@ -24,7 +24,7 @@ the spectral side.
 from __future__ import annotations
 
 from .errors import CapacityError, ParameterError
-from .polyalg import SparsePoly, divisors, phi_divides, prime_factorization
+from .polyalg import SparsePoly, divisors, phi_fold
 from .record import Record
 
 # Size ceilings, each checked before any work; timings on a 2-core machine.
@@ -34,7 +34,7 @@ from .record import Record
 # members with t <= 5 (22 ms for dprime t = 3 at n = 512). Listing the
 # spectral indices factors n by trial division, about 0.1 s near 10^12.
 # The spectral work, terms times the sum of 2^omega(b) over those indices,
-# bounds the phi_divides passes: 4118 random offsets at n = 720 720 (work
+# bounds the phi_fold passes: 4118 random offsets at n = 720 720 (work
 # 3.0 * 10^7) take 3 to 4 s.
 KERNEL_MAX_ORDER = 2048
 SPECTRAL_MAX_ORDER = 10**12
@@ -148,14 +148,11 @@ def is_nut_spectral(g: GeneratorSet) -> NutVerdict:
 
     Raises CapacityError, whatever the verdict, when n exceeds
     SPECTRAL_MAX_ORDER or the work, 2|S| terms times the sum of 2^omega(b)
-    over the tested b, exceeds SPECTRAL_MAX_WORK. Over every b | n that sum
-    is the product of 2e + 1 over n's prime powers p^e, so no b is factored.
+    over the tested b, exceeds SPECTRAL_MAX_WORK. omega(b) is the number of
+    primes listed with b, so no b is factored.
     """
     indices = spectral_indices(g.n)
-    fold_terms = 1
-    for _, e in prime_factorization(g.n):
-        fold_terms *= 2 * e + 1
-    work = 2 * len(g.elements) * (fold_terms - 1 - 2 * (g.n % 2 == 0))  # less b = 1 and 2
+    work = 2 * len(g.elements) * sum(1 << len(primes) for _, primes in indices)
     if work > SPECTRAL_MAX_WORK:
         raise CapacityError(
             f"spectral work {work} on order {g.n} exceeds the ceiling {SPECTRAL_MAX_WORK}"
@@ -167,29 +164,32 @@ def is_nut_spectral(g: GeneratorSet) -> NutVerdict:
     return first_obstruction(indices, [(g.n, eigen_poly(g))])
 
 
-def first_obstruction(indices: list[int], rules: list[tuple[int, SparsePoly]]) -> NutVerdict:
+def first_obstruction(
+    indices: list[tuple[int, tuple[int, ...]]], rules: list[tuple[int, SparsePoly]]
+) -> NutVerdict:
     """The spectral verdict from the least b of indices whose Phi_b divides b's polynomial.
 
-    Each b is tested against the polynomial of the first (m, polynomial)
-    rule with b | m; a b that no rule matches cannot fail. The witness on
-    failure is the least failing b, so indices must be ascending.
+    indices holds ascending (b, primes of b) pairs, as ``spectral_indices``
+    lists them. Each b is folded with its primes against the polynomial of
+    the first (m, polynomial) rule with b | m; a b that no rule matches
+    cannot fail. The witness on failure is the least failing b.
     """
-    for b in indices:
+    for b, primes in indices:
         poly = next((poly for m, poly in rules if m % b == 0), None)
-        if poly is not None and phi_divides(poly, b):
+        if poly is not None and not phi_fold(poly, b, primes):
             return NutVerdict(False, REASON_SPECTRAL, witness=b)
     return NutVerdict(True, REASON_OK)
 
 
-def spectral_indices(n: int) -> list[int]:
-    """The divisors b >= 3 of n, ascending: the Phi_b the spectral criterion tests.
+def spectral_indices(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(b, primes of b) for the divisors b >= 3 of n, ascending: the Phi_b the criterion tests.
 
-    Listing them factors n by trial division, so an order above
+    Listing them factors n once, by trial division, so an order above
     SPECTRAL_MAX_ORDER raises CapacityError first.
     """
     if n > SPECTRAL_MAX_ORDER:
         raise CapacityError(f"order {n} exceeds the spectral order ceiling {SPECTRAL_MAX_ORDER}")
-    return [b for b in divisors(n) if b >= 3]
+    return [(b, primes) for b, primes in divisors(n) if b >= 3]
 
 
 def _trim(f: list[int]) -> list[int]:

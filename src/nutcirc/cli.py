@@ -13,7 +13,8 @@ completed command), 1 for domain errors (capacity, missing data, an unwritable
 --out file), 2 for usage errors (bad flags or arguments violating
 preconditions). With --json, usage errors that argparse detects also leave
 through the envelope; without it they keep argparse's usage text on stderr.
-A closed stdout (``| head``) ends the request quietly with exit code 1.
+Any OSError on writing the output, as from a closed stdout (``| head``) or
+a full device, ends the request quietly with exit code 1.
 
 ``python -m nutcirc.cli`` and the ``nutcirc`` console script call ``run``,
 which calls ``main``, flushes stdout and stderr and ends the process with
@@ -351,6 +352,12 @@ def _to_json(value: Any) -> str:
 
 
 def _emit(envelope: dict[str, Any], as_json: bool) -> None:
+    """Print the envelope as JSON, as its rendering or as the error line.
+
+    If the stream fails, its descriptor, if it has one, is pointed at
+    devnull, so that the flush at exit does not fail again, and the OSError
+    is raised.
+    """
     stream = sys.stdout
     if as_json:
         text = _to_json(envelope)
@@ -361,7 +368,16 @@ def _emit(envelope: dict[str, Any], as_json: bool) -> None:
     else:
         text = f"error: {envelope['payload']['message']}"
         stream = sys.stderr
-    print(text, file=stream, flush=True)
+    try:
+        print(text, file=stream, flush=True)
+    except OSError:
+        try:
+            fd = stream.fileno()
+        except (OSError, ValueError):  # a stream without a descriptor
+            fd = -1
+        if fd >= 0:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -391,10 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         _emit(envelope, args.json)
-    except BrokenPipeError:
-        # The reader has closed stdout (``| head``). Point stdout at devnull
-        # so that the flush at exit does not fail again, and exit quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError:
+        # The stream cannot take the envelope: its reader has closed it
+        # (``| head``) or its device is full. Exit quietly.
         return EXIT_DOMAIN
     return exit_code
 

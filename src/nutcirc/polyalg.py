@@ -16,7 +16,6 @@ oracle uses to skip divisions that cannot come out exact.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 
 from .errors import ParameterError
 
@@ -63,40 +62,28 @@ class SparsePoly:
         return f"SparsePoly({sparse_to_text(self)!r})"
 
 
-# Bound on the factorization memo. A request factors a b two or three times,
-# close together (filaseta_step then phi_fold, _walk_bytes then _pack_residues),
-# and a factorization leaves each cofactor in the memo. In process,
-# is_nut_spectral on Circ(2 * 499 999 999 979, {1, 2, 3, 4}) takes 37 ms, with
-# the prime trial-divided once for n and found in the memo by the fold at b = p;
-# it took 82 ms when the fold factored p again. catalog(4, 2, 1000) and
-# bench-sized requests do not move.
-ARITH_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=ARITH_CACHE_SIZE)
 def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
+    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending, by trial division."""
     if n < 1:
         raise ParameterError(f"cannot factor {n}; need n >= 1")
+    factors = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            cofactor, e = n // d, 1
-            while cofactor % d == 0:
-                cofactor, e = cofactor // d, e + 1
-            # The cofactor goes through the memo, so that a large prime of n
-            # is trial-divided once and a later factorization of it is a hit.
-            return ((d, e),) + prime_factorization(cofactor)
+            e = 0
+            while n % d == 0:
+                n, e = n // d, e + 1
+            factors.append((d, e))
         d += 1 if d == 2 else 2
-    return ((n, 1),) if n > 1 else ()
+    return tuple(factors) + (((n, 1),) if n > 1 else ())
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n >= 1, ascending."""
-    ds = [1]
+def divisors(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every divisor b of n >= 1, ascending, as (b, the distinct primes of b), factoring n once."""
+    ds = [(1, ())]
     for p, e in prime_factorization(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return tuple(sorted(ds))
+        ds = [(d * p**k, primes + (p,) * (k > 0)) for d, primes in ds for k in range(e + 1)]
+    return sorted(ds)
 
 
 def euler_phi(b: int) -> int:
@@ -187,13 +174,13 @@ def phi_remainder(p: SparsePoly, b: int) -> SparsePoly:
     return SparsePoly(enumerate(coeffs[:phi]))
 
 
-def phi_fold(p: SparsePoly, b: int) -> dict[int, int]:
+def phi_fold(p: SparsePoly, b: int, primes: Iterable[int]) -> dict[int, int]:
     """p * g_b modulo x^b - 1, for b >= 1, as exponent -> nonzero coefficient.
 
-    g_b is the product of x^(b/q) - 1 over the distinct primes q | b (g_1 =
-    1). The fold reduces p modulo x^b - 1 and multiplies it by each factor
-    of g_b modulo x^b - 1, so it has degree below b and is linear in p. It is
-    zero iff Phi_b divides p.
+    g_b is the product of x^(b/q) - 1 over primes, the distinct primes q | b
+    as ``divisors`` lists them (g_1 = 1). The fold reduces p modulo x^b - 1
+    and multiplies it by each factor of g_b modulo x^b - 1, so it has degree
+    below b and is linear in p. It is zero iff Phi_b divides p.
 
     Proof. Let z be a primitive b-th root of unity. The factor z^(jb/q) - 1
     vanishes iff q | j, so g_b(z^j) = 0 iff some prime of b divides j, that
@@ -208,7 +195,7 @@ def phi_fold(p: SparsePoly, b: int) -> dict[int, int]:
     most 2^omega(b) times the terms of the fold.
     """
     terms = reduce_mod_xb(p, b).terms
-    for q, _ in prime_factorization(b):
+    for q in primes:
         # terms * (x^k - 1) modulo x^b - 1, on a plain dict.
         k = b // q
         product = {e: -c for e, c in terms.items()}
@@ -221,7 +208,7 @@ def phi_fold(p: SparsePoly, b: int) -> dict[int, int]:
 
 def phi_divides(p: SparsePoly, b: int) -> bool:
     """True iff Phi_b divides p, for b >= 1, without forming Phi_b or dividing."""
-    return not phi_fold(p, b)
+    return not phi_fold(p, b, [q for q, _ in prime_factorization(b)])
 
 
 def reduce_mod_xb(p: SparsePoly, b: int) -> SparsePoly:

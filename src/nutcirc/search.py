@@ -37,12 +37,14 @@ walk.
 
 The catalog walks its orders in ascending order on one process. Each
 walked order builds its rows and buckets once and returns its count and
-least nut set, so every entry is fixed by its order alone. A range of more
-than ``CATALOG_MAX_ORDERS`` even orders raises ``CapacityError``. An order
-whose walk could hold more than ``CATALOG_MAX_BYTES``, by the bound
+least nut set, so every entry is fixed by its order alone. An order whose
+walk could hold more than ``CATALOG_MAX_BYTES``, by the bound
 ``_walk_bytes`` computes from n and d alone, is marked skipped rather than
 silently truncated, and so is an order that is not walked but whose count
-would have more digits than Python prints.
+would have more digits than Python prints. A range of more than
+``CATALOG_MAX_ORDERS`` even orders, or whose walked orders' bounds sum to
+more than ``CATALOG_MAX_RANGE_BYTES``, raises ``CapacityError`` before any
+order is walked.
 
 The case the paper leaves open, degree 4t with t even at an order n
 divisible by four, is ``catalog(4 * t, n, n)``, whose witness is the least
@@ -67,9 +69,15 @@ from .record import Record
 # s or 100 MB peak RSS in a fresh process (2-core machine).
 CATALOG_MAX_BYTES = 10**8
 # Most even orders in one catalog range: 10 000 skipped entries build and
-# print in about 0.2 s, and degree 4 on orders 2..20 000 walks 5 147 orders
-# in about 7 minutes.
+# print in about 0.2 s. It bounds the entries only; the walks' time is
+# bounded by CATALOG_MAX_RANGE_BYTES.
 CATALOG_MAX_ORDERS = 10_000
+# Most bytes, by ``_walk_bytes``, summed over the walked orders of one range.
+# A range takes 2.5 to 3.1 s per summed GB: degree 12 on orders 14..190 sums
+# 1.14 GB and takes 3.0 s, degree 4 on 2..2 000 sums 1.51 GB and takes 4.7 s.
+# Degree 8 on 14..646 (4.9 GB, about 17 s) and degree 4 on 2..20 000 (174 GB,
+# about 7 minutes) are refused.
+CATALOG_MAX_RANGE_BYTES = 2 * 10**9
 
 
 class CatalogEntry(Record):
@@ -126,14 +134,14 @@ def _pack_residues(n: int, k: int) -> tuple[list[int], tuple[tuple[int, int], ..
     rows = [0] * (n // 2)
     tests = []
     offset = 0
-    for b in divisors(n):
+    for b, primes in divisors(n):
         if b < 3:
             continue  # b = 1 and 2 are the parity condition: the walk visits balanced sets only
         phi = euler_phi(b)
         mask = (1 << (width * phi)) - 1
         span = width * b
         g = ((1 << span) - 1) // field  # 1 in every field
-        g += sum(c << (width * e) for e, c in phi_fold(SparsePoly({0: 1}), b).items())
+        g += sum(c << (width * e) for e, c in phi_fold(SparsePoly({0: 1}), b, primes).items())
         # Field i of turned[r] holds field (i - r) mod b of g, for 0 <= i < phi(b).
         turned = [g & mask] + [
             ((g << shift) | (g >> (span - shift))) & mask for shift in range(width, span, width)
@@ -233,7 +241,7 @@ def _walk_bytes(n: int, k: int) -> int:
     if rows + halves > CATALOG_MAX_BYTES:
         return rows + halves
     rotations = buckets = bits = 0
-    for b in divisors(n):
+    for b, _ in divisors(n):
         if b < 3:
             continue
         phi = euler_phi(b)
@@ -269,7 +277,8 @@ def catalog(
     lets Python print, judged without forming it. Neither test reads
     balanced_only, so an entry is the same with and without it. A range of
     more than CATALOG_MAX_ORDERS even orders raises CapacityError before any
-    order is built.
+    order is built, and one whose walked orders' ``_walk_bytes`` sum to more
+    than CATALOG_MAX_RANGE_BYTES before any order is walked.
     """
     if d < 0 or d % 2:
         raise ParameterError(f"degree must be a nonnegative even integer, got {d}")
@@ -284,16 +293,30 @@ def catalog(
             f"the catalog range ceiling {CATALOG_MAX_ORDERS}"
         )
     k = d // 2
+    evens = range(n_min + n_min % 2, n_max + 1, 2)
+    # Odd k and k = 0 admit no balanced nonempty set, hence no nut set. Above
+    # n/2 - 1 there is no k-set at all, and both counts below are 0. An order
+    # is walked iff it gets a bound here, and only admitted bounds are summed.
+    bounds = {}
+    admitted = 0
+    for n in evens:
+        if k % 2 or not 0 < k < n // 2:
+            continue
+        bounds[n] = bound = _walk_bytes(n, k)
+        admitted += bound if bound <= CATALOG_MAX_BYTES else 0
+        if admitted > CATALOG_MAX_RANGE_BYTES:
+            raise CapacityError(
+                f"the walks of degree {d} on the even orders in [{n_min}, {n_max}] exceed "
+                f"the catalog range budget of {CATALOG_MAX_RANGE_BYTES} bytes"
+            )
     # Python before 3.10.7 prints any int; 4 300 digits is the later default.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     entries = []
-    for n in range(n_min + n_min % 2, n_max + 1, 2):
+    for n in evens:
         m = n // 2 - 1
-        # Odd k and k = 0 admit no balanced nonempty set, hence no nut set.
-        # Above m there is no k-set at all, and both counts below are 0.
-        walked = k % 2 == 0 and 0 < k <= m
+        walked = n in bounds
         if walked:
-            skipped = _walk_bytes(n, k) > CATALOG_MAX_BYTES
+            skipped = bounds[n] > CATALOG_MAX_BYTES
         else:
             # C(m, j) < 2^(j * bit_length(m)) for j = min(k, m - k), and
             # log10(2) < 1/3: the count has at most that exponent // 3 + 1

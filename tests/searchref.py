@@ -20,13 +20,13 @@ def pack_residues(n: int, k: int) -> tuple[list[int], tuple[tuple[int, int], ...
     rows = [0] * (n // 2)
     tests = []
     offset = 0
-    for b in divisors(n):
+    for b, primes in divisors(n):
         if b < 3:
             continue
         phi = euler_phi(b)
         mask = (1 << (width * phi)) - 1
         base = mask // ((1 << width) - 1) * 2
-        folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b) for r in range(b // 2 + 1))
+        folds = (phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b, primes) for r in range(b // 2 + 1))
         packed = [
             (base + sum(c << (width * i) for i, c in fold.items() if i < phi)) << offset
             for fold in folds

@@ -148,7 +148,7 @@ def test_criterion_7_property_suites():
     with criterion("C7 cyclotomic product/degree/substitution properties and reduction arithmetic"):
         for b in range(1, 61):
             product = SparsePoly({0: 1})
-            for d in divisors(b):
+            for d, _ in divisors(b):
                 product = mul(product, cyclotomic(d))
             assert product == x_pow_minus_one(b)
             assert cyclotomic(b).degree == euler_phi(b)

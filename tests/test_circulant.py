@@ -137,12 +137,12 @@ def test_spectral_ceilings_refuse_before_factoring_or_testing():
 
 
 def test_spectral_work_counts_every_tested_divisor(monkeypatch):
-    # The work is read from n's factorization alone, as the product of 2e + 1
-    # less b = 1 and 2; it must equal 2|S| times the sum of 2^omega(b) over
-    # the tested b, each factored, at every order up to 10 000.
+    # The work is read from the primes listed with each tested b; it must
+    # equal 2|S| times the sum of 2^omega(b) over the tested b, each factored
+    # here, at every order up to 10 000.
     monkeypatch.setattr(circulant, "SPECTRAL_MAX_WORK", -1)
     for n in range(3, 10_001):
-        per_divisor = sum(1 << len(prime_factorization(b)) for b in divisors(n) if b >= 3)
+        per_divisor = sum(1 << len(prime_factorization(b)) for b, _ in divisors(n) if b >= 3)
         with pytest.raises(CapacityError, match=f"spectral work {2 * per_divisor} on order {n} "):
             is_nut_spectral(GeneratorSet(n, (1,)))
 
@@ -152,12 +152,12 @@ def test_first_obstruction_tests_each_b_by_its_first_matching_rule():
     x12_minus_1 = SparsePoly({12: 1, 0: -1})  # every Phi_b with b | 12 divides it
     verdicts = [
         # Both rules match b = 3: the first decides it.
-        first_obstruction([3], [(6, phi3), (3, one)]),
-        first_obstruction([3], [(3, one), (6, phi3)]),
+        first_obstruction([(3, (3,))], [(6, phi3), (3, one)]),
+        first_obstruction([(3, (3,))], [(3, one), (6, phi3)]),
         # b = 3 matches no rule, so it cannot fail; b = 4 does.
-        first_obstruction([3, 4], [(4, x12_minus_1)]),
+        first_obstruction([(3, (3,)), (4, (2,))], [(4, x12_minus_1)]),
         # Every b fails; the witness is the least.
-        first_obstruction([3, 4, 6, 12], [(12, x12_minus_1)]),
+        first_obstruction([(3, (3,)), (4, (2,)), (6, (2, 3)), (12, (2, 3))], [(12, x12_minus_1)]),
     ]
     assert [(v.is_nut, v.reason, v.witness) for v in verdicts] == [
         (False, "spectral-failure", 3),
@@ -235,7 +235,7 @@ def test_nullity_equals_totient_weighted_divisor_count():
         g = GeneratorSet(n, tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))))
         p = eigen_poly(g)
         predicted = sum(
-            euler_phi(b) for b in divisors(n) if div_rem(p, cyclotomic(b))[1].is_zero()
+            euler_phi(b) for b, _ in divisors(n) if div_rem(p, cyclotomic(b))[1].is_zero()
         )
         assert kernel_oracle(g).nullity == predicted
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import io
 import json
 import os
@@ -359,7 +360,7 @@ def test_readme_lists_every_ceiling_with_its_value():
     for path in Path(nutcirc.__file__).parent.glob("*.py"):
         for name in re.findall(r"^([A-Z]\w*_MAX_\w+) = ", path.read_text(), re.M):
             defined[name] = (path.stem, getattr(import_module(f"nutcirc.{path.stem}"), name))
-    assert len(defined) == 9
+    assert len(defined) == 10
     assert listed == defined
 
 
@@ -381,6 +382,27 @@ def _module_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {(a.asname or a.name).split(".")[0] for a in node.names}
     return names
+
+
+def test_verdict_modules_use_no_floating_point():
+    # No float may enter a verdict. The modules that decide one use no true
+    # division, no float or complex literal, no float() and, of math, only
+    # its integer functions.
+    exact_math = {"isqrt", "comb"}
+    for module in ("polyalg", "cyclotomy", "circulant", "families", "search"):
+        tree = ast.parse(Path(nutcirc.__file__).with_name(f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            where = (module, getattr(node, "lineno", None))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.Div), where
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
+            if isinstance(node, ast.Name):
+                assert node.id != "float", where
+            if isinstance(node, ast.Import):
+                assert "math" not in {alias.name for alias in node.names}, where
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {alias.name for alias in node.names} <= exact_math, where
 
 
 def test_every_relative_import_names_what_its_module_defines():
@@ -807,6 +829,44 @@ def test_closed_stdout_exits_1_quietly():
         os.close(write_end)
     assert result.stderr == b""
     assert result.returncode == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_full_stdout_exits_1_quietly():
+    # `nutcirc --json verify ... > /dev/full`: every write fails with ENOSPC,
+    # which must end neither in a traceback nor in "Exception ignored".
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "nutcirc.cli", "--json", "verify"]
+            + ["--n", "16", "--set", "1,2,4,5,6,7"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+    assert result.stderr == b""
+    assert result.returncode == 1
+
+
+class _FullStream(io.StringIO):
+    """A stream on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("stdout", ["--json", "verify", "--n", "16", "--set", "1,2,4,5,6,7"]),
+        ("stdout", ["verify", "--n", "16", "--set", "1,2,4,5,6,7"]),
+        ("stderr", ["verify", "--n", "16", "--set", "9"]),
+    ],
+    ids=["json", "human", "error"],
+)
+def test_a_failed_write_exits_1_quietly(capsys, monkeypatch, name, argv):
+    monkeypatch.setattr(sys, name, _FullStream())
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "")
 
 
 # One request per subcommand, a human rendering, each error exit and both

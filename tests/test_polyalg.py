@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from polyref import add, compose_xpow, div_rem, evaluate, mul, sub, x_pow_minus_one
 
+from nutcirc.circulant import GeneratorSet, is_nut_spectral
 from nutcirc.cyclotomy import totient_candidates
 from nutcirc.errors import ParameterError
+from nutcirc.families import FamilyId, family_nut_check
 from nutcirc.polyalg import (
     SparsePoly,
     cyclotomic,
@@ -83,7 +86,7 @@ def _cyclotomic_by_division(b: int, memo: dict[int, SparsePoly]) -> SparsePoly:
     # (largest first, which keeps the intermediate quotients short).
     if b not in memo:
         quo = x_pow_minus_one(b)
-        for d in reversed(divisors(b)[:-1]):
+        for d, _ in reversed(divisors(b)[:-1]):
             quo, rem = div_rem(quo, _cyclotomic_by_division(d, memo))
             assert rem.is_zero()
         memo[b] = quo
@@ -109,7 +112,7 @@ def test_cyclotomic_degree_is_totient():
 def test_cyclotomic_product_over_divisors():
     for b in range(1, 61):
         product = SparsePoly({0: 1})
-        for d in divisors(b):
+        for d, _ in divisors(b):
             product = mul(product, cyclotomic(d))
         assert product == x_pow_minus_one(b)
 
@@ -150,15 +153,41 @@ def test_prime_factorization_matches_trial_division():
         assert prime_factorization(n) == _trial_division(n), n
 
 
-def test_prime_factorization_memoizes_the_cofactor():
-    # A large prime p of n is trial-divided once, while n is factored; a
-    # later factorization of p (phi_fold at b = p) is a memo hit.
-    p = 499_999_999_979
-    prime_factorization.cache_clear()
-    assert prime_factorization(2 * p) == ((2, 1), (p, 1))
-    hits = prime_factorization.cache_info().hits
-    assert prime_factorization(p) == ((p, 1),)
-    assert prime_factorization.cache_info().hits == hits + 1
+def test_each_check_factors_its_order_once(monkeypatch):
+    # The divisors of n carry their primes, so a spectral or family check
+    # factors n once and no divisor b again: at b = p, a second trial
+    # division of the large prime p would cost as much as the first.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    factor = prime_factorization
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "nutcirc" and hasattr(module, "prime_factorization"):
+            monkeypatch.setattr(module, "prime_factorization", counted)
+    n = 2 * 499_999_999_979
+    assert is_nut_spectral(GeneratorSet(n, (1, 2, 3, 4))).is_nut
+    assert calls == [n]
+    calls.clear()
+    assert family_nut_check(FamilyId("dprime", 3, 963_761_198_400)).is_nut
+    assert calls == [963_761_198_400]
+
+
+def test_divisors_carry_their_primes():
+    # Each divisor b of n, ascending, comes with the distinct primes of b,
+    # which phi_fold is handed in place of factoring b.
+    def primes_of(b):
+        return tuple(q for q, _ in prime_factorization(b))
+
+    small = {b: primes_of(b) for b in range(1, 20_001)}
+    for n in [*range(1, 20_001), 2**40, 720_720, 963_761_198_400, 2 * 499_999_999_979]:
+        listed = divisors(n)
+        assert len(listed) == math.prod(e + 1 for _, e in prime_factorization(n)), n
+        assert all(b < c for (b, _), (c, _) in zip(listed, listed[1:])), n
+        for b, primes in listed:
+            assert n % b == 0 and primes == (small.get(b) or primes_of(b)), (n, b)
 
 
 def test_euler_phi_matches_unit_count():

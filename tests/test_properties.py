@@ -36,6 +36,7 @@ from nutcirc.polyalg import (  # noqa: E402
     phi_divides,
     phi_fold,
     phi_remainder,
+    prime_factorization,
 )
 from nutcirc.search import catalog  # noqa: E402
 
@@ -62,7 +63,7 @@ def test_nullity_is_totient_weighted_divisor_count(g):
     # The eigenvalue at a primitive b-th root of unity vanishes iff Phi_b
     # divides P, and there are euler_phi(b) such roots among the n-th roots.
     p = eigen_poly(g)
-    predicted = sum(euler_phi(b) for b in divisors(g.n) if phi_divides(p, b))
+    predicted = sum(euler_phi(b) for b, _ in divisors(g.n) if phi_divides(p, b))
     assert kernel_oracle(g).nullity == predicted
 
 
@@ -155,7 +156,7 @@ def polys_with_index(draw, degree_max=300, terms_max=10):
 def test_fold_low_coefficients_match_exact_division(case):
     # The catalog keeps only the lowest phi(b) coefficients of each fold.
     p, b, planted = case
-    fold = phi_fold(p, b)
+    fold = phi_fold(p, b, [q for q, _ in prime_factorization(b)])
     low_zero = not any(fold.get(i, 0) for i in range(euler_phi(b)))
     assert low_zero == phi_remainder(p, b).is_zero()
     assert low_zero or not planted
@@ -164,7 +165,7 @@ def test_fold_low_coefficients_match_exact_division(case):
 def failing_indices(g):
     """Every b >= 3 dividing n with Phi_b | P_S; is_nut_spectral stops at the first."""
     p = eigen_poly(g)
-    return [b for b in spectral_indices(g.n) if phi_divides(p, b)]
+    return [b for b, _ in spectral_indices(g.n) if phi_divides(p, b)]
 
 
 def unit_image(g, u):
@@ -190,7 +191,7 @@ def unit_multiples(draw):
     smooth = draw(st.sampled_from((1, 9, 60)))
     n = 2 * max(2, smooth * draw(st.integers(1, max(1, bound // smooth))))
     half = n // 2
-    plantable = [m for m in divisors(half) if m > 1 and half // m >= 4]
+    plantable = [m for m, _ in divisors(half) if m > 1 and half // m >= 4]
     plant = draw(st.sampled_from((None, None, "multiples", "pairs"))) if plantable else None
     if plant:
         m = draw(st.sampled_from(plantable))

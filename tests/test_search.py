@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 import tracemalloc
 from itertools import accumulate, combinations
 from math import comb
@@ -27,7 +28,7 @@ from nutcirc.circulant import (
     spectral_indices,
 )
 from nutcirc.errors import CapacityError, ParameterError
-from nutcirc.polyalg import SparsePoly, euler_phi, phi_fold, phi_remainder
+from nutcirc.polyalg import SparsePoly, euler_phi, phi_fold, phi_remainder, prime_factorization
 from nutcirc.search import CatalogEntry, catalog
 
 
@@ -227,7 +228,7 @@ def reference_residues(n):
     without the rotations of one fold that ``_pack_residues`` builds its
     rows from, so the leaf test below checks them.
     """
-    indices = spectral_indices(n)
+    indices = [b for b, _ in spectral_indices(n)]
     table = []
     for s in range(n // 2):
         row = []
@@ -251,8 +252,8 @@ def reference_folds(n):
     table = []
     for s in range(n // 2):
         row = []
-        for b in indices:
-            fold = phi_fold(SparsePoly([(s, 1), (n - s, 1)]), b)
+        for b, primes in indices:
+            fold = phi_fold(SparsePoly([(s, 1), (n - s, 1)]), b, primes)
             row += [fold.get(i, 0) for i in range(euler_phi(b))]
         table.append(row)
     return table
@@ -295,8 +296,9 @@ def test_binomial_folds_lie_in_minus_two_to_two():
     cases = [(b, range(b // 2 + 1)) for b in range(3, 301)]
     cases += [(b, [0, b // 2, *rng.sample(range(1, b // 2), 300)]) for b in (2310, 30030)]
     for b, residues in cases:
+        primes = [q for q, _ in prime_factorization(b)]
         for r in residues:
-            fold = phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b)
+            fold = phi_fold(SparsePoly([(r, 1), (b - r, 1)]), b, primes)
             assert all(-2 <= c <= 2 for c in fold.values()), (b, r)
             if r == 0:
                 assert abs(fold.get(0, 0)) == 2, b
@@ -374,9 +376,13 @@ def test_largest_admitted_orders_unchanged():
 
 
 def _skip_pattern(monkeypatch, d, n_min, n_max):
-    """Which orders catalog(d, n_min, n_max) skips, with every walk stubbed out."""
+    """Which orders catalog(d, n_min, n_max) skips, with every walk stubbed out.
+
+    Each order is asked as a range of its own, since an entry is fixed by its
+    order alone: the whole range would go over CATALOG_MAX_RANGE_BYTES.
+    """
     monkeypatch.setattr(search, "_walk", lambda n, k: (0, None))
-    return {e.n: e.skipped for e in catalog(d, n_min, n_max)}
+    return {n: catalog(d, n, n)[0].skipped for n in range(n_min + n_min % 2, n_max + 1, 2)}
 
 
 def test_every_order_up_to_the_largest_is_walked(monkeypatch):
@@ -491,6 +497,39 @@ def test_catalog_order_ceiling_is_inclusive(monkeypatch):
     monkeypatch.setattr(search, "CatalogEntry", None)
     with pytest.raises(CapacityError):
         catalog(0, 2, 10**12)
+
+
+def test_catalog_range_budget_refuses_before_any_walk(monkeypatch):
+    # Degree 4 on orders 2..20 000 would walk 5 146 orders for about seven
+    # minutes. Their bounds pass the budget near order 2 600, and the range
+    # is refused at once, with no order built.
+    def refuse(n, k):
+        raise AssertionError(f"built order {n}")
+
+    monkeypatch.setattr(search, "_pack_residues", refuse)
+    started = time.perf_counter()
+    with pytest.raises(CapacityError, match="exceed the catalog range budget of 2000000000 bytes"):
+        catalog(4, 2, 20_000)
+    assert time.perf_counter() - started < 1
+
+
+def test_catalog_range_budget_is_inclusive_and_sums_walked_orders(monkeypatch):
+    # Degree 8 on orders 10..28 walks every order. A budget of exactly the
+    # sum of their bounds admits the range with its entries unchanged, and
+    # one byte less refuses it. An order skipped by CATALOG_MAX_BYTES is not
+    # walked, so its bound is left out of the sum.
+    entries = catalog(8, 10, 28)
+    bounds = [search._walk_bytes(n, 4) for n in range(10, 29, 2)]
+    monkeypatch.setattr(search, "CATALOG_MAX_RANGE_BYTES", sum(bounds))
+    assert catalog(8, 10, 28) == entries
+    monkeypatch.setattr(search, "CATALOG_MAX_RANGE_BYTES", sum(bounds) - 1)
+    with pytest.raises(CapacityError, match="in \\[10, 28\\] exceed the catalog range budget"):
+        catalog(8, 10, 28)
+    monkeypatch.setattr(search, "CATALOG_MAX_BYTES", bounds[-1] - 1)
+    monkeypatch.setattr(search, "CATALOG_MAX_RANGE_BYTES", sum(bounds[:-1]))
+    assert catalog(8, 10, 28) == entries[:-1] + [
+        CatalogEntry(28, 8, False, None, 0, 0, skipped=True)
+    ]
 
 
 def test_catalog_capacity_counts_unbalanced_sets_under_balanced(monkeypatch):
