@@ -6,8 +6,9 @@ is the ground truth everything else is measured against. The accelerated
 engine first drops the indices that the index-reduction theorem for
 lacunary polynomials rules out (removing a large prime power from b must
 leave another valid index, ``filaseta_step``), then decides the rest with
-the division-free ``phi_divides``. Both examine only the indices b with
-euler_phi(b) <= deg p, which ``totient_candidates`` lists.
+the division-free ``phi_fold``. Both examine only the indices b with
+euler_phi(b) <= deg p, which ``totient_candidates`` lists with their
+primes; the accelerated engine folds with those and factors nothing.
 
 The oracle divides only where an integer test lets it. Evaluation at an
 integer m is a ring homomorphism Z[x] -> Z, so Phi_b | p in Z[x] gives
@@ -24,23 +25,18 @@ of 1000 the oracle takes 0.03 s on a trinomial, on ten terms and on
 (x - 2)(x^999 + x + 1), and 0.02 to 0.03 s on 400 terms or a dense
 polynomial. Its worst case, a division by every candidate, costs 1.1 s on
 a trinomial, 1.2 s on ten terms and 7.3 s on a dense polynomial.
-The accelerated engine takes 0.1 to 0.2 s on a trinomial or ten terms of
-degree 10 000 (under 20 MB). Its cost grows with terms times degree, so it
-also bounds that product: 2.5 to 3.1 s on a dense polynomial of degree 999
-and 3.5 to 3.8 s on 100 terms of degree 10 000, both at the work ceiling.
+Measured the same way, the accelerated engine takes 0.07 s on a trinomial
+and 0.08 s on ten terms of degree 10 000 (17 MB). Its cost grows with
+terms times degree, so it also bounds that product: 1.4 to 1.6 s on a
+dense polynomial of degree 999 and 2.4 to 2.6 s on 100 terms of degree
+10 000, both at the work ceiling.
 """
 from __future__ import annotations
 
 from math import isqrt
 
 from .errors import CapacityError, ParameterError
-from .polyalg import (
-    SparsePoly,
-    cyclotomic_value,
-    phi_divides,
-    phi_remainder,
-    prime_factorization,
-)
+from .polyalg import SparsePoly, cyclotomic_value, phi_fold, phi_remainder
 from .record import Record
 
 ORACLE_MAX_DEGREE = 1000
@@ -57,12 +53,13 @@ class CycloDivisorReport(Record):
     method: str  # "oracle" or "accelerated"
 
 
-def totient_candidates(d: int) -> list[int]:
-    """Every b >= 1 with euler_phi(b) <= d, ascending.
+def totient_candidates(d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every b >= 1 with euler_phi(b) <= d, ascending, as (b, the distinct primes of b).
 
     Each prime power p^k in b multiplies euler_phi(b) by (p - 1) * p^(k-1),
     so only primes p <= d + 1 (from a sieve) occur; b is built up by a
-    depth-first walk over prime powers that stops once the totient exceeds d.
+    depth-first walk over prime powers that stops once the totient exceeds d,
+    and records the primes it multiplies in, ascending, as ``divisors`` does.
     """
     if d < 1:
         return []
@@ -71,20 +68,21 @@ def totient_candidates(d: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
     primes = [p for p in range(2, d + 2) if sieve[p]]
-    found = [1]
+    found = [(1, ())]
 
-    def extend(b: int, phi: int, start: int) -> None:
+    def extend(b: int, phi: int, start: int, used: tuple[int, ...]) -> None:
         for i in range(start, len(primes)):
             p = primes[i]
             pb, pphi = b * p, phi * (p - 1)
             if pphi > d:
                 break  # primes ascend, so every later p overshoots too
+            pused = used + (p,)
             while pphi <= d:
-                found.append(pb)
-                extend(pb, pphi, i + 1)
+                found.append((pb, pused))
+                extend(pb, pphi, i + 1, pused)
                 pb, pphi = pb * p, pphi * p
 
-    extend(1, 1, 0)
+    extend(1, 1, 0, ())
     return sorted(found)
 
 
@@ -107,10 +105,10 @@ def cyclo_divisors_oracle(p: SparsePoly) -> CycloDivisorReport:
     candidates = totient_candidates(p.degree)
     found = [
         b
-        for b in candidates
+        for b, _ in candidates
         if value % cyclotomic_value(b, m) == 0 and phi_remainder(p, b).is_zero()
     ]
-    return CycloDivisorReport(tuple(found), max(candidates, default=0), "oracle")
+    return CycloDivisorReport(tuple(found), candidates[-1][0] if candidates else 0, "oracle")
 
 
 def _check_degree(p: SparsePoly, ceiling: int, engine: str) -> None:
@@ -121,41 +119,42 @@ def _check_degree(p: SparsePoly, ceiling: int, engine: str) -> None:
         raise CapacityError(f"degree {p.degree} exceeds the {engine} engine's ceiling {ceiling}")
 
 
-def filaseta_step(term_count: int, b: int) -> list[int]:
+def filaseta_step(term_count: int, b: int, primes: tuple[int, ...]) -> list[int]:
     """Reduced indices of b for a polynomial with term_count nonzero terms.
 
-    Selects the distinct primes of b in decreasing order until their (p - 2)
-    total exceeds term_count - 2, then returns, per selected prime in that
-    order, b with that prime's full power removed. If the total over all
-    primes of b never exceeds term_count - 2, no reduction is certified and
-    the empty list is returned. Phi_b divides the polynomial only if Phi_r
-    does for at least one returned r; which one is not determined here.
+    primes are the distinct primes of b, ascending, as ``totient_candidates``
+    lists them; nothing is factored. Selects them in decreasing order until
+    their (p - 2) total exceeds term_count - 2, and returns, per selected
+    prime in that order, b with that prime's full power removed. If the
+    total over all primes of b never exceeds term_count - 2, no reduction is
+    certified and the empty list is returned. Phi_b divides the polynomial
+    only if Phi_r does for at least one returned r; which one is not
+    determined here.
     """
     if term_count < 1:
         raise ParameterError(f"term_count must be >= 1, got {term_count}")
     if b < 2:
         raise ParameterError(f"filaseta_step needs b >= 2, got {b}")
-    factors = dict(prime_factorization(b))
-    primes_desc = sorted(factors, reverse=True)
-    chosen: list[int] = []
+    reduced: list[int] = []
     total = 0
-    for q in primes_desc:
-        chosen.append(q)
+    for q in reversed(primes):
+        r = b // q
+        while r % q == 0:
+            r //= q
+        reduced.append(r)
         total += q - 2
         if total > term_count - 2:
-            break
-    else:
-        return []
-    return [b // q ** factors[q] for q in chosen]
+            return reduced
+    return []
 
 
 def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
-    """Same divisor set as the oracle, by index reduction and phi_divides.
+    """Same divisor set as the oracle, by index reduction and phi_fold.
 
     A candidate b is discarded without a test when an index reduction
     applies and none of its reduced indices is an already-confirmed divisor
     (each reduced index is smaller than b, hence already classified).
-    Everything else is tested by the division-free phi_divides.
+    Everything else is tested by the division-free phi_fold with b's primes.
     """
     _check_degree(p, ACCELERATED_MAX_DEGREE, "accelerated")
     terms = p.term_count()
@@ -168,11 +167,12 @@ def cyclo_divisors_accelerated(p: SparsePoly) -> CycloDivisorReport:
     found: set[int] = set()
     # Ascending order matters: every reduced index is smaller than b, so it
     # has already been classified when b is reached.
-    for b in candidates:
+    for b, primes in candidates:
         if b >= 2:
-            reduced = filaseta_step(terms, b)
+            reduced = filaseta_step(terms, b, primes)
             if reduced and not any(r in found for r in reduced):
                 continue
-        if phi_divides(p, b):
+        if not phi_fold(p, b, primes):
             found.add(b)
-    return CycloDivisorReport(tuple(sorted(found)), max(candidates, default=0), "accelerated")
+    bound = candidates[-1][0] if candidates else 0
+    return CycloDivisorReport(tuple(sorted(found)), bound, "accelerated")

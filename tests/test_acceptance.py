@@ -156,5 +156,5 @@ def test_criterion_7_property_suites():
             for p, e in prime_factorization(b):
                 if e >= 2:
                     assert cyclotomic(b) == compose_xpow(cyclotomic(b // p), p)
-        assert filaseta_step(6, 21) == [3]
-        assert filaseta_step(6, 15) == []
+        assert filaseta_step(6, 21, (3, 7)) == [3]
+        assert filaseta_step(6, 15, (3, 5)) == []

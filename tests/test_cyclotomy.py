@@ -107,49 +107,70 @@ def test_all_six_blocked_polynomials_have_empty_divisor_sets():
 
 def test_totient_candidates_match_exhaustive_scan():
     # phi(b) >= sqrt(b/2), so every b with phi(b) <= d lies in 1 .. 2d^2.
+    # Each b comes with its distinct primes, which the fast engine folds with.
     top = 120
     phi = [0] + [euler_phi(b) for b in range(1, 2 * top * top + 1)]
     for d in range(0, top + 1):
-        assert totient_candidates(d) == [
+        assert [b for b, _ in totient_candidates(d)] == [
             b for b in range(1, 2 * d * d + 1) if phi[b] <= d
         ], d
+    for b, primes in totient_candidates(top):
+        assert primes == tuple(q for q, _ in prime_factorization(b)), b
 
 
 def test_totient_candidates_examples():
     assert totient_candidates(0) == []
-    assert totient_candidates(1) == [1, 2]
-    assert totient_candidates(2) == [1, 2, 3, 4, 6]
-    assert totient_candidates(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+    assert totient_candidates(1) == [(1, ()), (2, (2,))]
+    assert totient_candidates(2) == [(1, ()), (2, (2,)), (3, (3,)), (4, (2,)), (6, (2, 3))]
+    assert [b for b, _ in totient_candidates(4)] == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+
+def _filaseta_reference(term_count: int, b: int) -> list[int]:
+    """The reduction step from b alone: factor b, pick primes largest first."""
+    factors = dict(prime_factorization(b))
+    chosen, total = [], 0
+    for q in sorted(factors, reverse=True):
+        chosen.append(q)
+        total += q - 2
+        if total > term_count - 2:
+            return [b // q ** factors[q] for q in chosen]
+    return []
 
 
 def test_filaseta_step_examples():
     # Six terms need a (p - 2) total above 4: 7 - 2 = 5 clears it, so 21 -> 3.
-    assert filaseta_step(6, 21) == [3]
+    assert filaseta_step(6, 21, (3, 7)) == [3]
     # 5 - 2 + 3 - 2 = 4 does not.
-    assert filaseta_step(6, 15) == []
-    assert filaseta_step(3, 7) == [1]
+    assert filaseta_step(6, 15, (3, 5)) == []
+    assert filaseta_step(3, 7, (7,)) == [1]
     # Prime powers are removed whole: 7^2 * 3 -> 3.
-    assert filaseta_step(6, 147) == [3]
+    assert filaseta_step(6, 147, (3, 7)) == [3]
+    # Handed b's primes, the step factors nothing and agrees with factoring b.
+    for b in range(2, 5001):
+        primes = tuple(q for q, _ in prime_factorization(b))
+        for term_count in range(1, 13):
+            expected = _filaseta_reference(term_count, b)
+            assert filaseta_step(term_count, b, primes) == expected, (term_count, b)
 
 
 def test_filaseta_step_prime_powers_and_multiple_candidates():
     # Powers of two alone never satisfy the condition for N >= 2.
-    assert filaseta_step(6, 8) == []
+    assert filaseta_step(6, 8, (2,)) == []
     # For N=2 both primes of 35 contribute before the sum clears 0? No:
     # largest first, 7-2 = 5 > 0 already, so only one candidate appears.
-    assert filaseta_step(2, 35) == [5]
+    assert filaseta_step(2, 35, (5, 7)) == [5]
     # N=8 needs 5 + 3 from {7, 5} to clear 6, so both candidates appear,
     # largest prime first; N=9 needs more than 7, which 8 still is.
-    assert filaseta_step(8, 35) == [5, 7]
-    assert filaseta_step(9, 35) == [5, 7]
-    assert filaseta_step(10, 35) == []
+    assert filaseta_step(8, 35, (5, 7)) == [5, 7]
+    assert filaseta_step(9, 35, (5, 7)) == [5, 7]
+    assert filaseta_step(10, 35, (5, 7)) == []
 
 
 def test_filaseta_step_validation():
     with pytest.raises(ParameterError):
-        filaseta_step(0, 10)
+        filaseta_step(0, 10, (2, 5))
     with pytest.raises(ParameterError):
-        filaseta_step(6, 1)
+        filaseta_step(6, 1, ())
 
 
 def test_engines_agree_on_family_polynomials():
@@ -197,9 +218,10 @@ def test_filaseta_consistency_on_divisor_chains():
     found = set(cyclo_divisors_oracle(poly).divisors)
     assert found == {1, 3, 7, 21}
     for b in found:
-        if b < 2 or max(p for p, _ in prime_factorization(b)) < 7:
+        primes = tuple(p for p, _ in prime_factorization(b))
+        if b < 2 or max(primes) < 7:
             continue
-        reduced = filaseta_step(poly.term_count(), b)
+        reduced = filaseta_step(poly.term_count(), b, primes)
         assert reduced
         assert any(r in found for r in reduced)
 
@@ -215,7 +237,7 @@ ROOT_AT_2 = mul(X_MINUS_2, SparsePoly({299: 1, 1: 1, 0: 1}))
 
 def _divided_by_every_candidate(p: SparsePoly) -> tuple[int, ...]:
     candidates = totient_candidates(p.degree)
-    return tuple(b for b in candidates if div_rem(p, cyclotomic(b))[1].is_zero())
+    return tuple(b for b, _ in candidates if div_rem(p, cyclotomic(b))[1].is_zero())
 
 
 def test_oracle_integer_test_edge_cases():
@@ -252,7 +274,7 @@ def test_engines_agree_on_large_lacunary_polynomials():
     # or two small Phi_b. Both engines must find every planted index and
     # agree on the whole set.
     rng = random.Random(20261019)
-    small = totient_candidates(24)
+    small = [b for b, _ in totient_candidates(24)]
     for i in range(12):
         planted: set[int] = set()
         factor = SparsePoly({0: 1})

@@ -9,9 +9,9 @@ import pytest
 from polyref import add, compose_xpow, div_rem, evaluate, mul, sub, x_pow_minus_one
 
 from nutcirc.circulant import GeneratorSet, is_nut_spectral
-from nutcirc.cyclotomy import totient_candidates
+from nutcirc.cyclotomy import cyclo_divisors_accelerated, totient_candidates
 from nutcirc.errors import ParameterError
-from nutcirc.families import FamilyId, family_nut_check
+from nutcirc.families import FamilyId, FamilyPolyId, family_nut_check, family_poly
 from nutcirc.polyalg import (
     SparsePoly,
     cyclotomic,
@@ -173,6 +173,12 @@ def test_each_check_factors_its_order_once(monkeypatch):
     calls.clear()
     assert family_nut_check(FamilyId("dprime", 3, 963_761_198_400)).is_nut
     assert calls == [963_761_198_400]
+    # The fast divisor engine folds with the primes its candidates carry,
+    # so it factors nothing at all.
+    calls.clear()
+    assert cyclo_divisors_accelerated(SparsePoly({10_000: 1, 1: 1, 0: 1})).divisors == ()
+    assert cyclo_divisors_accelerated(family_poly(FamilyPolyId("q", 4_999))).divisors == (1, 2)
+    assert calls == []
 
 
 def test_divisors_carry_their_primes():
@@ -215,7 +221,7 @@ def test_phi_divides_matches_dense_division():
             poly = mul(cofactor, cyclotomic(planted))
             if not cofactor.is_zero():
                 assert phi_divides(poly, planted)
-        for b in sorted(set(totient_candidates(min(poly.degree, 150))) | set(large)):
+        for b in sorted({b for b, _ in totient_candidates(min(poly.degree, 150))} | set(large)):
             remainder = div_rem(poly, cyclotomic(b))[1]
             assert phi_remainder(poly, b) == remainder, (sparse_to_text(poly), b)
             assert phi_divides(poly, b) == remainder.is_zero(), (sparse_to_text(poly), b)
@@ -234,7 +240,7 @@ def test_cyclotomic_and_remainder_match_sympy():
     for b in range(1, 301):
         assert cyclotomic(b) == from_sympy(sympy.cyclotomic_poly(b, x)), b
     rng = random.Random(20261019)
-    indices = totient_candidates(150)
+    indices = [b for b, _ in totient_candidates(150)]
     for i in range(50):
         b = rng.choice(indices)
         phi_b = sympy.Poly(sympy.cyclotomic_poly(b, x), x)
