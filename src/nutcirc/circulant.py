@@ -49,7 +49,6 @@ REASON_ODD_ORDER = "odd-order"
 REASON_PARITY = "parity-imbalance"
 REASON_SPECTRAL = "spectral-failure"
 REASON_NULLITY = "nullity-not-one"
-REASON_KERNEL_ZERO = "kernel-has-zero"
 
 
 class GeneratorSet(Record):
@@ -89,7 +88,7 @@ class NutVerdict(Record):
     """Decision record: nut or not, why, and the failing evidence if any.
 
     witness is the smallest failing cyclotomic index for spectral failures,
-    and the exact kernel vector for kernel-based reasons (including ok).
+    and the exact kernel vector for a nut found by the kernel route.
     """
 
     __slots__ = ("is_nut", "reason", "witness")
@@ -102,10 +101,9 @@ class NutVerdict(Record):
 class KernelReport(Record):
     """Exact null-space summary of the adjacency matrix."""
 
-    __slots__ = ("nullity", "kernel_vector", "full_support")
+    __slots__ = ("nullity", "kernel_vector")
     nullity: int
     kernel_vector: tuple[int, ...] | None
-    full_support: bool
 
 
 def parse_generator_set(n: int, csv_elements: str) -> GeneratorSet:
@@ -260,18 +258,20 @@ def _certified_report(g: GeneratorSet, p: int) -> KernelReport | None:
     if not h[0] or [r % p for r in _row_sums(g, (u + [0] * n)[:n])] != folded:
         return None
     if k == 0:
-        return KernelReport(0, None, False)
+        return KernelReport(0, None)
     sign = -1 if 2 * v[0] > p else 1  # the reported vector starts with a positive entry
     vec = tuple(sign * (r - p if 2 * r > p else r) for r in v)
     if len(vec) != n - k + 1 or not _is_in_kernel(g, vec + (0,) * (k - 1)):
         return None
-    if k > 1:
-        return KernelReport(k, None, False)
-    return KernelReport(1, vec, all(vec))
+    return KernelReport(k, vec if k == 1 else None)
 
 
 def kernel_oracle(g: GeneratorSet) -> KernelReport:
     """Exact nullity of the adjacency matrix, plus the kernel vector if unique.
+
+    That vector is (1, -1, 1, ...), by an argument free of roots of unity: A
+    commutes with the cyclic shift P, so P v = c v, c rational, c^n = 1, so
+    c = 1 or -1; c = 1 needs A 1 = 2|S| 1 = 0, only for S empty (nullity n).
 
     The report is a certificate (`_certified_report`) from one extended
     Euclid over F_p: with h the gcd of the first row and x^n - 1, a Bezout
@@ -321,10 +321,12 @@ def _is_in_kernel(g: GeneratorSet, vec: tuple[int, ...]) -> bool:
 
 
 def is_nut_kernel(g: GeneratorSet) -> NutVerdict:
-    """Nut-ness straight from the definition: nullity one, full-support kernel."""
+    """Nut-ness from the kernel: nut exactly when the nullity is one.
+
+    For a circulant the definition's kernel vector with no zero entry then
+    follows: it is (1, -1, 1, ...), by the shift argument of `kernel_oracle`.
+    """
     report = kernel_oracle(g)
     if report.nullity != 1:
         return NutVerdict(False, REASON_NULLITY)
-    if not report.full_support:
-        return NutVerdict(False, REASON_KERNEL_ZERO, witness=report.kernel_vector)
     return NutVerdict(True, REASON_OK, witness=report.kernel_vector)

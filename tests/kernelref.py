@@ -96,6 +96,6 @@ def bareiss_report(g: GeneratorSet) -> KernelReport:
     echelon, piv_cols = _bareiss_echelon(adjacency_matrix(g))
     nullity = g.n - len(piv_cols)
     if nullity != 1:
-        return KernelReport(nullity, None, False)
+        return KernelReport(nullity, None)
     vec = _kernel_vector_from_echelon(echelon, piv_cols, g.n)
-    return KernelReport(1, vec, all(v != 0 for v in vec))
+    return KernelReport(1, vec)

@@ -167,10 +167,9 @@ def test_first_obstruction_tests_each_b_by_its_first_matching_rule():
     ]
 
 
-def test_kernel_oracle_unique_full_support():
+def test_kernel_oracle_unique_vector_alternates():
     report = kernel_oracle(NUT_12REG)
     assert report.nullity == 1
-    assert report.full_support
     assert report.kernel_vector == tuple((-1) ** i for i in range(16))
 
 
@@ -178,7 +177,6 @@ def test_kernel_oracle_four_cycle():
     report = kernel_oracle(GeneratorSet(4, (1,)))
     assert report.nullity == 2
     assert report.kernel_vector is None
-    assert not report.full_support
 
 
 def test_kernel_oracle_octahedron():
@@ -287,9 +285,9 @@ def test_certificate_matches_bareiss_on_random_circulants():
         assert kernel_oracle(g) == reference, g
         nullities.add(min(reference.nullity, 2))
         if reference.nullity == 1:
-            # Only a real root of unity can be a simple zero of the real a(x)
-            # (a non-real one brings its conjugate), and a(1) = 2|S| != 0,
-            # so the kernel is spanned by the powers of -1.
+            # The cyclic shift maps a one-dimensional kernel onto itself, so
+            # it scales the spanning vector by a rational c with c^n = 1; the
+            # all-ones vector is not in the kernel (A 1 = 2|S| 1), so c = -1.
             assert reference.kernel_vector == tuple((-1) ** i for i in range(g.n)), g
     assert nullities == {0, 1, 2}
 
@@ -299,7 +297,8 @@ def test_certificate_matches_bareiss_on_family_members():
     assert len(members) > 40
     for g in members:
         reference = bareiss_report(g)
-        assert reference.nullity == 1 and reference.full_support, g
+        assert reference.nullity == 1, g
+        assert reference.kernel_vector == tuple((-1) ** i for i in range(g.n)), g
         for p in circulant._PRIMES:
             assert circulant._certified_report(g, p) == reference, (g, p)
 
@@ -471,7 +470,7 @@ def test_certificate_matches_bareiss_up_to_order_128():
 def test_high_nullity_at_order_256(elements, nullity):
     g = GeneratorSet(256, elements)
     report = kernel_oracle(g)
-    assert report == circulant.KernelReport(nullity, None, False)
+    assert report == circulant.KernelReport(nullity, None)
     assert report == bareiss_report(g)
 
 

@@ -482,6 +482,37 @@ def test_agree_is_false_when_a_route_disagrees(capsys, monkeypatch):
     assert envelope["payload"]["agree"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            "verify --n 12 --set 1,2 --method spectral",
+            "Circ(12, [1, 2])  degree 4\n"
+            "  spectral: not a nut [spectral-failure] (failing divisor b=6)\n",
+        ),
+        (
+            "family --variant ds --t 3 --n 16 --check",
+            "ds t=3 n=16: S = [1, 2, 4, 5, 6, 7] (degree 12)\n"
+            "  spectral: NUT [ok]\n"
+            "  kernel: NUT [ok]\n"
+            "  family: not applicable\n"
+            "  checks agree: True\n",
+        ),
+        (
+            "tables --kind q --modulus 3 --format md",
+            "| residue | reduced | remainder |\n"
+            "|---|---|---|\n"
+            "| 0 | 2:3,0:-3 | 1:-3,0:-6 |\n"
+            "| 1 | 1:1,0:-1 | 1:1,0:-1 |\n"
+            "| 2 | 2:-1,1:1 | 1:2,0:1 |\n",
+        ),
+        ("cyclodiv --poly 2:1,0:1", "degree 2, engine oracle, divisors [4]\n"),
+    ],
+)
+def test_human_output(capsys, argv, stdout):
+    assert run_cli(capsys, *argv.split()) == (0, stdout)
+
+
 def test_family_invalid_parameters_exit_2(capsys):
     code, envelope = run_json(capsys, "family", "--variant", "dprime", "--t", "2", "--n", "16")
     assert code == 2

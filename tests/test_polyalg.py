@@ -287,6 +287,8 @@ def test_phi_divides_edge_cases():
     assert phi_remainder(SparsePoly({3: 1, 0: 1}), 4) == SparsePoly({1: -1, 0: 1})
     with pytest.raises(ParameterError):
         phi_divides(Q3, 0)
+    with pytest.raises(ParameterError, match="reduce_mod_xb needs b >= 1, got 0"):
+        reduce_mod_xb(Q3, 0)
 
 
 def test_reduce_mod_xb_q3():

@@ -30,8 +30,8 @@ RECORDS = [
     ),
     (
         KernelReport,
-        (1, (1, -1), True),
-        "KernelReport(nullity=1, kernel_vector=(1, -1), full_support=True)",
+        (1, (1, -1)),
+        "KernelReport(nullity=1, kernel_vector=(1, -1))",
     ),
     (
         CycloDivisorReport,
@@ -67,7 +67,7 @@ RECORDS = [
 FIELDS = {
     GeneratorSet: ("n", "elements"),
     NutVerdict: ("is_nut", "reason", "witness"),
-    KernelReport: ("nullity", "kernel_vector", "full_support"),
+    KernelReport: ("nullity", "kernel_vector"),
     CycloDivisorReport: ("divisors", "search_bound", "method"),
     FamilyId: ("variant", "t", "n"),
     FamilyPolyId: ("kind", "t"),
@@ -144,10 +144,11 @@ def test_tablerow_is_unhashable_but_compares_by_value():
 
 def test_records_of_different_classes_never_compare_equal():
     verdict = NutVerdict(1, None, False)
-    report = KernelReport(1, None, False)
+    report = KernelReport(1, None)
     assert verdict != report and not verdict == report
     assert FamilyPolyId("u", 2) != ("u", 2)
     assert GeneratorSet(16, ()) != (16, ())
+    assert GeneratorSet(16, ()) != KernelReport(16, ())  # equal field tuples
     assert len({verdict, report}) == 2
 
 
